@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke
+.PHONY: build test verify chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,7 @@ test: build
 # for the full sweep. The arm64 cross-build keeps the prefetch package's
 # per-arch split (assembly on amd64, no-op elsewhere) compiling on a
 # non-amd64 target.
-verify: build obs-smoke alloc-smoke wal-smoke net-smoke
+verify: build obs-smoke alloc-smoke wal-smoke net-smoke fuzz-smoke
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -short ./...
@@ -43,6 +43,13 @@ obs-smoke:
 # /metrics, clean SIGTERM drain.
 net-smoke:
 	./scripts/net-smoke.sh
+
+# Ten seconds of native fuzzing on the B-Tree batch kernel's differential
+# target (ExecBatch vs the public methods in index order), mutating from the
+# checked-in corpus under internal/index/btree/testdata/fuzz. A failing
+# input is written there; commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzExecBatchVsSerial$$' -fuzztime 10s ./internal/index/btree
 
 # The full-size chaos fault-injection suite on its own — both the WAL-off
 # schedules (crash-with-data-loss envelope) and the TestChaosWAL* suite

@@ -90,11 +90,11 @@ func TestChaosWALArenaResetVsBypassReads(t *testing.T) {
 			tree.Set(k, 0)
 			tree.Set(k+pairs, 0)
 		}
-		injector := faultinject.New(seed,
+		injector := &gatedInjector{Injector: faultinject.New(seed,
 			faultinject.Rule{Kind: faultinject.WorkerKill, Worker: -1, EveryNth: 170},
 			faultinject.Rule{Kind: faultinject.WALKillCommit, Worker: -1, EveryNth: 70},
 			faultinject.Rule{Kind: faultinject.WALTornTail, Worker: -1, EveryNth: 90},
-		)
+		)}
 		observer := obs.New(obs.Options{})
 		cfg := core.Config{
 			Machine:      m,
@@ -152,6 +152,17 @@ func TestChaosWALArenaResetVsBypassReads(t *testing.T) {
 				}
 			}(r)
 		}
+
+		// A worker crash disarms bypass on its buffer for good, and idle
+		// sweeps alone reach the first injected kill within microseconds of
+		// Start — on a two-core host often before a reader goroutine has run
+		// at all. The faults therefore stay gated until one bypass read has
+		// validated; the writer and the kills then race readers that are
+		// known to be on the bypass path.
+		for deadline := time.Now().Add(5 * time.Second); bypassHits(observer) == 0 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		injector.armed.Store(true)
 
 		ws, err := rt.NewSession(0, 4)
 		if err != nil {
@@ -220,4 +231,30 @@ func TestChaosWALArenaResetVsBypassReads(t *testing.T) {
 			t.Errorf("seed %d: arenas enabled but never reset; staging never drew from them", seed)
 		}
 	}
+}
+
+// gatedInjector holds every worker-crashing fault back until armed.
+type gatedInjector struct {
+	*faultinject.Injector
+	armed atomic.Bool
+}
+
+func (g *gatedInjector) BeforeSweep(worker int) {
+	if g.armed.Load() {
+		g.Injector.BeforeSweep(worker)
+	}
+}
+
+func (g *gatedInjector) DecideWALFault(worker int) int {
+	if !g.armed.Load() {
+		return 0
+	}
+	return g.Injector.DecideWALFault(worker)
+}
+
+func bypassHits(o *obs.Observer) (hits uint64) {
+	for _, d := range o.Snapshot().Domains {
+		hits += d.BypassHits
+	}
+	return hits
 }

@@ -12,6 +12,7 @@
 package btree
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -20,13 +21,15 @@ import (
 	"robustconf/internal/syncprims"
 )
 
-// Fanout parameters follow STX's defaults for 64-bit keys: 256-byte nodes
-// hold 16 key slots in inner nodes and 8 key/value pairs per leaf... STX
-// actually derives slot counts from a 256-byte target; we use wider nodes
-// (cache-line multiples) which behave identically for the evaluation.
+// Nodes are STX's 256-byte target made exact: 15 keys plus 16 children (or
+// 15 values and the chain link) plus the count fill the allocator's 256 B
+// size class, whose objects are 256-aligned — a node is four whole cache
+// lines, the count and keys on the first two.
 const (
-	innerSlots = 16 // keys per inner node
-	leafSlots  = 16 // records per leaf
+	innerSlots = 15 // keys per inner node
+	leafSlots  = 15 // records per leaf
+	nodeBytes  = 256
+	nodeLines  = nodeBytes / 64
 )
 
 type leaf struct {
@@ -36,19 +39,35 @@ type leaf struct {
 	next   *leaf // leaf chaining for scans
 }
 
+// inner children are untyped pointers: every leaf sits at depth Tree.height
+// (splits grow the tree at the root and appendMax builds a uniform-depth
+// spine), so the level reached says what a child is — *inner above the
+// leaves, *leaf at them — and a hop is one dependent load.
 type inner struct {
 	num      int
 	keys     [innerSlots]uint64
-	children [innerSlots + 1]any // *inner or *leaf
+	children [innerSlots + 1]unsafe.Pointer
 }
+
+const (
+	leafBytes  = int(unsafe.Sizeof(leaf{}))
+	innerBytes = int(unsafe.Sizeof(inner{}))
+)
+
+// Both layouts fill the size class exactly, or the build fails on an array
+// type mismatch.
+var (
+	_ [nodeBytes]byte = [leafBytes]byte{}
+	_ [nodeBytes]byte = [innerBytes]byte{}
+)
 
 // Tree is the STX-style B+Tree. Construct with New.
 type Tree struct {
-	root       any // *inner or *leaf; nil when empty
-	height     int // number of inner levels above the leaves
-	count      atomic.Int64
+	root   unsafe.Pointer // *inner when height > 0, else *leaf; nil when empty
+	height int            // number of inner levels above the leaves
+	count  atomic.Int64
 	// structLock is the paper's "global lock": shared for traversals
-	// (Get/Update/Scan and the ExecBatch locate stage), exclusive for
+	// (Get/Update/Scan and ExecBatch's GET/UPDATE runs), exclusive for
 	// structural changes (Insert/Delete).
 	structLock syncprims.RWSpinLock
 	// maxKey is the largest key ever inserted (never lowered on delete, so
@@ -78,46 +97,63 @@ func (t *Tree) ConcurrentReadSafe() bool { return false }
 // Len implements index.Index.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 
-const (
-	leafBytes  = 8 + leafSlots*16 + 8
-	innerBytes = 8 + innerSlots*8 + (innerSlots+1)*8
-)
-
-// findLeaf descends to the leaf that covers k, accounting each visited node.
+// findLeaf descends to the leaf that covers k, accounting each visited
+// node; nil on an empty tree.
 func (t *Tree) findLeaf(k uint64, st *index.OpStats) *leaf {
-	node := t.root
-	depth := uint64(0)
-	for {
-		switch n := node.(type) {
-		case *inner:
-			st.Visit(1, index.CacheLines(innerBytes))
-			depth++
-			i := searchKeys(n.keys[:n.num], k)
-			node = n.children[i]
-		case *leaf:
-			st.Visit(1, index.CacheLines(leafBytes))
-			if st != nil {
-				st.Depth += depth
-			}
-			return n
-		default:
-			return nil
-		}
+	p := t.root
+	if p == nil {
+		return nil
 	}
+	for level := t.height; level > 0; level-- {
+		in := (*inner)(p)
+		st.Visit(1, index.CacheLines(innerBytes))
+		p = in.children[searchKeys(in.keys[:in.num], k)]
+	}
+	st.Visit(1, index.CacheLines(leafBytes))
+	if st != nil {
+		st.Depth += uint64(t.height)
+	}
+	return (*leaf)(p)
 }
 
-// searchKeys returns the index of the first key > k (branch to that child).
+// searchKeys returns the number of keys ≤ k — the child to branch to, and
+// one past k's slot in a leaf. It counts instead of bisecting: a node's keys
+// are two cache lines, and a borrow-accumulating loop over them has no
+// data-dependent branch to mispredict.
 func searchKeys(keys []uint64, k uint64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	n := len(keys)
+	for _, x := range keys {
+		_, below := bits.Sub64(k, x, 0) // 1 iff k < x
+		n -= int(below)
 	}
-	return lo
+	return n
+}
+
+// searchRecords returns the slot of k in the leaf, or -1.
+func searchRecords(lf *leaf, k uint64) int {
+	if i := searchKeys(lf.keys[:lf.num], k) - 1; i >= 0 && lf.keys[i] == k {
+		return i
+	}
+	return -1
+}
+
+// execOnLeaf runs one GET or UPDATE against the leaf covering k (nil on an
+// empty tree). The caller holds structLock at least shared: record slots do
+// not move, and the value access is atomic, so concurrent shared holders may
+// read and update the same slot.
+func execOnLeaf(lf *leaf, kind uint8, k, v uint64) (uint64, bool) {
+	if lf == nil {
+		return 0, false
+	}
+	i := searchRecords(lf, k)
+	if i < 0 {
+		return 0, false
+	}
+	if kind == index.BatchUpdate {
+		lf.values[i].Store(v)
+		return 0, true
+	}
+	return lf.values[i].Load(), true
 }
 
 // Get implements index.Index: a traversal under the shared structural lock;
@@ -127,32 +163,9 @@ func (t *Tree) Get(k uint64, st *index.OpStats) (uint64, bool) {
 		st.Ops++
 	}
 	t.structLock.RLock()
-	defer t.structLock.RUnlock()
-	lf := t.findLeaf(k, st)
-	if lf == nil {
-		return 0, false
-	}
-	if i := searchRecords(lf, k); i >= 0 {
-		return lf.values[i].Load(), true
-	}
-	return 0, false
-}
-
-// searchRecords returns the slot of k in the leaf, or -1.
-func searchRecords(lf *leaf, k uint64) int {
-	lo, hi := 0, lf.num
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case lf.keys[mid] < k:
-			lo = mid + 1
-		case lf.keys[mid] > k:
-			hi = mid
-		default:
-			return mid
-		}
-	}
-	return -1
+	v, ok := execOnLeaf(t.findLeaf(k, st), index.BatchGet, k, 0)
+	t.structLock.RUnlock()
+	return v, ok
 }
 
 // Update implements index.Index: an in-place atomic store on the record
@@ -163,17 +176,9 @@ func (t *Tree) Update(k, v uint64, st *index.OpStats) bool {
 		st.Ops++
 	}
 	t.structLock.RLock()
-	defer t.structLock.RUnlock()
-	lf := t.findLeaf(k, st)
-	if lf == nil {
-		return false
-	}
-	i := searchRecords(lf, k)
-	if i < 0 {
-		return false
-	}
-	lf.values[i].Store(v)
-	return true
+	_, ok := execOnLeaf(t.findLeaf(k, st), index.BatchUpdate, k, v)
+	t.structLock.RUnlock()
+	return ok
 }
 
 // Insert implements index.Index under the global structural lock.
@@ -189,7 +194,7 @@ func (t *Tree) Insert(k, v uint64, st *index.OpStats) bool {
 		lf := &leaf{num: 1}
 		lf.keys[0] = k
 		lf.values[0].Store(v)
-		t.root = lf
+		t.root = unsafe.Pointer(lf)
 		t.maxKey, t.hasMax = k, true
 		t.count.Add(1)
 		st.Visit(1, index.CacheLines(leafBytes))
@@ -211,8 +216,7 @@ func (t *Tree) Insert(k, v uint64, st *index.OpStats) bool {
 		return true
 	}
 
-	lf := t.findLeaf(k, st)
-	if searchRecords(lf, k) >= 0 {
+	if searchRecords(t.findLeaf(k, st), k) >= 0 {
 		return false
 	}
 
@@ -226,7 +230,7 @@ func (t *Tree) Insert(k, v uint64, st *index.OpStats) bool {
 
 // insertAt performs the recursive insert; reports whether any split occurred.
 func (t *Tree) insertAt(k, v uint64, st *index.OpStats) bool {
-	newChild, splitKey, grew := insertRec(t.root, k, v, st)
+	newChild, splitKey, grew := insertRec(t.root, t.height, k, v, st)
 	if !grew {
 		return false
 	}
@@ -234,7 +238,7 @@ func (t *Tree) insertAt(k, v uint64, st *index.OpStats) bool {
 	r.keys[0] = splitKey
 	r.children[0] = t.root
 	r.children[1] = newChild
-	t.root = r
+	t.root = unsafe.Pointer(r)
 	t.height++
 	return true
 }
@@ -242,25 +246,20 @@ func (t *Tree) insertAt(k, v uint64, st *index.OpStats) bool {
 // appendMax inserts k (strictly greater than every present key) at the
 // rightmost edge: into the last leaf while it has room, otherwise into a
 // fresh single-record right sibling whose separator climbs the rightmost
-// inner spine — full spine nodes get a fresh single-child sibling too, so
-// a pure ascending load leaves every node fully packed. Runs under the
-// structural lock with the version write-locked; reports whether the tree
-// grew a node.
+// inner spine — full spine nodes get a fresh single-child sibling too (no
+// keys yet: CheckInvariants accepts that shape on the rightmost spine only),
+// so a pure ascending load leaves every node fully packed. Runs under the
+// exclusive structural lock; reports whether the tree grew a node.
 func (t *Tree) appendMax(k, v uint64, st *index.OpStats) bool {
 	var spine [32]*inner
-	depth := 0
-	node := t.root
-	for {
-		in, ok := node.(*inner)
-		if !ok {
-			break
-		}
+	p := t.root
+	for d := 0; d < t.height; d++ {
+		in := (*inner)(p)
 		st.Visit(1, index.CacheLines(innerBytes))
-		spine[depth] = in
-		depth++
-		node = in.children[in.num]
+		spine[d] = in
+		p = in.children[in.num]
 	}
-	lf := node.(*leaf)
+	lf := (*leaf)(p)
 	st.Visit(1, index.CacheLines(leafBytes))
 	if lf.num < leafSlots {
 		lf.keys[lf.num] = k
@@ -278,9 +277,9 @@ func (t *Tree) appendMax(k, v uint64, st *index.OpStats) bool {
 	// The separator (k itself: everything existing is strictly below it)
 	// climbs the spine; a full spine node gets a single-child sibling and
 	// the separator keeps climbing.
-	var child any = r
-	for i := depth - 1; i >= 0; i-- {
-		in := spine[i]
+	child := unsafe.Pointer(r)
+	for d := t.height - 1; d >= 0; d-- {
+		in := spine[d]
 		if in.num < innerSlots {
 			in.keys[in.num] = k
 			in.children[in.num+1] = child
@@ -289,46 +288,44 @@ func (t *Tree) appendMax(k, v uint64, st *index.OpStats) bool {
 		}
 		nr := &inner{}
 		nr.children[0] = child
-		child = nr
+		child = unsafe.Pointer(nr)
 	}
 	// Every spine node was full (or the root is a leaf): grow the root.
 	nr := &inner{num: 1}
 	nr.keys[0] = k
 	nr.children[0] = t.root
 	nr.children[1] = child
-	t.root = nr
+	t.root = unsafe.Pointer(nr)
 	t.height++
 	return true
 }
 
-// insertRec inserts into the subtree rooted at node. When the child splits it
-// returns the new right sibling and its separator key with grew=true.
-func insertRec(node any, k, v uint64, st *index.OpStats) (right any, splitKey uint64, grew bool) {
-	switch n := node.(type) {
-	case *leaf:
-		return leafInsert(n, k, v, st)
-	case *inner:
-		i := searchKeys(n.keys[:n.num], k)
-		r, sk, g := insertRec(n.children[i], k, v, st)
-		if !g {
-			return nil, 0, false
-		}
-		if n.num < innerSlots {
-			copy(n.keys[i+1:n.num+1], n.keys[i:n.num])
-			copy(n.children[i+2:n.num+2], n.children[i+1:n.num+1])
-			n.keys[i] = sk
-			n.children[i+1] = r
-			n.num++
-			return nil, 0, false
-		}
-		// Split the inner node around its median.
-		return innerSplit(n, i, sk, r, st)
-	default:
-		panic("btree: corrupt node type")
+// insertRec inserts into the subtree rooted at node, which sits level inner
+// levels above the leaves. When the child splits it returns the new right
+// sibling and its separator key with grew=true.
+func insertRec(node unsafe.Pointer, level int, k, v uint64, st *index.OpStats) (right unsafe.Pointer, splitKey uint64, grew bool) {
+	if level == 0 {
+		return leafInsert((*leaf)(node), k, v, st)
 	}
+	n := (*inner)(node)
+	i := searchKeys(n.keys[:n.num], k)
+	r, sk, g := insertRec(n.children[i], level-1, k, v, st)
+	if !g {
+		return nil, 0, false
+	}
+	if n.num < innerSlots {
+		copy(n.keys[i+1:n.num+1], n.keys[i:n.num])
+		copy(n.children[i+2:n.num+2], n.children[i+1:n.num+1])
+		n.keys[i] = sk
+		n.children[i+1] = r
+		n.num++
+		return nil, 0, false
+	}
+	// Split the inner node around its median.
+	return innerSplit(n, i, sk, r, st)
 }
 
-func leafInsert(lf *leaf, k, v uint64, st *index.OpStats) (any, uint64, bool) {
+func leafInsert(lf *leaf, k, v uint64, st *index.OpStats) (unsafe.Pointer, uint64, bool) {
 	i := searchKeys(lf.keys[:lf.num], k)
 	if lf.num < leafSlots {
 		copy(lf.keys[i+1:lf.num+1], lf.keys[i:lf.num])
@@ -361,13 +358,13 @@ func leafInsert(lf *leaf, k, v uint64, st *index.OpStats) (any, uint64, bool) {
 		target = r
 	}
 	leafInsert(target, k, v, nil)
-	return r, r.keys[0], true
+	return unsafe.Pointer(r), r.keys[0], true
 }
 
-func innerSplit(n *inner, i int, sk uint64, child any, st *index.OpStats) (any, uint64, bool) {
+func innerSplit(n *inner, i int, sk uint64, child unsafe.Pointer, st *index.OpStats) (unsafe.Pointer, uint64, bool) {
 	// Merge the pending (sk, child) into a temporary ordered view, then cut.
 	var keys [innerSlots + 1]uint64
-	var children [innerSlots + 2]any
+	var children [innerSlots + 2]unsafe.Pointer
 	copy(keys[:i], n.keys[:i])
 	keys[i] = sk
 	copy(keys[i+1:], n.keys[i:n.num])
@@ -393,7 +390,7 @@ func innerSplit(n *inner, i int, sk uint64, child any, st *index.OpStats) (any, 
 		st.BytesCopied += uint64(innerBytes)
 		st.Splits++
 	}
-	return r, up, true
+	return unsafe.Pointer(r), up, true
 }
 
 // Delete implements index.Index under the global structural lock. The slot
@@ -459,70 +456,84 @@ func (t *Tree) Scan(lo, hi uint64, fn func(k, v uint64) bool, st *index.OpStats)
 	return n
 }
 
-// batchStride is the interleaved group width of one ExecBatch round; 16
-// in-flight descents keep the stage arrays on the stack while exceeding the
-// line-fill-buffer depth the prefetches need to overlap.
-const batchStride = 16
+const (
+	// batchStride is the interleaved group width of one ExecBatch run; 16
+	// in-flight descents keep the stage array on the stack while exceeding
+	// the line-fill-buffer depth the prefetches need to overlap.
+	batchStride = 16
+	// residentDepth is the first depth worth prefetching into: the root and
+	// the two levels under it are at most 1+16+256 nodes (≈70 KB) that every
+	// descent touches, so they stay cached.
+	residentDepth = 3
+	// residentKeys is the record count up to which the packed leaves (1 MB)
+	// sit in a core's L2 beside the inner levels: descents hit cache, and
+	// staging them only adds work.
+	residentKeys = (1 << 20) / nodeBytes * leafSlots
+)
 
-// ExecBatch implements index.BatchKernel with a level-synchronous descent:
-// every operation in the group advances one tree level per round, and the
-// child node each will visit next is prefetched before any of them is
-// touched, so the group's per-level cache misses overlap. The locate stage
-// descends under the shared structural lock: with pooled sessions one
-// structure's ops may execute on several workers concurrently, and unlike
-// the other kernels the B-Tree mutates nodes in place (no atomic
-// publication to read optimistically). The lock is uncontended in the
-// single-worker common case, and the descent is discarded entirely by the
-// execute stage, which re-runs each operation through the public methods in
-// index order (the serial-equivalence contract) — another worker mutating
-// between locate and execute only costs prefetch accuracy.
+// ExecBatch implements index.BatchKernel. INSERT and DELETE go through the
+// public methods one at a time; every maximal run of GET/UPDATE ops between
+// them (cut at batchStride) executes in one pass by execRun.
 func (t *Tree) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool) {
-	var cur [batchStride]any
-	for base := 0; base < len(kinds); base += batchStride {
-		n := len(kinds) - base
-		if n > batchStride {
-			n = batchStride
+	for i := 0; i < len(kinds); {
+		j := i
+		for j < len(kinds) && j-i < batchStride && (kinds[j] == index.BatchGet || kinds[j] == index.BatchUpdate) {
+			j++
 		}
-		t.structLock.RLock()
-		for i := 0; i < n; i++ {
-			cur[i] = t.root
+		if j > i {
+			t.execRun(kinds[i:j], keys[i:j], vals[i:j], outVals[i:j], outOKs[i:j])
+			i = j
+			continue
 		}
-		// Descend level-synchronously until every op sits on its leaf.
-		for {
-			advanced := false
-			for i := 0; i < n; i++ {
-				in, ok := cur[i].(*inner)
-				if !ok {
-					continue
-				}
-				c := in.children[searchKeys(in.keys[:in.num], keys[base+i])]
-				cur[i] = c
-				switch c := c.(type) {
-				case *inner:
-					prefetch.Line(unsafe.Pointer(c))
-					advanced = true
-				case *leaf:
-					prefetch.Line(unsafe.Pointer(c))
-				}
-			}
-			if !advanced {
-				break
-			}
+		switch kinds[i] {
+		case index.BatchInsert:
+			outVals[i], outOKs[i] = 0, t.Insert(keys[i], vals[i], nil)
+		case index.BatchDelete:
+			outVals[i], outOKs[i] = 0, t.Delete(keys[i], nil)
+		}
+		i++
+	}
+}
+
+// execRun executes up to batchStride GET/UPDATE ops under one shared hold of
+// the structural lock. On a tree past residentKeys the ops descend
+// level-synchronously — each advances one level per round, and all four
+// lines of the node it will visit next are prefetched before any op touches
+// its own, so the group's per-level cache misses overlap — and then execute
+// in index order on the leaves they located. Locating and executing under
+// the same hold is what makes the located leaf still the right one: no
+// Insert or Delete (here or on another worker) can run in between, and
+// against other shared holders the value access is the same atomic
+// load/store Get and Update do. A resident tree skips the staging and runs
+// the ops one at a time, which is serial Get/Update minus the per-op lock
+// pair.
+func (t *Tree) execRun(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool) {
+	t.structLock.RLock()
+	if t.count.Load() <= residentKeys {
+		for i, k := range keys {
+			outVals[i], outOKs[i] = execOnLeaf(t.findLeaf(k, nil), kinds[i], k, vals[i])
 		}
 		t.structLock.RUnlock()
-		for i := base; i < base+n; i++ {
-			switch kinds[i] {
-			case index.BatchGet:
-				outVals[i], outOKs[i] = t.Get(keys[i], nil)
-			case index.BatchInsert:
-				outVals[i], outOKs[i] = 0, t.Insert(keys[i], vals[i], nil)
-			case index.BatchUpdate:
-				outVals[i], outOKs[i] = 0, t.Update(keys[i], vals[i], nil)
-			case index.BatchDelete:
-				outVals[i], outOKs[i] = 0, t.Delete(keys[i], nil)
+		return
+	}
+	var cur [batchStride]unsafe.Pointer
+	for i := range keys {
+		cur[i] = t.root
+	}
+	for depth := 1; depth <= t.height; depth++ {
+		for i, k := range keys {
+			in := (*inner)(cur[i])
+			c := in.children[searchKeys(in.keys[:in.num], k)]
+			if depth >= residentDepth {
+				prefetch.Lines(c, nodeLines)
 			}
+			cur[i] = c
 		}
 	}
+	for i, k := range keys {
+		outVals[i], outOKs[i] = execOnLeaf((*leaf)(cur[i]), kinds[i], k, vals[i])
+	}
+	t.structLock.RUnlock()
 }
 
 // Height returns the number of inner levels (0 for a leaf-only tree);

@@ -384,8 +384,8 @@ func TestSortedAppendPacksNodes(t *testing.T) {
 		k++
 		tr.Insert(k, k, nil)
 	})
-	// One leaf per 16 inserts plus spine inners: ~0.07 allocs per op; the
-	// median-split path costs double. Guard with headroom.
+	// One leaf per leafSlots (15) inserts plus spine inners: ~0.071 allocs
+	// per op; the median-split path costs double. Guard with headroom.
 	if n > 0.1 {
 		t.Errorf("ascending insert allocates %.3f per op, want packed-append (< 0.1)", n)
 	}
@@ -405,15 +405,9 @@ func TestSortedAppendPacksNodes(t *testing.T) {
 
 // leftmostLeaf descends the leftmost spine (test helper).
 func leftmostLeaf(t *Tree) *leaf {
-	node := t.root
-	for {
-		switch n := node.(type) {
-		case *inner:
-			node = n.children[0]
-		case *leaf:
-			return n
-		default:
-			return nil
-		}
+	p := t.root
+	for d := 0; d < t.height; d++ {
+		p = (*inner)(p).children[0]
 	}
+	return (*leaf)(p)
 }

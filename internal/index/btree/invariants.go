@@ -1,6 +1,9 @@
 package btree
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // CheckInvariants walks the whole tree and verifies its structural
 // invariants: sorted keys within every node, separator consistency between
@@ -18,11 +21,13 @@ func (t *Tree) CheckInvariants() error {
 	}
 	var leftmost *leaf
 	counted := 0
-	var check func(node any, lo, hi uint64, hasLo, hasHi bool, depth int) error
-	check = func(node any, lo, hi uint64, hasLo, hasHi bool, depth int) error {
-		switch n := node.(type) {
-		case *inner:
-			if n.num < 1 || n.num > innerSlots {
+	var check func(node unsafe.Pointer, lo, hi uint64, hasLo, hasHi bool, depth int) error
+	check = func(node unsafe.Pointer, lo, hi uint64, hasLo, hasHi bool, depth int) error {
+		if depth < t.height {
+			n := (*inner)(node)
+			// appendMax leaves a fresh single-child sibling (no keys yet) on
+			// the rightmost spine — the only place without an upper bound.
+			if n.num < 0 || n.num > innerSlots || (n.num == 0 && hasHi) {
 				return fmt.Errorf("btree: inner node with %d keys", n.num)
 			}
 			for i := 1; i < n.num; i++ {
@@ -30,10 +35,10 @@ func (t *Tree) CheckInvariants() error {
 					return fmt.Errorf("btree: inner keys unsorted at %d", i)
 				}
 			}
-			if hasLo && n.keys[0] < lo {
+			if n.num > 0 && hasLo && n.keys[0] < lo {
 				return fmt.Errorf("btree: inner key %d below bound %d", n.keys[0], lo)
 			}
-			if hasHi && n.keys[n.num-1] > hi {
+			if n.num > 0 && hasHi && n.keys[n.num-1] > hi {
 				return fmt.Errorf("btree: inner key %d above bound %d", n.keys[n.num-1], hi)
 			}
 			for i := 0; i <= n.num; i++ {
@@ -53,31 +58,29 @@ func (t *Tree) CheckInvariants() error {
 				}
 			}
 			return nil
-		case *leaf:
-			if depth != t.height {
-				return fmt.Errorf("btree: leaf at depth %d, want %d", depth, t.height)
-			}
-			for i := 1; i < n.num; i++ {
-				if n.keys[i-1] >= n.keys[i] {
-					return fmt.Errorf("btree: leaf keys unsorted at %d", i)
-				}
-			}
-			if n.num > 0 {
-				if hasLo && n.keys[0] < lo {
-					return fmt.Errorf("btree: leaf key %d below separator %d", n.keys[0], lo)
-				}
-				if hasHi && n.keys[n.num-1] >= hi {
-					return fmt.Errorf("btree: leaf key %d not below separator %d", n.keys[n.num-1], hi)
-				}
-			}
-			if leftmost == nil {
-				leftmost = n
-			}
-			counted += n.num
-			return nil
-		default:
-			return fmt.Errorf("btree: unknown node type %T", node)
 		}
+		n := (*leaf)(node)
+		if n.num < 0 || n.num > leafSlots {
+			return fmt.Errorf("btree: leaf with %d records", n.num)
+		}
+		for i := 1; i < n.num; i++ {
+			if n.keys[i-1] >= n.keys[i] {
+				return fmt.Errorf("btree: leaf keys unsorted at %d", i)
+			}
+		}
+		if n.num > 0 {
+			if hasLo && n.keys[0] < lo {
+				return fmt.Errorf("btree: leaf key %d below separator %d", n.keys[0], lo)
+			}
+			if hasHi && n.keys[n.num-1] >= hi {
+				return fmt.Errorf("btree: leaf key %d not below separator %d", n.keys[n.num-1], hi)
+			}
+		}
+		if leftmost == nil {
+			leftmost = n
+		}
+		counted += n.num
+		return nil
 	}
 	if err := check(t.root, 0, 0, false, false, 0); err != nil {
 		return err

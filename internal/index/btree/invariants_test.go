@@ -21,6 +21,21 @@ func TestCheckInvariantsAcceptsHealthyTree(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsAcceptsAscendingLoads checks every prefix of an
+// ascending load: the tree after n inserts is the tree a load of 1..n builds.
+// When a rightmost-spine node is full, appendMax leaves a keyless
+// single-child sibling on the spine until the next leaf arrives — first at
+// n = leafSlots*(innerSlots+1)+1 — and the checker must accept that shape.
+func TestCheckInvariantsAcceptsAscendingLoads(t *testing.T) {
+	tr := New()
+	for n := uint64(1); n <= 5000; n++ {
+		tr.Insert(n, n, nil)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("ascending load of 1..%d: %v", n, err)
+		}
+	}
+}
+
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	build := func() *Tree {
 		tr := New()
@@ -74,6 +89,19 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		err := tr.CheckInvariants()
 		if err == nil {
 			t.Error("broken chain not detected")
+		}
+	})
+
+	t.Run("keyless inner off the rightmost spine", func(t *testing.T) {
+		tr := build()
+		in := (*inner)(tr.root)
+		for d := 1; d < tr.height; d++ {
+			in = (*inner)(in.children[0])
+		}
+		in.num = 0
+		err := tr.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), "0 keys") {
+			t.Errorf("keyless inner node not detected: %v", err)
 		}
 	})
 

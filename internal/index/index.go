@@ -188,6 +188,13 @@ const (
 //     optimistically (stale pointers are fine — prefetch.Line tolerates any
 //     address) but must not publish anything. All mutation happens in the
 //     in-order execute stage.
+//   - The execute stage may act on what locate found only while whatever
+//     kept it valid is still held: a kernel that locates under the
+//     structure's lock may execute in place on the located node — in index
+//     order, with the accesses the point ops use — for as long as that
+//     same hold lasts (the B-Tree). A kernel that located optimistically
+//     holds nothing, so its execute stage must look the key up again (the
+//     other three re-run the point ops).
 //   - The locate stage must also be race-clean against the structure's own
 //     mutators running on other workers — with pooled sessions one
 //     structure's ops may execute on several workers concurrently. Read

@@ -19,3 +19,7 @@ import "unsafe"
 
 // Line hints the cache line containing p into the cache hierarchy.
 func Line(p unsafe.Pointer) { line(p) }
+
+// Lines hints the n consecutive cache lines starting at the one containing
+// p — a whole node whose size is a known multiple of the line — in one call.
+func Lines(p unsafe.Pointer, n int) { lines(p, n) }

@@ -8,3 +8,5 @@ import "unsafe"
 // interleaved traversal calling it still overlaps its misses through the
 // hardware's out-of-order window.
 func line(p unsafe.Pointer) { _ = p }
+
+func lines(p unsafe.Pointer, n int) { _, _ = p, n }
