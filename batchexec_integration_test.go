@@ -2,7 +2,6 @@ package robustconf_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"robustconf"
@@ -11,40 +10,55 @@ import (
 	"robustconf/internal/index/hashmap"
 )
 
-// kvResult is one typed op's observable outcome, flattened for comparison
-// across schedules (errors compare by message).
+// kvResult is one typed op's observable outcome (errors compare by message).
 type kvResult struct {
 	v   uint64
 	ok  bool
 	err string
 }
 
-// runKVStream executes the same seeded mixed stream of typed ops — and,
-// when panicEvery > 0, a panicking closure task interleaved into the bursts
-// — against a fresh hashmap + FP-Tree runtime, and returns every op's
-// result plus the final state of both structures. The stream, burst
-// boundaries and panic positions are purely seed-determined, so two calls
-// differing only in the batch-exec width must return identical slices:
-// that is the interleaved schedule's serial-equivalence contract.
-func runKVStream(t *testing.T, width int, panicEvery int) ([]kvResult, map[string][]kvResult) {
+// applyKV runs one typed op on idx through its public methods, returning
+// what the delegated kernel must answer: Get's value/found pair, or 0 and
+// the mutation's boolean result.
+func applyKV(idx index.Index, kind uint8, key, val uint64) kvResult {
+	switch kind {
+	case robustconf.KVInsert:
+		return kvResult{ok: idx.Insert(key, val, nil)}
+	case robustconf.KVUpdate:
+		return kvResult{ok: idx.Update(key, val, nil)}
+	case robustconf.KVDelete:
+		return kvResult{ok: idx.Delete(key, nil)}
+	default:
+		v, ok := idx.Get(key, nil)
+		return kvResult{v: v, ok: ok}
+	}
+}
+
+// checkKVStream drives a seeded mixed stream of typed ops — and, when
+// panicEvery > 0, a panicking closure task inside the bursts — through a
+// single-worker runtime over a hashmap and an FP-Tree, and checks every op
+// against twin structures driven through their public methods in submit
+// order. The ops of one burst are in flight together, so their execution
+// order is not the submit order (the client's free-slot stack even reverses
+// it on alternate bursts); each burst therefore draws its keys without
+// replacement, which makes the submit-order answer the only correct one.
+func checkKVStream(t *testing.T, panicEvery int) {
 	t.Helper()
 	const keys = 512
-	const ops = 50 * 14
+	const ops = 50 * robustconf.PaperBurstSize
 
 	cfg := robustconf.Config{
 		Machine: robustconf.Machine(1),
 		Domains: []robustconf.Domain{
 			// A single-worker domain concentrates every burst in one buffer,
-			// so interleaved passes claim full groups.
+			// so sweep passes claim full groups.
 			{Name: "d0", CPUs: robustconf.CPURange(0, 1)},
 		},
 		Assignment: map[string]int{"h": 0, "f": 0},
 	}
-	if width >= 2 {
-		cfg.BatchExec = robustconf.BatchExecConfig{Enabled: true, Width: width}
-	}
-	hm, ft := hashmap.New(), fptree.New()
-	rt, err := robustconf.Start(cfg, map[string]any{"h": hm, "f": ft})
+	live := map[string]index.Index{"h": hashmap.New(), "f": fptree.New()}
+	twin := map[string]index.Index{"h": hashmap.New(), "f": fptree.New()}
+	rt, err := robustconf.Start(cfg, map[string]any{"h": live["h"], "f": live["f"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,23 +76,27 @@ func runKVStream(t *testing.T, width int, panicEvery int) ([]kvResult, map[strin
 		rng ^= rng << 17
 		return rng
 	}
-	var results []kvResult
 	var futs []*robustconf.AsyncFuture
-	flush := func() {
-		for _, f := range futs {
+	var want []kvResult
+	var used [keys + 1]bool
+	flush := func(base int) {
+		for i, f := range futs {
 			v, ok, err := f.WaitKV()
-			r := kvResult{v: v, ok: ok}
+			got := kvResult{v: v, ok: ok}
 			if err != nil {
-				r.err = err.Error()
+				got.err = err.Error()
 			}
-			results = append(results, r)
+			if got != want[i] {
+				t.Fatalf("op %d: delegated %+v, serial oracle %+v", base+i, got, want[i])
+			}
 		}
-		futs = futs[:0]
+		futs, want = futs[:0], want[:0]
+		used = [keys + 1]bool{}
 	}
 	for i := 0; i < ops; i++ {
 		if panicEvery > 0 && i%panicEvery == panicEvery/2 {
-			// A closure task in the middle of the burst: on the batched
-			// path it splits typed runs; its panic must fail only itself.
+			// A closure task in the middle of the burst splits typed runs;
+			// its panic must fail only itself.
 			f, err := session.SubmitAsync("h", func(ds, arg any) any {
 				panic("equivalence boom")
 			}, nil)
@@ -104,81 +122,58 @@ func runKVStream(t *testing.T, width int, panicEvery int) ([]kvResult, map[strin
 		case 3:
 			kind = robustconf.KVDelete
 		}
-		f, err := session.SubmitKV(structure, kind, next()%keys+1, next())
+		key := next()%keys + 1
+		for used[key] {
+			key = key%keys + 1
+		}
+		used[key] = true
+		val := next()
+		f, err := session.SubmitKV(structure, kind, key, val)
 		if err != nil {
 			t.Fatal(err)
 		}
 		futs = append(futs, f)
+		want = append(want, applyKV(twin[structure], kind, key, val))
 		if len(futs) == robustconf.PaperBurstSize {
-			flush()
+			flush(i + 1 - len(futs))
 		}
 	}
-	flush()
+	flush(ops - len(futs))
 
-	final := map[string][]kvResult{}
-	for name, idx := range map[string]index.Index{"h": hm, "f": ft} {
-		state := []kvResult{{v: uint64(idx.Len())}}
+	for name, idx := range live {
+		if got, w := idx.Len(), twin[name].Len(); got != w {
+			t.Fatalf("%q: %d keys delegated, %d in the oracle", name, got, w)
+		}
 		for k := uint64(1); k <= keys; k++ {
-			v, ok := idx.Get(k, nil)
-			state = append(state, kvResult{v: v, ok: ok})
-		}
-		final[name] = state
-	}
-	return results, final
-}
-
-func diffStreams(t *testing.T, label string, serial, batched []kvResult) {
-	t.Helper()
-	if len(serial) != len(batched) {
-		t.Fatalf("%s: %d results serial vs %d batched", label, len(serial), len(batched))
-	}
-	for i := range serial {
-		if serial[i] != batched[i] {
-			t.Fatalf("%s: op %d diverged: serial %+v, batched %+v", label, i, serial[i], batched[i])
+			got, w := applyKV(idx, robustconf.KVGet, k, 0), applyKV(twin[name], robustconf.KVGet, k, 0)
+			if got != w {
+				t.Fatalf("%q key %d: delegated %+v, oracle %+v", name, k, got, w)
+			}
 		}
 	}
 }
 
-// TestBatchExecEquivalence is the cross-path equivalence pin: the identical
-// seeded op stream through serial sweeps and through interleaved sweeps (at
-// two widths) must produce identical per-op results and leave both indexes
-// in identical final states.
-func TestBatchExecEquivalence(t *testing.T) {
-	serialRes, serialState := runKVStream(t, 0, 0)
-	for _, width := range []int{8, 15} {
-		batchRes, batchState := runKVStream(t, width, 0)
-		diffStreams(t, fmt.Sprintf("width=%d results", width), serialRes, batchRes)
-		for name := range serialState {
-			diffStreams(t, fmt.Sprintf("width=%d final state %q", width, name),
-				serialState[name], batchState[name])
-		}
-	}
-}
+// TestBatchExecEquivalence is the serial-equivalence pin for the batched
+// sweep: a seeded typed op stream through the runtime must produce, op by
+// op and in final state, exactly what serial execution in submit order
+// produces.
+func TestBatchExecEquivalence(t *testing.T) { checkKVStream(t, 0) }
 
 // TestBatchExecEquivalenceWithPanics re-runs the equivalence pin with a
 // panicking closure task injected into every burst: the panic must fail
-// only its own future on both schedules, leaving the typed results and
-// final states identical.
-func TestBatchExecEquivalenceWithPanics(t *testing.T) {
-	serialRes, serialState := runKVStream(t, 0, 14)
-	batchRes, batchState := runKVStream(t, 15, 14)
-	diffStreams(t, "panic-stream results", serialRes, batchRes)
-	for name := range serialState {
-		diffStreams(t, fmt.Sprintf("panic-stream final state %q", name),
-			serialState[name], batchState[name])
-	}
-}
+// only its own future, leaving every typed result and the final states
+// equal to the oracle's.
+func TestBatchExecEquivalenceWithPanics(t *testing.T) { checkKVStream(t, 14) }
 
 // TestBatchExecStopWithOutstandingBurst stops the runtime while a full
-// typed burst is outstanding on the interleaved path: every future must
-// still resolve — with its value if the final sweep executed it, or with
-// ErrWorkerStopped if the seal rescued it — and never hang.
+// typed burst is outstanding: every future must still resolve — with its
+// value if the final sweep executed it, or with ErrWorkerStopped if the
+// seal rescued it — and never hang.
 func TestBatchExecStopWithOutstandingBurst(t *testing.T) {
 	cfg := robustconf.Config{
 		Machine:    robustconf.Machine(1),
 		Domains:    []robustconf.Domain{{Name: "d0", CPUs: robustconf.CPURange(0, 1)}},
 		Assignment: map[string]int{"h": 0},
-		BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: 15},
 	}
 	rt, err := robustconf.Start(cfg, map[string]any{"h": hashmap.New()})
 	if err != nil {

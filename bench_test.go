@@ -208,8 +208,7 @@ func BenchmarkDelegationInvoke(b *testing.B) {
 	}
 }
 
-// BenchmarkDelegationInvokeKV measures the typed key/value round trip
-// through the interleaved sweep path (Config.BatchExec on, full width):
+// BenchmarkDelegationInvokeKV measures the typed key/value round trip:
 // a burst of 14 pipelined SubmitKV Gets answered by live workers through
 // the hashmap's batch kernel. Pinned allocation-free by alloc-smoke — the
 // typed path must not re-introduce boxing anywhere from post to answer.
@@ -220,7 +219,6 @@ func BenchmarkDelegationInvokeKV(b *testing.B) {
 		Machine:    machine,
 		Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
 		Assignment: map[string]int{"x": 0},
-		BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: 15},
 	}
 	idx := hashmap.New()
 	for k := uint64(0); k < 1024; k++ {
@@ -743,92 +741,6 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBatchExec compares serial sweep execution against the
-// interleaved batched schedule (DESIGN.md §15) on the real indexes: 14
-// typed random Gets are posted as one burst, a single sweep claims and
-// executes them, and the only difference between the arms is whether the
-// sweep hands the run to the structure's batch kernel (which walks the 14
-// traversals stage by stage, prefetching each op's next node) or runs them
-// one at a time. The working set is sized well past LLC so the traversals
-// are cache-miss bound — the regime the interleave targets. ns/kvop is the
-// per-operation figure (ns/op covers the whole 14-op burst).
-func BenchmarkAblationBatchExec(b *testing.B) {
-	const records = 1 << 21
-	const burst = 14
-	keys := workload.LoadKeys(records)
-	builders := []struct {
-		name  string
-		build func() index.Index
-	}{
-		{"hashmap", func() index.Index { return hashmap.New() }},
-		{"btree", func() index.Index { return btree.New() }},
-		{"fptree", func() index.Index { return fptree.New() }},
-		{"bwtree", func() index.Index { return bwtree.New() }},
-	}
-	for _, bl := range builders {
-		b.Run(bl.name, func(b *testing.B) {
-			idx := bl.build()
-			for _, k := range keys {
-				idx.Insert(k, k, nil)
-			}
-			kern, ok := idx.(delegation.BatchKernel)
-			if !ok {
-				b.Fatalf("%s has no batch kernel", bl.name)
-			}
-			for _, width := range []int{0, 8, 15} {
-				name := "serial"
-				if width >= 2 {
-					name = fmt.Sprintf("width=%d", width)
-				}
-				b.Run(name, func(b *testing.B) {
-					buf, err := delegation.NewBuffer(0, burst)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if width >= 2 {
-						buf.SetBatchExec(width)
-					}
-					inbox, err := delegation.NewInbox([]*delegation.Buffer{buf})
-					if err != nil {
-						b.Fatal(err)
-					}
-					slots, err := inbox.AcquireSlots(burst, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					client, err := delegation.NewClient(slots)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var hs [burst]delegation.InvokeHandle
-					rng := uint64(0x9e3779b97f4a7c15)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for j := 0; j < burst; j++ {
-							rng ^= rng << 13
-							rng ^= rng >> 7
-							rng ^= rng << 17
-							slot, ok := client.Reserve()
-							if !ok {
-								b.Fatal("no free slot")
-							}
-							hs[j] = client.PostReservedKV(slot, kern, delegation.KVGet, keys[rng%records], 0)
-						}
-						buf.Sweep()
-						for j := 0; j < burst; j++ {
-							if _, _, err := client.AwaitKV(hs[j]); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/kvop")
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkAblationNUMAAwareSlots quantifies (in the cost model) what the
 // NUMA-aware slot assignment of Section 6 saves: without it every delegated
 // message is a worst-case remote transfer.
@@ -1163,7 +1075,6 @@ func BenchmarkServerPipelined(b *testing.B) {
 				Machine:    machine,
 				Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
 				Assignment: map[string]int{"x": 0},
-				BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: 15},
 			}
 			idx := hashmap.New()
 			for k := uint64(0); k < 1024; k++ {
@@ -1234,7 +1145,6 @@ func BenchmarkDelegationInvokeKVSync(b *testing.B) {
 		Machine:    machine,
 		Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
 		Assignment: map[string]int{"x": 0},
-		BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: 15},
 	}
 	idx := hashmap.New()
 	for k := uint64(0); k < 1024; k++ {

@@ -132,7 +132,6 @@ func main() {
 		Assignment: assignment,
 		Faults:     faults,
 		Obs:        observer,
-		BatchExec:  robustconf.BatchExecConfig{Enabled: true, Width: delegation.SlotsPerBuffer},
 	}, registered)
 	if err != nil {
 		fatal(err)

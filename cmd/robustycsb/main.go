@@ -57,7 +57,6 @@ func main() {
 	walDir := flag.String("wal", "", "directory for per-domain write-ahead logs (empty = durability off; needs -structure fptree or bwtree)")
 	fsyncMode := flag.String("fsync", "batch", "WAL flush discipline: none, batch or always")
 	checkpoint := flag.Duration("checkpoint", 0, "WAL checkpoint cadence (0 = default)")
-	batchExec := flag.Int("batch-exec", 0, "interleaved sweep execution group width (0 = off, ≥2 = batch typed ops through index kernels with prefetch)")
 	flag.Parse()
 
 	// Network mode: the server owns the structures and the runtime; this
@@ -152,9 +151,6 @@ func main() {
 		ReadPolicies: map[string]robustconf.ReadPolicy{"ycsb": policy},
 		Faults:       faults,
 		Obs:          observer,
-	}
-	if *batchExec >= 2 {
-		rtCfg.BatchExec = robustconf.BatchExecConfig{Enabled: true, Width: *batchExec}
 	}
 	registered := map[string]any{"ycsb": idx}
 	if wt != nil {

@@ -219,18 +219,6 @@ func RecommendArena(instances []Instance) core.ArenaConfig {
 	return cfg
 }
 
-// RecommendBatchExec derives the interleaved-execution axis from the
-// composition. The axis only restructures how a worker's sweep schedules
-// the ops it already claimed, so unlike the arena axis nothing about the
-// instances can make it unsound — it is always on, at the full group width.
-// Typed ops only flow through it when the application uses the typed
-// session calls (InvokeKV/SubmitKV) against kernel-bearing structures;
-// compositions that never do simply run the serial schedule inside the
-// batched claim, at unchanged cost.
-func RecommendBatchExec(instances []Instance) core.BatchExecConfig {
-	return core.BatchExecConfig{Enabled: true, Width: delegation.SlotsPerBuffer}
-}
-
 // ServerAxes is the composed network front-end configuration: how many
 // pooled delegation sessions the server multiplexes its connections onto,
 // each session's bursting window, and how deep one connection's pipelined
@@ -295,10 +283,6 @@ type Plan struct {
 	// Arena records the recommended worker-arena axis (RecommendArena over
 	// the composition); Materialise carries it into core.Config.Arena.
 	Arena core.ArenaConfig
-	// BatchExec records the recommended interleaved-execution axis
-	// (RecommendBatchExec over the composition); Materialise carries it
-	// into core.Config.BatchExec.
-	BatchExec core.BatchExecConfig
 	// Server records the recommended network front-end axes (RecommendServer
 	// over the finished plan); robustserved seeds its defaults from them.
 	Server ServerAxes
@@ -337,11 +321,6 @@ func (p *Plan) String() string {
 		}
 	} else {
 		fmt.Fprintf(&b, "  arena: off\n")
-	}
-	if p.BatchExec.Enabled {
-		fmt.Fprintf(&b, "  batch exec: on (width=%d)\n", p.BatchExec.Width)
-	} else {
-		fmt.Fprintf(&b, "  batch exec: off\n")
 	}
 	if p.Server.Sessions > 0 {
 		fmt.Fprintf(&b, "  server: sessions=%d burst=%d pipeline=%d\n",
@@ -406,7 +385,6 @@ func Compose(instances []Instance, workers int, measure MeasureFunc) (*Plan, err
 	// core gates it on the materialised structure's concurrent-read safety).
 	plan.Durability = RecommendDurability(instances)
 	plan.Arena = RecommendArena(instances)
-	plan.BatchExec = RecommendBatchExec(instances)
 	calCache := map[string]int{}
 	for _, inst := range instances {
 		plan.ReadPolicies[inst.Name] = RecommendReadPolicy(inst.Mix)
@@ -620,7 +598,6 @@ func Materialise(plan *Plan, m *topology.Machine) (core.Config, error) {
 	cfg.WAL.Fsync = plan.Durability.Fsync
 	cfg.WAL.CheckpointEvery = plan.Durability.CheckpointEvery
 	cfg.Arena = plan.Arena
-	cfg.BatchExec = plan.BatchExec
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, err
 	}

@@ -124,11 +124,12 @@ type Config struct {
 	// domain worker owns an arena recycled at sweep-batch boundaries, and
 	// the WAL's staging buffers draw from it. The zero value disables it.
 	Arena ArenaConfig
-	// BatchExec configures interleaved sweep execution (DESIGN.md §15):
-	// workers claim a whole pass of posted slots up front and hand runs of
-	// typed key/value ops to the structure's batch kernel, which overlaps
-	// their traversal cache misses with software prefetch. The zero value
-	// disables it: sweeps claim-execute-answer one slot at a time.
+	// BatchExec is ignored.
+	//
+	// Deprecated: every worker sweep claims its whole pass and runs typed
+	// ops through the structure's batch kernel (DESIGN.md §15); there is no
+	// other sweep left to select. The field is kept so configurations that
+	// still set it compile, and Validate never reads it.
 	BatchExec BatchExecConfig
 }
 
@@ -147,20 +148,15 @@ type ArenaConfig struct {
 	MaxBytes int
 }
 
-// BatchExecConfig is the interleaved-execution axis of a configuration.
-// Only typed ops issued through Session.InvokeKV / SubmitKV reach a batch
-// kernel; closure tasks always execute serially, in slot order, inside the
-// same pass. Structures without a kernel simply never receive typed ops, so
-// the axis is safe to enable for any plan.
+// BatchExecConfig is the former interleaved-execution axis; both fields are
+// ignored.
+//
+// Deprecated: batched sweep execution is always on and a kernel run is
+// bounded by the buffer's slot count, so neither Enabled nor Width chooses
+// anything. The type is kept so configurations that still set it compile.
 type BatchExecConfig struct {
-	// Enabled turns the interleaved batched sweep body on.
 	Enabled bool
-	// Width caps how many same-kernel typed ops one ExecBatch call covers
-	// (the group-prefetch width). Clamped to the slot count per buffer;
-	// values below 2 disable the axis (a group of one cannot overlap
-	// anything). 0 with Enabled uses the delegation default of the full
-	// buffer.
-	Width int
+	Width   int
 }
 
 // Validate checks the configuration's internal consistency.
@@ -284,7 +280,6 @@ func (d *Domain) externalCounters() obs.DomainExternal {
 		// from foreign goroutines and only needs a bounded-staleness queue
 		// depth.
 		ext.Pending += b.PendingPublished()
-		ext.BatchSweeps += b.BatchSweeps.Load()
 		ext.BatchKernelOps += b.BatchKernelOps.Load()
 	}
 	ext.Restarts = d.restarts.Load()
@@ -416,13 +411,6 @@ func Start(cfg Config, structures map[string]any) (*Runtime, error) {
 				a := mem.New(mem.Options{SlabAllocs: cfg.Arena.SlabAllocs, MaxBytes: cfg.Arena.MaxBytes})
 				d.arenas = append(d.arenas, a)
 				b.SetArena(a)
-			}
-			if cfg.BatchExec.Enabled {
-				w := cfg.BatchExec.Width
-				if w == 0 {
-					w = delegation.SlotsPerBuffer
-				}
-				b.SetBatchExec(w)
 			}
 			bufs = append(bufs, b)
 		}
@@ -1081,11 +1069,9 @@ func (s *Session) Invoke(task Task) (any, error) {
 // InvokeKV submits one typed key/value op (delegation.KVGet, KVInsert,
 // KVUpdate or KVDelete) against the named structure and waits for its
 // value/found pair. The op travels as three words in the slot — no closure,
-// no boxing — and executes through the structure's batch kernel: when the
-// owning worker runs interleaved sweeps (Config.BatchExec) adjacent typed
-// ops are grouped into one kernel call that overlaps their traversal cache
-// misses with software prefetch; otherwise the kernel runs them one at a
-// time with identical semantics. The structure must implement
+// no boxing — and executes through the structure's batch kernel: the owning
+// worker's sweep groups adjacent typed ops into one kernel call that
+// overlaps their traversal cache misses. The structure must implement
 // delegation.BatchKernel (every built-in index does); structures without a
 // kernel must use Invoke with a closure task.
 func (s *Session) InvokeKV(structure string, kind uint8, key, val uint64) (uint64, bool, error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"robustconf/internal/index"
@@ -27,6 +28,7 @@ func TestKVKindsMatchIndexBatchKinds(t *testing.T) {
 // records the group size of every ExecBatch call and can be armed to panic
 // on a specific key.
 type mapKernel struct {
+	mu       sync.Mutex // sealed and live sweeps may run the kernel concurrently
 	m        map[uint64]uint64
 	groups   []int
 	panicKey uint64 // ExecBatch panics on reaching this key (0 = never)
@@ -35,6 +37,8 @@ type mapKernel struct {
 func newMapKernel() *mapKernel { return &mapKernel{m: map[uint64]uint64{}} }
 
 func (k *mapKernel) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
 	k.groups = append(k.groups, len(kinds))
 	for i := range kinds {
 		if k.panicKey != 0 && keys[i] == k.panicKey {
@@ -63,16 +67,13 @@ func (k *mapKernel) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOK
 	}
 }
 
-// newBatchedClient builds a single 15-slot buffer with interleaving armed at
-// the given width, and a client owning 14 of its slots.
-func newBatchedClient(t *testing.T, width int) (*Buffer, *Client) {
+// newBatchedClient builds a single 15-slot buffer and a client owning 14 of
+// its slots.
+func newBatchedClient(t *testing.T) (*Buffer, *Client) {
 	t.Helper()
 	b, err := NewBuffer(0, SlotsPerBuffer)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if width != 0 {
-		b.SetBatchExec(width)
 	}
 	in, err := NewInbox([]*Buffer{b})
 	if err != nil {
@@ -104,18 +105,18 @@ func postKVt(t *testing.T, c *Client, kern BatchKernel, kind uint8, key, val uin
 // same-kernel typed ops, and answer every future with the serially-correct
 // result.
 func TestBatchedSweepGroupsAndAnswers(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	ka, kb := newMapKernel(), newMapKernel()
 	ka.m[7] = 70
 	kb.m[9] = 90
 
-	h1 := postKVt(t, c, ka, KVGet, 7, 0)    // group A: [get, insert]
+	h1 := postKVt(t, c, ka, KVGet, 7, 0) // group A: [get, insert]
 	h2 := postKVt(t, c, ka, KVInsert, 8, 80)
 	i3, _ := c.Reserve()
 	h3 := c.PostReserved(i3, func() any { return "opaque" }) // splits the runs
-	h4 := postKVt(t, c, ka, KVUpdate, 7, 71) // group B: same kernel, split by the closure
-	h5 := postKVt(t, c, kb, KVDelete, 9, 0)  // group C: different kernel ⇒ own group
-	h6 := postKVt(t, c, kb, KVGet, 9, 0)     // group C continued: delete then get ⇒ miss
+	h4 := postKVt(t, c, ka, KVUpdate, 7, 71)                 // group B: same kernel, split by the closure
+	h5 := postKVt(t, c, kb, KVDelete, 9, 0)                  // group C: different kernel ⇒ own group
+	h6 := postKVt(t, c, kb, KVGet, 9, 0)                     // group C continued: delete then get ⇒ miss
 
 	if n := buf.Sweep(); n != 6 {
 		t.Fatalf("sweep answered %d, want 6", n)
@@ -148,33 +149,8 @@ func TestBatchedSweepGroupsAndAnswers(t *testing.T) {
 		t.Fatalf("kernel B groups = %v, want [2]", kb.groups)
 	}
 	buf.SyncStats()
-	if got := buf.BatchSweeps.Load(); got != 1 {
-		t.Errorf("BatchSweeps = %d, want 1", got)
-	}
 	if got := buf.BatchKernelOps.Load(); got != 5 {
 		t.Errorf("BatchKernelOps = %d, want 5", got)
-	}
-}
-
-// TestBatchedSweepWidthCapsGroups pins the group-width clamp: at width 4 a
-// run of 10 same-kernel ops must execute as 4+4+2.
-func TestBatchedSweepWidthCapsGroups(t *testing.T) {
-	buf, c := newBatchedClient(t, 4)
-	k := newMapKernel()
-	var hs [10]InvokeHandle
-	for i := range hs {
-		hs[i] = postKVt(t, c, k, KVInsert, uint64(i+1), uint64(i))
-	}
-	if n := buf.Sweep(); n != 10 {
-		t.Fatalf("sweep answered %d, want 10", n)
-	}
-	for i := range hs {
-		if _, ok, err := c.AwaitKV(hs[i]); err != nil || !ok {
-			t.Fatalf("insert %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if len(k.groups) != 3 || k.groups[0] != 4 || k.groups[1] != 4 || k.groups[2] != 2 {
-		t.Fatalf("groups = %v, want [4 4 2]", k.groups)
 	}
 }
 
@@ -184,7 +160,7 @@ func TestBatchedSweepWidthCapsGroups(t *testing.T) {
 // task and the second kernel's run in the same pass still succeed, and the
 // buffer keeps serving afterwards.
 func TestBatchedSweepKernelPanicFailsRun(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	ka, kb := newMapKernel(), newMapKernel()
 	ka.panicKey = 2
 
@@ -223,7 +199,7 @@ func TestBatchedSweepKernelPanicFailsRun(t *testing.T) {
 // between typed runs: only it fails, and in slot order the typed ops before
 // and after still execute.
 func TestBatchedSweepOpaquePanicMidBatch(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	k := newMapKernel()
 	h1 := postKVt(t, c, k, KVInsert, 1, 10)
 	i2, _ := c.Reserve()
@@ -251,6 +227,7 @@ func TestBatchedSweepOpaquePanicMidBatch(t *testing.T) {
 type recordingWAL struct {
 	begins, commits, aborts int
 	records                 [][]byte
+	commitAllowFaults       []bool // the allowFaults argument of each Commit
 	commitErr               error
 	panicOnStage            int // 1-based staged-record ordinal; 0 = never
 }
@@ -266,6 +243,7 @@ func (w *recordingWAL) StageRecord(enc func(dst []byte) []byte) {
 
 func (w *recordingWAL) Commit(allowFaults bool) error {
 	w.commits++
+	w.commitAllowFaults = append(w.commitAllowFaults, allowFaults)
 	return w.commitErr
 }
 
@@ -281,7 +259,7 @@ func testKVEnc(dst []byte, kind uint8, key, val uint64) []byte {
 // mutations stage records in execution order and complete only after the
 // group commit; the typed read completes inline and stages nothing.
 func TestBatchedSweepWALStagesAndCommits(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	w := &recordingWAL{}
 	buf.SetWAL(w)
 	k := newMapKernel()
@@ -327,7 +305,7 @@ func TestBatchedSweepWALStagesAndCommits(t *testing.T) {
 // future fails with a PanicError carrying the commit error, while inline
 // completions (the typed read) keep their results.
 func TestBatchedSweepWALCommitErrorFailsStashed(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	w := &recordingWAL{commitErr: errors.New("disk gone")}
 	buf.SetWAL(w)
 	k := newMapKernel()
@@ -353,7 +331,7 @@ func TestBatchedSweepWALCommitErrorFailsStashed(t *testing.T) {
 // batch, fail the already-stashed and the claimed-but-unanswered futures
 // with PanicError, and re-raise to the sweep's caller.
 func TestBatchedSweepWALPanicAborts(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	w := &recordingWAL{panicOnStage: 2}
 	buf.SetWAL(w)
 	k := newMapKernel()
@@ -392,7 +370,7 @@ func TestBatchedSweepWALPanicAborts(t *testing.T) {
 // batched body.
 func TestBatchedSweepSealRace(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		buf, c := newBatchedClient(t, SlotsPerBuffer)
+		buf, c := newBatchedClient(t)
 		k := newMapKernel()
 		var hs [14]InvokeHandle
 		for i := range hs {
@@ -428,7 +406,7 @@ func TestBatchedSweepSealRace(t *testing.T) {
 // must be rescued with ErrWorkerStopped (the stop/post race contract,
 // extended to postKV).
 func TestBatchedSweepPostAfterSealRescued(t *testing.T) {
-	buf, c := newBatchedClient(t, SlotsPerBuffer)
+	buf, c := newBatchedClient(t)
 	buf.Seal()
 	k := newMapKernel()
 	h := postKVt(t, c, k, KVInsert, 1, 10)
@@ -440,33 +418,13 @@ func TestBatchedSweepPostAfterSealRescued(t *testing.T) {
 	}
 }
 
-// TestSetBatchExecClamps pins the width clamp: below 2 disables the batched
-// body, above the slot count clamps to it.
-func TestSetBatchExecClamps(t *testing.T) {
-	b, err := NewBuffer(0, SlotsPerBuffer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetBatchExec(1)
-	if b.batchWidth != 0 {
-		t.Errorf("width 1 → %d, want 0 (disabled)", b.batchWidth)
-	}
-	b.SetBatchExec(1000)
-	if b.batchWidth != SlotsPerBuffer {
-		t.Errorf("width 1000 → %d, want %d", b.batchWidth, SlotsPerBuffer)
-	}
-	b.SetBatchExec(8)
-	if b.batchWidth != 8 {
-		t.Errorf("width 8 → %d", b.batchWidth)
-	}
-}
-
-// TestInvokeKVSerialFallback runs typed ops through a buffer with
-// interleaving off: they must execute through the kernel one at a time
-// (groups of 1) with identical results — the degraded path structures get
-// when the axis is disabled.
+// TestInvokeKVSerialFallback: there is no serial fallback any more. A buffer
+// whose batching is "disabled" through the deprecated SetBatchExec(0) still
+// runs the one sweep body, so adjacent same-kernel typed ops share one
+// ExecBatch call and answer exactly as serial execution would.
 func TestInvokeKVSerialFallback(t *testing.T) {
-	buf, c := newBatchedClient(t, 0)
+	buf, c := newBatchedClient(t)
+	buf.SetBatchExec(0)
 	k := newMapKernel()
 	h1 := postKVt(t, c, k, KVInsert, 1, 10)
 	h2 := postKVt(t, c, k, KVGet, 1, 0)
@@ -477,13 +435,142 @@ func TestInvokeKVSerialFallback(t *testing.T) {
 	if v, ok, err := c.AwaitKV(h2); err != nil || !ok || v != 10 {
 		t.Fatalf("get = %d,%v,%v", v, ok, err)
 	}
-	for i, g := range k.groups {
-		if g != 1 {
-			t.Fatalf("serial path group %d has size %d, want 1", i, g)
+	if len(k.groups) != 1 || k.groups[0] != 2 {
+		t.Fatalf("groups = %v, want [2]", k.groups)
+	}
+}
+
+// countingArena is an ArenaSink fake that counts resets.
+type countingArena struct{ resets int }
+
+func (a *countingArena) Reset() { a.resets++ }
+
+func opaqueRec(dst []byte) []byte { return append(dst, "opaque-rec"...) }
+
+// postMixedPass posts one mixed pass in slot order — a typed run on ka (an
+// insert, then a logged insert), an opaque closure, a typed run on kb (an
+// insert, then a get of a preloaded key), and a logged opaque closure — and
+// returns a check that every op executed exactly once and answered its
+// serially-correct result. Every op touches its own key, so the answers do
+// not depend on which sweeper claims which slot.
+func postMixedPass(t *testing.T, c *Client, ka, kb *mapKernel) (check func()) {
+	t.Helper()
+	kb.m[4] = 40
+	var opaqueRuns, loggedRuns atomic.Int32
+	reserve := func() int32 {
+		i, ok := c.Reserve()
+		if !ok {
+			t.Fatal("no free slot")
+		}
+		return i
+	}
+	h1 := c.PostReservedKV(reserve(), ka, KVInsert, 1, 10)
+	h2 := c.PostReservedKVLogged(reserve(), ka, KVInsert, 2, 20, testKVEnc)
+	h3 := c.PostReserved(reserve(), func() any { opaqueRuns.Add(1); return "opaque" })
+	h4 := c.PostReservedKV(reserve(), kb, KVInsert, 3, 30)
+	h5 := c.PostReservedKV(reserve(), kb, KVGet, 4, 0)
+	h6 := c.PostReservedLogged(reserve(), func() any { loggedRuns.Add(1); return "logged" }, opaqueRec)
+	return func() {
+		t.Helper()
+		for i, h := range []InvokeHandle{h1, h2, h4} {
+			if _, ok, err := c.AwaitKV(h); err != nil || !ok {
+				t.Fatalf("typed insert %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+		if v, ok, err := c.AwaitKV(h5); err != nil || !ok || v != 40 {
+			t.Fatalf("get(4) = %d,%v,%v want 40,true,nil", v, ok, err)
+		}
+		if v, err := c.Await(h3); err != nil || v != "opaque" {
+			t.Fatalf("opaque = %v,%v", v, err)
+		}
+		if v, err := c.Await(h6); err != nil || v != "logged" {
+			t.Fatalf("logged opaque = %v,%v", v, err)
+		}
+		if opaqueRuns.Load() != 1 || loggedRuns.Load() != 1 {
+			t.Fatalf("closures ran %d and %d times, want once each", opaqueRuns.Load(), loggedRuns.Load())
+		}
+		for name, k := range map[string]*mapKernel{"A": ka, "B": kb} {
+			ops := 0
+			for _, g := range k.groups {
+				ops += g
+			}
+			if ops != 2 {
+				t.Fatalf("kernel %s executed %d ops (groups %v), want 2", name, ops, k.groups)
+			}
+		}
+		if ka.m[1] != 10 || ka.m[2] != 20 || kb.m[3] != 30 {
+			t.Fatalf("kernel state A=%v B=%v", ka.m, kb.m)
 		}
 	}
+}
+
+// TestSealSweepRunsTheOneBody drives Seal's final pass over a mixed burst
+// with no live worker. The sealed path runs the same body as a live sweep,
+// with its own rules: every future answers exactly once, logged records
+// stage in execution order and group-commit once with injected faults
+// suppressed, the arena is left alone (Reset is owner-only) and the
+// worker's stat mirrors do not move.
+func TestSealSweepRunsTheOneBody(t *testing.T) {
+	buf, c := newBatchedClient(t)
+	w := &recordingWAL{}
+	buf.SetWAL(w)
+	arena := &countingArena{}
+	buf.SetArena(arena)
+	ka, kb := newMapKernel(), newMapKernel()
+	check := postMixedPass(t, c, ka, kb)
+
+	if n := buf.Seal(); n != 6 {
+		t.Fatalf("seal's final sweep answered %d, want 6", n)
+	}
+	check()
+	if len(ka.groups) != 1 || len(kb.groups) != 1 {
+		t.Fatalf("groups A=%v B=%v, want one run per kernel", ka.groups, kb.groups)
+	}
+	want := [][]byte{testKVEnc(nil, KVInsert, 2, 20), opaqueRec(nil)}
+	if len(w.records) != len(want) {
+		t.Fatalf("staged %d records, want %d", len(w.records), len(want))
+	}
+	for i := range want {
+		if string(w.records[i]) != string(want[i]) {
+			t.Fatalf("record %d = %q, want %q", i, w.records[i], want[i])
+		}
+	}
+	if w.begins != 1 || w.commits != 1 || w.aborts != 0 {
+		t.Fatalf("wal begins/commits/aborts = %d/%d/%d, want 1/1/0", w.begins, w.commits, w.aborts)
+	}
+	if w.commitAllowFaults[0] {
+		t.Fatal("sealed pass committed with faults allowed, want Commit(false)")
+	}
+	if arena.resets != 0 {
+		t.Fatalf("sealed pass reset the arena %d times", arena.resets)
+	}
+	if d := buf.MutEnter() - buf.MutExit(); d != 1 {
+		t.Fatalf("mutating window imbalance %d, want 1 (the seal's poison only)", d)
+	}
 	buf.SyncStats()
-	if got := buf.BatchSweeps.Load(); got != 0 {
-		t.Errorf("BatchSweeps = %d on the serial path, want 0", got)
+	if buf.Sweeps.Load() != 0 || buf.Executed.Load() != 0 || buf.BatchKernelOps.Load() != 0 {
+		t.Fatalf("sealed pass moved the worker stats: sweeps=%d executed=%d kernel ops=%d",
+			buf.Sweeps.Load(), buf.Executed.Load(), buf.BatchKernelOps.Load())
+	}
+	if n := buf.Seal(); n != 0 {
+		t.Fatalf("second seal answered %d", n)
+	}
+}
+
+// TestSealSweepRacesLiveSweep repeats the mixed pass with a live Sweep
+// racing Seal and no WAL: whichever sweeper claims a slot, every op executes
+// exactly once. Under -race it also checks that the sealed and live passes
+// stage in separate arrays.
+func TestSealSweepRacesLiveSweep(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		buf, c := newBatchedClient(t)
+		ka, kb := newMapKernel(), newMapKernel()
+		check := postMixedPass(t, c, ka, kb)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); buf.Sweep() }()
+		go func() { defer wg.Done(); buf.Seal() }()
+		wg.Wait()
+		check()
 	}
 }

@@ -179,8 +179,8 @@ func (f *Future) awaitTokenKV(tok uint64) (uint64, bool, error) {
 }
 
 // complete publishes a value result for the current generation; used by
-// tests and benchmarks that drive futures directly (the worker path in
-// sweepSlots claims the slot first and CASes the word inline).
+// tests and benchmarks that drive futures directly (the worker's sweep
+// claims the slot first and CASes the word inline).
 func (f *Future) complete(v any) {
 	w := f.word.Load()
 	if w&futStateMask != futPending {
@@ -397,7 +397,7 @@ func (s *Slot) post(t Task, f *Future, ro bool, enc func(dst []byte) []byte) {
 	s.fut = f
 	s.ro = ro
 	s.enc = enc
-	s.kern = nil // opaque post: the sweep must not route it through a kernel
+	s.kern = nil                      // opaque post: the sweep must not route it through a kernel
 	s.state.Store(s.state.Load() + 1) // release: publishes task+fut+ro+enc to the worker
 	if s.buf.sealed.Load() {
 		s.buf.rescue(s)
@@ -466,39 +466,16 @@ type Buffer struct {
 
 	probe *obs.WorkerShard // telemetry shard; nil by default, set before workers run
 
-	// wal, when set, routes sweeps through sweepSlotsWAL: mutating tasks
-	// that carry a record encoder are staged into the worker's log and
-	// their futures complete only after the batch group-commits (success
-	// implies durable). Nil — the default — keeps Sweep on the original
-	// body, so the WAL-off hot path is unchanged. stash holds the
-	// executed-but-uncommitted completions between execute and commit; it
-	// is worker-local state, preallocated so the logged path stays
-	// allocation-free.
-	wal   WALSink
-	stash [SlotsPerBuffer]walStash
+	// wal, when set, makes sweeps log: mutating tasks that carry a record
+	// encoder are staged into the worker's log and their futures complete
+	// only after the pass group-commits (success implies durable).
+	wal WALSink
 
-	// Interleaved batched execution (DESIGN.md §15), armed by SetBatchExec:
-	// batchWidth > 0 routes local sweeps through sweepSlotsBatch, which
-	// claims the whole pass first and then executes same-kernel runs of
-	// typed slots (capped at batchWidth) through one ExecBatch call. The bk*
-	// arrays are the pass's claim list and kernel staging area; bk1* is the
-	// single-op staging used by the serial bodies' typed branch. All are
-	// worker-local in the same sense as stash: written by the owning
-	// worker's sweeps, and by sealed-path sweeps only under the shutdown
-	// discipline that keeps them off live-worker passes.
-	batchWidth int
-	bkSlot     [SlotsPerBuffer]*Slot
-	bkW        [SlotsPerBuffer]uint64
-	bkKind     [SlotsPerBuffer]uint8
-	bkKey      [SlotsPerBuffer]uint64
-	bkVal      [SlotsPerBuffer]uint64
-	bkOutV     [SlotsPerBuffer]uint64
-	bkOutOK    [SlotsPerBuffer]bool
-	bk1Kind    [1]uint8
-	bk1Key     [1]uint64
-	bk1Val     [1]uint64
-	bk1OutV    [1]uint64
-	bk1OutOK   [1]bool
+	// Sweep staging (see sweepStage): live is written only by the owning
+	// worker's unsealed sweeps, final only by sealed-path sweeps under
+	// sealMu. A sealed sweep may overlap a straggling live one, so the two
+	// never share arrays.
+	live, final sweepStage
 
 	// arena, when set, is the worker-owned batch allocator recycled at
 	// sweep-batch boundaries: after a non-empty local sweep completes (and,
@@ -516,8 +493,7 @@ type Buffer struct {
 	// Sealed-path sweeps (Seal's final pass, rescues) do not count here —
 	// they may run on non-worker goroutines and shutdown traffic is not
 	// steady-state signal.
-	nSweeps, nEmpty, nExec, nBatch, sinceFlush uint64
-	nBatchSweeps, nKernOps                     uint64
+	nSweeps, nEmpty, nExec, nBatch, nKernOps, sinceFlush uint64
 
 	_ [64]byte // local mirrors and published images on separate lines
 
@@ -527,7 +503,6 @@ type Buffer struct {
 	Sweeps         atomic.Uint64 // buffer sweeps (poll rounds)
 	EmptySweep     atomic.Uint64 // sweeps that found no posted slot
 	Batched        atomic.Uint64 // tasks answered in multi-task sweeps (batching)
-	BatchSweeps    atomic.Uint64 // non-empty passes of the interleaved batched path
 	BatchKernelOps atomic.Uint64 // typed ops executed through batch kernels
 	pubPending     atomic.Int64  // posted-slot gauge at last flush (obs export)
 
@@ -535,13 +510,13 @@ type Buffer struct {
 
 	// Read-bypass publication words (DESIGN.md §12): a seqlock split into an
 	// enter/exit counter pair so concurrent bumpers compose (a single parity
-	// word would not). A sweep pass bumps mutEnter before executing its first
-	// non-read task and mutExit after the pass; the pair is equal exactly when
-	// no mutating batch is in flight. Seal and crash fail-over poison the pair
-	// (mutEnter alone, under sealMu, before any future completes), leaving it
-	// permanently unequal — a bypass read can never validate across a seal or
-	// crash window, and a buffer is never re-armed after either. Invariant:
-	// mutEnter >= mutExit, always.
+	// word would not). A sweep pass that claimed a non-read task bumps
+	// mutEnter before executing anything and mutExit after the pass; the
+	// pair is equal exactly when no mutating batch is in flight. Seal and
+	// crash fail-over poison the pair (mutEnter alone, under sealMu, before
+	// any future completes), leaving it permanently unequal — a bypass read
+	// can never validate across a seal or crash window, and a buffer is never
+	// re-armed after either. Invariant: mutEnter >= mutExit, always.
 	mutEnter atomic.Uint64
 	mutExit  atomic.Uint64
 
@@ -609,9 +584,24 @@ type walStash struct {
 	kvOK  bool
 }
 
-// SetWAL installs the worker's log handle, switching this buffer's sweeps
-// to the write-ahead logged path. Call before any worker polls the buffer;
-// the field is read without synchronisation on the hot path.
+// sweepStage is one sweeper's pass state, preallocated in the Buffer so a
+// pass allocates nothing: the claim list (slot and the pending word to CAS
+// against), the staging arrays a typed run hands to ExecBatch, and the stash
+// of logged completions waiting on the group commit.
+type sweepStage struct {
+	slot  [SlotsPerBuffer]*Slot
+	w     [SlotsPerBuffer]uint64
+	kind  [SlotsPerBuffer]uint8
+	key   [SlotsPerBuffer]uint64
+	val   [SlotsPerBuffer]uint64
+	outV  [SlotsPerBuffer]uint64
+	outOK [SlotsPerBuffer]bool
+	stash [SlotsPerBuffer]walStash
+}
+
+// SetWAL installs the worker's log handle, making this buffer's sweeps
+// stage and group-commit logged tasks. Call before any worker polls the
+// buffer; the field is read without synchronisation on the hot path.
 func (b *Buffer) SetWAL(l WALSink) { b.wal = l }
 
 // ArenaSink is the slice of the worker arena the sweep drives — just the
@@ -655,24 +645,14 @@ type BatchKernel interface {
 // answered (the owning client never reposts before observing completion).
 type KVEncoder func(dst []byte, kind uint8, key, val uint64) []byte
 
-// SetBatchExec arms the interleaved batched-execution sweep path with the
-// given kernel group width: a local sweep claims every posted slot first,
-// then executes maximal same-kernel runs of typed slots (capped at width)
-// through BatchKernel.ExecBatch, overlapping their cache misses. width < 2
-// disables the path (serial sweeps, the default). Call before any worker
-// polls the buffer; the field is read without synchronisation on the hot
-// path. Opaque closure tasks and typed slots without a kernel still execute
-// serially inside a batched sweep — structures without a kernel silently
-// degrade, they never break.
-func (b *Buffer) SetBatchExec(width int) {
-	if width > SlotsPerBuffer {
-		width = SlotsPerBuffer
-	}
-	if width < 2 {
-		width = 0
-	}
-	b.batchWidth = width
-}
+// SetBatchExec does nothing; width is ignored.
+//
+// Deprecated: every sweep already claims the whole pass and runs maximal
+// same-kernel typed runs through one ExecBatch call, and a run can never
+// exceed SlotsPerBuffer, so there is no body to arm and no width to cap. The
+// method is kept so existing callers (the benchmark module's probes) still
+// compile.
+func (b *Buffer) SetBatchExec(width int) {}
 
 // Sealed reports whether the buffer has been sealed.
 func (b *Buffer) Sealed() bool { return b.sealed.Load() }
@@ -727,7 +707,6 @@ func (b *Buffer) SyncStats() {
 	b.EmptySweep.Store(b.nEmpty)
 	b.Executed.Store(b.nExec)
 	b.Batched.Store(b.nBatch)
-	b.BatchSweeps.Store(b.nBatchSweeps)
 	b.BatchKernelOps.Store(b.nKernOps)
 	b.pubPending.Store(int64(b.Pending()))
 }
@@ -759,363 +738,39 @@ func runTask(task Task, hook FaultHook, worker int) (res any) {
 	return task()
 }
 
-// runKV executes one claimed typed slot through its kernel via the
-// single-op staging arrays, converting a panic into a PanicError exactly
-// like runTask. Used by the serial sweep bodies (sealed-path sweeps, and
-// live sweeps with batched execution disabled) so typed posts behave
-// identically whichever body claims them.
-func (b *Buffer) runKV(s *Slot, hook FaultHook) (v uint64, ok bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			v, ok, err = 0, false, PanicError{Value: r}
-		}
-	}()
-	if hook != nil {
-		hook.BeforeTask(b.worker)
-	}
-	b.bk1Kind[0] = s.kind
-	b.bk1Key[0] = s.key
-	b.bk1Val[0] = s.val
-	b.bk1OutV[0] = 0
-	b.bk1OutOK[0] = false
-	s.kern.ExecBatch(b.bk1Kind[:], b.bk1Key[:], b.bk1Val[:], b.bk1OutV[:], b.bk1OutOK[:])
-	return b.bk1OutV[0], b.bk1OutOK[0], nil
-}
-
-// Sweep executes all currently posted tasks in the buffer, in slot order,
-// and reports how many it ran. This is the worker's poll body: one pass over
-// the buffer detects posted toggles and answers them as a batch. A panicking
-// task yields a PanicError result instead of killing the worker; a panic
-// out of the hook's BeforeSweep escapes to Worker.Run as a worker crash.
-// On a sealed buffer the pass runs under the seal lock so it cannot race
+// Sweep executes all currently posted tasks in the buffer and reports how
+// many it ran. This is the worker's poll body: one pass over the buffer
+// detects posted toggles and answers them as a batch. A panicking task
+// yields a PanicError result instead of killing the worker; a panic out of
+// the hook's BeforeSweep escapes to Worker.Run as a worker crash. On a
+// sealed buffer the pass runs under the seal lock so it cannot race
 // client-side rescues.
 func (b *Buffer) Sweep() int {
 	if b.sealed.Load() {
 		b.sealMu.Lock()
 		defer b.sealMu.Unlock()
-		// No probe or local stats on the sealed path: seal/rescue sweeps may
-		// run on non-worker goroutines, which must not touch the worker's
-		// unsynchronised mirrors.
-		return b.sweepBody(nil, nil, false)
+		return b.sweep(nil, nil, false)
 	}
 	if h := b.hook; h != nil {
 		h.BeforeSweep(b.worker)
 	}
 	probe := b.probe
 	if probe == nil {
-		return b.sweepBody(b.hook, nil, true)
+		return b.sweep(b.hook, nil, true)
 	}
 	t0 := probe.SweepBegin()
-	n := b.sweepBody(b.hook, probe, true)
+	n := b.sweep(b.hook, probe, true)
 	probe.SweepEnd(t0, n)
 	return n
 }
 
-// sweepBody dispatches one pass over the slots: the interleaved batched
-// variant when SetBatchExec armed it (local sweeps only — sealed-path
-// sweeps may run on foreign goroutines and always take the serial bodies,
-// whose typed branch keeps KV slots working), the write-ahead logged
-// variant when a WAL sink is installed, the original body otherwise — the
-// WAL-off serial hot path pays two predictable branches.
-func (b *Buffer) sweepBody(hook FaultHook, probe *obs.WorkerShard, local bool) int {
-	if local && b.batchWidth > 0 {
-		return b.sweepSlotsBatch(hook, probe)
-	}
-	if b.wal != nil {
-		return b.sweepSlotsWAL(hook, probe, local)
-	}
-	return b.sweepSlots(hook, probe, local)
-}
-
-// sweepSlots is the sweep body. Callers on the sealed path hold sealMu and
-// pass a nil hook (shutdown must not re-inject faults), a nil probe, and
-// local=false so the worker-owned stat mirrors stay single-writer.
-//
-// Per posted slot: read the pending word of its future, claim the slot with
-// a CAS on its version (the loser of a racing seal-path sweep walks away),
-// execute, and publish the result with a CAS on the future word. Claiming
-// frees the slot version *before* the result is published — safe, because
-// the owning client never reposts until it has observed the completion.
-func (b *Buffer) sweepSlots(hook FaultHook, probe *obs.WorkerShard, local bool) int {
-	n := 0
-	mutating := false
-	for i := range b.slots {
-		s := &b.slots[i]
-		v := s.state.Load() // acquire: sees task+fut when posted
-		if v&1 == 0 {
-			continue
-		}
-		f := s.fut
-		w := f.word.Load()
-		if w&futStateMask != futPending {
-			continue // answered by a racing completer this very moment
-		}
-		task := s.task
-		ro := s.ro
-		kern := s.kern
-		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a seal-path sweep or rescue claimed it first
-		}
-		if !ro && !mutating {
-			// First non-read task of this pass: open the mutating window
-			// before it runs so a concurrent bypass reader cannot validate
-			// over its effects. Read-flagged tasks never open the window —
-			// a delegated read must not invalidate concurrent bypass reads.
-			b.mutEnter.Add(1)
-			mutating = true
-		}
-		s.task = nil
-		sp := f.span // nil unless this task's post was trace-sampled
-		sp.MarkSwept(b.worker)
-		var tt int64
-		if probe != nil {
-			tt = probe.TaskBegin()
-		}
-		sp.MarkExecStart()
-		if kern != nil {
-			// Typed KV slot: one-op kernel execution, serial order.
-			kvV, kvOK, kerr := b.runKV(s, hook)
-			sp.MarkExecEnd()
-			if probe != nil {
-				probe.TaskEnd(tt)
-			}
-			sp.MarkResponded()
-			if kerr != nil {
-				f.err = kerr
-				f.word.CompareAndSwap(w, w|futError)
-				b.Failed.Add(1)
-			} else {
-				f.kvVal, f.kvOK = kvV, kvOK
-				f.word.CompareAndSwap(w, w|futValue)
-			}
-			n++
-			continue
-		}
-		res := runTask(task, hook, b.worker)
-		sp.MarkExecEnd()
-		if probe != nil {
-			probe.TaskEnd(tt)
-		}
-		sp.MarkResponded()
-		if pe, ok := res.(PanicError); ok {
-			f.err = pe
-			f.word.CompareAndSwap(w, w|futError)
-			b.Failed.Add(1)
-		} else {
-			f.val = res
-			f.word.CompareAndSwap(w, w|futValue)
-		}
-		n++
-	}
-	if mutating {
-		b.mutExit.Add(1) // close the mutating window: pair balanced again
-	}
-	if local {
-		if n > 0 && b.arena != nil {
-			b.arena.Reset() // batch boundary: no batch allocation outlives the pass
-		}
-		b.nSweeps++
-		b.sinceFlush++
-		if n == 0 {
-			b.nEmpty++
-		} else {
-			b.nExec += uint64(n)
-			if n > 1 {
-				b.nBatch += uint64(n)
-			}
-		}
-		if b.sinceFlush >= statFlushEvery {
-			b.SyncStats()
-		}
-	}
-	return n
-}
-
-// sweepSlotsWAL is the sweep body on the write-ahead logged path. It
-// mirrors sweepSlots exactly, with one extra discipline: a mutating task
-// that carries a record encoder has its logical record staged into the
-// worker log, and its future parks in the stash until the end-of-pass group
-// commit — a client observes success only once the record is durable
-// (group-commit rule, DESIGN.md §13). Unlogged tasks, read-only tasks, and
-// panicked tasks complete inline as before: they change no logged state.
-//
-// The first claimed task of a pass — logged or not — opens the log batch
-// (Begin takes the domain quiescence gate's read side), so only empty
-// sweeps skip the gate: recovery's in-place restore rewrites structure
-// state, and *every* task execution in the domain (including unlogged and
-// read-only tasks) must quiesce behind its write side, not just logged
-// mutations. A panic unwinding the pass — an injected worker kill, a
-// commit fault — aborts the batch (discarding staged records, releasing
-// the gate) and fails the stashed futures with a PanicError: those tasks
-// executed but their effects were never committed, so after recovery
-// replays the committed prefix the client's retry re-converges (records
-// are idempotent post-state effects). The panic then re-raises to
-// Worker.Run's crash recovery. FailPending cannot answer stashed futures —
-// their slots are already claimed — which is exactly why the defer here
-// must.
-func (b *Buffer) sweepSlotsWAL(hook FaultHook, probe *obs.WorkerShard, local bool) (n int) {
-	mutating := false
-	logging := false
-	ns := 0
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if logging {
-			b.wal.Abort()
-		}
-		for i := 0; i < ns; i++ {
-			st := &b.stash[i]
-			st.f.err = PanicError{Value: r}
-			st.f.span.MarkResponded()
-			if st.f.word.CompareAndSwap(st.w, st.w|futError) {
-				b.Failed.Add(1)
-			}
-			*st = walStash{}
-		}
-		panic(r)
-	}()
-	for i := range b.slots {
-		s := &b.slots[i]
-		v := s.state.Load() // acquire: sees task+fut+enc when posted
-		if v&1 == 0 {
-			continue
-		}
-		f := s.fut
-		w := f.word.Load()
-		if w&futStateMask != futPending {
-			continue // answered by a racing completer this very moment
-		}
-		task := s.task
-		ro := s.ro
-		enc := s.enc
-		kern := s.kern
-		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a seal-path sweep or rescue claimed it first
-		}
-		if !logging {
-			b.wal.Begin()
-			logging = true
-		}
-		if !ro && !mutating {
-			b.mutEnter.Add(1)
-			mutating = true
-		}
-		s.task = nil
-		sp := f.span
-		sp.MarkSwept(b.worker)
-		var tt int64
-		if probe != nil {
-			tt = probe.TaskBegin()
-		}
-		sp.MarkExecStart()
-		if kern != nil {
-			// Typed KV slot: one-op kernel execution. The record encoder
-			// (enc, the slot's prebuilt encKV) reads the slot's op words, so
-			// it must stage before the future is answered — the same
-			// stability window the stash relies on.
-			kvV, kvOK, kerr := b.runKV(s, hook)
-			sp.MarkExecEnd()
-			if probe != nil {
-				probe.TaskEnd(tt)
-			}
-			sp.MarkResponded()
-			switch {
-			case kerr != nil:
-				f.err = kerr
-				f.word.CompareAndSwap(w, w|futError)
-				b.Failed.Add(1)
-			case enc == nil || ro:
-				f.kvVal, f.kvOK = kvV, kvOK
-				f.word.CompareAndSwap(w, w|futValue)
-			default:
-				b.wal.StageRecord(enc)
-				b.stash[ns] = walStash{f: f, w: w, kv: true, kvVal: kvV, kvOK: kvOK}
-				ns++
-			}
-			n++
-			continue
-		}
-		s.enc = nil
-		res := runTask(task, hook, b.worker)
-		sp.MarkExecEnd()
-		if probe != nil {
-			probe.TaskEnd(tt)
-		}
-		sp.MarkResponded()
-		if pe, ok := res.(PanicError); ok {
-			f.err = pe
-			f.word.CompareAndSwap(w, w|futError)
-			b.Failed.Add(1)
-		} else if enc == nil || ro {
-			f.val = res
-			f.word.CompareAndSwap(w, w|futValue)
-		} else {
-			b.wal.StageRecord(enc)
-			b.stash[ns] = walStash{f: f, w: w, res: res}
-			ns++
-		}
-		n++
-	}
-	if logging {
-		// Group commit: injected commit faults only fire on live worker
-		// sweeps (hook != nil); the seal path's final sweep must not crash
-		// the sealing goroutine.
-		err := b.wal.Commit(hook != nil)
-		logging = false
-		for i := 0; i < ns; i++ {
-			st := &b.stash[i]
-			if err != nil {
-				st.f.err = PanicError{Value: err}
-				if st.f.word.CompareAndSwap(st.w, st.w|futError) {
-					b.Failed.Add(1)
-				}
-			} else {
-				if st.kv {
-					st.f.kvVal, st.f.kvOK = st.kvVal, st.kvOK
-				} else {
-					st.f.val = st.res
-				}
-				st.f.word.CompareAndSwap(st.w, st.w|futValue)
-			}
-			*st = walStash{}
-		}
-		ns = 0
-	}
-	if mutating {
-		b.mutExit.Add(1) // close the mutating window: pair balanced again
-	}
-	if local {
-		if n > 0 && b.arena != nil {
-			// Batch boundary: the group commit is done and every stashed
-			// future answered, so no arena-backed staging memory is live.
-			b.arena.Reset()
-		}
-		b.nSweeps++
-		b.sinceFlush++
-		if n == 0 {
-			b.nEmpty++
-		} else {
-			b.nExec += uint64(n)
-			if n > 1 {
-				b.nBatch += uint64(n)
-			}
-		}
-		if b.sinceFlush >= statFlushEvery {
-			b.SyncStats()
-		}
-	}
-	return n
-}
-
 // runKernel executes the claimed typed run [i,j) through kern with one
-// interleaved ExecBatch call over the staging arrays, converting a panic —
+// interleaved ExecBatch call over the stage's arrays, converting a panic —
 // the kernel's own, or an injected BeforeTask fault's — into a PanicError
 // the caller applies to the run's unanswered ops. The worker survives, as
 // with any task panic; BeforeTask fires once per op in the run so injected
-// task-fault budgets drain at the same rate as on the serial path.
-func (b *Buffer) runKernel(kern BatchKernel, i, j int, hook FaultHook) (err error) {
+// task-fault budgets drain per op, not per run.
+func (b *Buffer) runKernel(st *sweepStage, kern BatchKernel, i, j int, hook FaultHook) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = PanicError{Value: r}
@@ -1126,39 +781,48 @@ func (b *Buffer) runKernel(kern BatchKernel, i, j int, hook FaultHook) (err erro
 			hook.BeforeTask(b.worker)
 		}
 	}
-	kern.ExecBatch(b.bkKind[i:j], b.bkKey[i:j], b.bkVal[i:j], b.bkOutV[i:j], b.bkOutOK[i:j])
+	kern.ExecBatch(st.kind[i:j], st.key[i:j], st.val[i:j], st.outV[i:j], st.outOK[i:j])
 	return nil
 }
 
-// sweepSlotsBatch is the interleaved batched sweep body (DESIGN.md §15),
-// taken only by local unsealed sweeps when SetBatchExec armed it. It
-// restructures the pass from claim→execute→answer per slot into three
-// phases over the whole pass:
+// sweep is the worker's one sweep body (DESIGN.md §15). Live sweeps
+// (local=true) run on the owning worker with its fault hook and probe and
+// stage in b.live. Sealed-path sweeps (Seal's final pass, sweeps of a sealed
+// buffer) hold sealMu, pass a nil hook and probe, stage in b.final, and
+// touch neither the arena (Reset is owner-only) nor the worker-local stat
+// mirrors — they may run on foreign goroutines. A pass has three phases:
 //
-//  1. Claim: every posted slot is claimed into the batch array with exactly
-//     the per-slot protocol of the serial bodies (pending-word read, state
-//     CAS; losers walk away). Slot fields stay readable after the claim —
-//     the owning client never reposts before observing its completion.
-//  2. Execute: claimed slots run in slot order. Maximal runs of typed slots
-//     sharing a kernel (capped at the configured width) execute through one
-//     ExecBatch call, which interleaves their traversal stages around
-//     software prefetches so the run's cache misses overlap. Opaque closure
-//     tasks — and typed slots whose structure has no kernel never exist
-//     (the client falls back to closures) — execute serially in place, so a
-//     mixed pass preserves slot order end to end.
-//  3. Answer: results publish with the same future CAS as the serial
-//     bodies. On the WAL path, logged mutations stage their records in
-//     execution order and park in the stash until the end-of-pass group
-//     commit — the group-commit rule and the arena's batch-boundary recycle
-//     point are untouched, because both were already end-of-pass concepts.
+//  1. Claim: every posted slot is claimed by reading its future's pending
+//     word and CASing its state; a loser walks away. Slot fields stay
+//     readable after the claim — the owning client never reposts before
+//     observing its completion.
+//  2. Execute: claimed slots run in slot order. Each maximal run of typed
+//     slots sharing a kernel executes through one ExecBatch call, which
+//     interleaves their traversal stages around software prefetches so the
+//     run's cache misses overlap. Opaque closure tasks execute in place, so
+//     a mixed pass preserves slot order end to end.
+//  3. Answer: results publish with a CAS on the future word. With a WAL sink
+//     installed, the first claimed slot opens the log batch — Begin takes
+//     the domain quiescence gate's read side for every execution in the
+//     pass, logged or not, so recovery's in-place restore quiesces behind
+//     all of them. Logged mutations stage their records in execution order
+//     and park in the stash until the end-of-pass group commit: a client
+//     observes success only once its record is durable (DESIGN.md §13).
+//     Reads, unlogged tasks and failed ops answer inline.
 //
 // The mutating window opens once, before anything executes, when any
-// claimed op is non-read — slightly wider than the serial bodies' first-
-// mutation point, which only costs concurrent bypass readers a retry. A
-// panic unwinding the pass aborts the log batch and fails every stashed and
-// claimed-but-unanswered future with a PanicError (FailPending cannot see
-// claimed slots), then re-raises to Worker.Run's crash recovery.
-func (b *Buffer) sweepSlotsBatch(hook FaultHook, probe *obs.WorkerShard) (n int) {
+// claimed op is non-read, so a concurrent bypass reader cannot validate over
+// the pass's effects; a read-only pass never opens it. A panic unwinding the
+// pass — an injected worker kill, a commit fault — aborts the log batch and
+// fails every stashed and claimed-but-unanswered future with a PanicError
+// (FailPending cannot see claimed slots), then re-raises to Worker.Run's
+// crash recovery; after recovery replays the committed prefix, a client's
+// retry re-converges because records are idempotent post-state effects.
+func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n int) {
+	st := &b.live
+	if !local {
+		st = &b.final
+	}
 	nc := 0
 	anyMut := false
 	for i := range b.slots {
@@ -1173,25 +837,21 @@ func (b *Buffer) sweepSlotsBatch(hook FaultHook, probe *obs.WorkerShard) (n int)
 			continue // answered by a racing completer this very moment
 		}
 		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a seal-path sweep or rescue claimed it first
+			continue // a racing sweep or rescue claimed it first
 		}
 		if !s.ro {
 			anyMut = true
 		}
-		b.bkSlot[nc] = s
-		b.bkW[nc] = w
+		st.slot[nc] = s
+		st.w[nc] = w
 		nc++
 	}
 	if nc == 0 {
-		b.nSweeps++
-		b.nEmpty++
-		b.sinceFlush++
-		if b.sinceFlush >= statFlushEvery {
-			b.SyncStats()
+		if local {
+			b.countSweep(0, 0)
 		}
 		return 0
 	}
-	mutating := false
 	logging := false
 	ns := 0
 	done := 0
@@ -1205,56 +865,51 @@ func (b *Buffer) sweepSlotsBatch(hook FaultHook, probe *obs.WorkerShard) (n int)
 			b.wal.Abort()
 		}
 		for i := 0; i < ns; i++ {
-			st := &b.stash[i]
-			st.f.err = PanicError{Value: r}
-			st.f.span.MarkResponded()
-			if st.f.word.CompareAndSwap(st.w, st.w|futError) {
+			sh := &st.stash[i]
+			sh.f.err = PanicError{Value: r}
+			sh.f.span.MarkResponded()
+			if sh.f.word.CompareAndSwap(sh.w, sh.w|futError) {
 				b.Failed.Add(1)
 			}
-			*st = walStash{}
+			*sh = walStash{}
 		}
 		// Claimed-but-unanswered slots (nil entries are ops a partially
 		// answered run already published; their completion CAS makes the
 		// overlap with the stash loop idempotent).
 		for g := done; g < nc; g++ {
-			s := b.bkSlot[g]
+			s := st.slot[g]
 			if s == nil {
 				continue
 			}
 			f := s.fut
 			f.err = PanicError{Value: r}
 			f.span.MarkResponded()
-			if f.word.CompareAndSwap(b.bkW[g], b.bkW[g]|futError) {
+			if f.word.CompareAndSwap(st.w[g], st.w[g]|futError) {
 				b.Failed.Add(1)
 			}
-			b.bkSlot[g] = nil
+			st.slot[g] = nil
 		}
 		panic(r)
 	}()
 	if b.wal != nil {
-		// First claimed task of the pass opens the log batch: Begin takes
-		// the domain quiescence gate's read side for every execution in the
-		// pass, logged or not, exactly like the serial WAL body.
 		b.wal.Begin()
 		logging = true
 	}
 	if anyMut {
 		b.mutEnter.Add(1)
-		mutating = true
 	}
 	for done < nc {
-		s := b.bkSlot[done]
+		s := st.slot[done]
 		if s.kern == nil {
-			// Opaque closure task: serial execution in place, identical to
-			// the serial bodies.
+			// Opaque closure task: executes in place.
 			f := s.fut
-			w := b.bkW[done]
+			w := st.w[done]
 			task := s.task
 			ro := s.ro
 			enc := s.enc
 			s.task = nil
 			s.enc = nil
-			sp := f.span
+			sp := f.span // nil unless this task's post was trace-sampled
 			sp.MarkSwept(b.worker)
 			var tt int64
 			if probe != nil {
@@ -1273,31 +928,30 @@ func (b *Buffer) sweepSlotsBatch(hook FaultHook, probe *obs.WorkerShard) (n int)
 				b.Failed.Add(1)
 			} else if logging && enc != nil && !ro {
 				b.wal.StageRecord(enc)
-				b.stash[ns] = walStash{f: f, w: w, res: res}
+				st.stash[ns] = walStash{f: f, w: w, res: res}
 				ns++
 			} else {
 				f.val = res
 				f.word.CompareAndSwap(w, w|futValue)
 			}
-			b.bkSlot[done] = nil
+			st.slot[done] = nil
 			done++
 			n++
 			continue
 		}
-		// Typed run: extend over subsequent claimed ops on the same kernel,
-		// up to the configured group width.
+		// Typed run: extend over subsequent claimed ops on the same kernel.
 		kern := s.kern
 		j := done + 1
-		for j < nc && j-done < b.batchWidth && b.bkSlot[j].kern == kern {
+		for j < nc && st.slot[j].kern == kern {
 			j++
 		}
 		for g := done; g < j; g++ {
-			sg := b.bkSlot[g]
-			b.bkKind[g] = sg.kind
-			b.bkKey[g] = sg.key
-			b.bkVal[g] = sg.val
-			b.bkOutV[g] = 0
-			b.bkOutOK[g] = false
+			sg := st.slot[g]
+			st.kind[g] = sg.kind
+			st.key[g] = sg.key
+			st.val[g] = sg.val
+			st.outV[g] = 0
+			st.outOK[g] = false
 			sp := sg.fut.span
 			sp.MarkSwept(b.worker)
 			sp.MarkExecStart()
@@ -1308,14 +962,14 @@ func (b *Buffer) sweepSlotsBatch(hook FaultHook, probe *obs.WorkerShard) (n int)
 			// the per-op count is BatchKernelOps.
 			tt = probe.TaskBegin()
 		}
-		kerr := b.runKernel(kern, done, j, hook)
+		kerr := b.runKernel(st, kern, done, j, hook)
 		if probe != nil {
 			probe.TaskEnd(tt)
 		}
 		for g := done; g < j; g++ {
-			sg := b.bkSlot[g]
+			sg := st.slot[g]
 			f := sg.fut
-			w := b.bkW[g]
+			w := st.w[g]
 			sp := f.span
 			sp.MarkExecEnd()
 			sp.MarkResponded()
@@ -1325,59 +979,74 @@ func (b *Buffer) sweepSlotsBatch(hook FaultHook, probe *obs.WorkerShard) (n int)
 				f.word.CompareAndSwap(w, w|futError)
 				b.Failed.Add(1)
 			case logging && sg.enc != nil && !sg.ro:
+				// The record encoder (the slot's prebuilt encKV) reads the
+				// slot's op words, so it stages before the future is answered.
 				b.wal.StageRecord(sg.enc)
-				b.stash[ns] = walStash{f: f, w: w, kv: true, kvVal: b.bkOutV[g], kvOK: b.bkOutOK[g]}
+				st.stash[ns] = walStash{f: f, w: w, kv: true, kvVal: st.outV[g], kvOK: st.outOK[g]}
 				ns++
 			default:
-				f.kvVal, f.kvOK = b.bkOutV[g], b.bkOutOK[g]
+				f.kvVal, f.kvOK = st.outV[g], st.outOK[g]
 				f.word.CompareAndSwap(w, w|futValue)
 			}
-			b.bkSlot[g] = nil
+			st.slot[g] = nil
 			n++
 		}
 		kernOps += j - done
 		done = j
 	}
 	if logging {
+		// Group commit: injected commit faults fire only on live worker
+		// sweeps (hook != nil); the seal path's final sweep must not crash
+		// the sealing goroutine.
 		err := b.wal.Commit(hook != nil)
 		logging = false
 		for i := 0; i < ns; i++ {
-			st := &b.stash[i]
+			sh := &st.stash[i]
 			if err != nil {
-				st.f.err = PanicError{Value: err}
-				if st.f.word.CompareAndSwap(st.w, st.w|futError) {
+				sh.f.err = PanicError{Value: err}
+				if sh.f.word.CompareAndSwap(sh.w, sh.w|futError) {
 					b.Failed.Add(1)
 				}
 			} else {
-				if st.kv {
-					st.f.kvVal, st.f.kvOK = st.kvVal, st.kvOK
+				if sh.kv {
+					sh.f.kvVal, sh.f.kvOK = sh.kvVal, sh.kvOK
 				} else {
-					st.f.val = st.res
+					sh.f.val = sh.res
 				}
-				st.f.word.CompareAndSwap(st.w, st.w|futValue)
+				sh.f.word.CompareAndSwap(sh.w, sh.w|futValue)
 			}
-			*st = walStash{}
+			*sh = walStash{}
 		}
 		ns = 0
 	}
-	if mutating {
+	if anyMut {
 		b.mutExit.Add(1) // close the mutating window: pair balanced again
 	}
-	if b.arena != nil {
-		b.arena.Reset() // batch boundary, post-commit: nothing batch-lived survives
+	if local {
+		if b.arena != nil {
+			b.arena.Reset() // batch boundary, post-commit: nothing batch-lived survives
+		}
+		b.countSweep(n, kernOps)
 	}
+	return n
+}
+
+// countSweep folds one live pass into the worker-local stat mirrors and
+// publishes them on the statFlushEvery cadence.
+func (b *Buffer) countSweep(n, kernOps int) {
 	b.nSweeps++
 	b.sinceFlush++
+	if n == 0 {
+		b.nEmpty++
+	}
 	b.nExec += uint64(n)
 	if n > 1 {
 		b.nBatch += uint64(n)
 	}
-	b.nBatchSweeps++
 	b.nKernOps += uint64(kernOps)
 	if b.sinceFlush >= statFlushEvery {
 		b.SyncStats()
 	}
-	return n
 }
 
 // Seal marks the buffer closed and runs a final sweep that executes every
@@ -1396,7 +1065,7 @@ func (b *Buffer) Seal() int {
 	// deepen the imbalance.
 	b.mutEnter.Add(1)
 	b.sealed.Store(true)
-	return b.sweepBody(nil, nil, false)
+	return b.sweep(nil, nil, false)
 }
 
 // FailPending completes every posted, unclaimed task with err without
@@ -1728,11 +1397,9 @@ func (c *Client) Await(h InvokeHandle) (any, error) {
 
 // PostReservedKV posts a typed key/value op into a slot obtained from
 // Reserve without waiting, returning the handle to AwaitKV later. The op
-// carries no closure: the worker's interleaved sweep body groups adjacent
-// typed ops on the same kernel into one ExecBatch call, overlapping their
-// traversal cache misses. On a worker without batching armed the op runs
-// through the same kernel one at a time — semantics are identical either
-// way, only the execution schedule changes.
+// carries no closure: the worker's sweep groups adjacent typed ops on the
+// same kernel into one ExecBatch call, overlapping their traversal cache
+// misses.
 func (c *Client) PostReservedKV(i int32, kern BatchKernel, kind uint8, key, val uint64) InvokeHandle {
 	return c.postReservedKV(i, kern, kind, key, val, nil)
 }
@@ -1863,9 +1530,9 @@ func (c *Client) InvokeReadErr(task Task) (any, error) { return c.invokeErr(task
 
 // InvokeKVErr delegates a typed key/value op synchronously: the op's kind,
 // key and value travel in the slot itself (no closure, no boxing) and the
-// worker executes it through kern — batched with neighbouring typed ops
-// when interleaved execution is armed, one at a time otherwise. Returns the
-// kernel's value/found pair. Zero-allocation like InvokeErr.
+// worker executes it through kern, batched with neighbouring typed ops on
+// the same kernel. Returns the kernel's value/found pair. Zero-allocation
+// like InvokeErr.
 func (c *Client) InvokeKVErr(kern BatchKernel, kind uint8, key, val uint64) (uint64, bool, error) {
 	return c.invokeKVErr(kern, kind, key, val, nil)
 }

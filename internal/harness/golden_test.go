@@ -22,9 +22,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // deterministic simulator; their output carries wall-clock timings and
 // cannot be pinned byte-for-byte. Covered by their own tests instead
 // (txn-modes: internal/oltp/modes_test.go + BenchmarkAblationTxnMode;
-// read-policy: internal/core read-path tests + BenchmarkReadBypass;
-// batch-exec: delegation/core batch tests + BenchmarkAblationBatchExec).
-var measured = map[string]bool{"txn-modes": true, "read-policy": true, "batch-exec": true}
+// read-policy: internal/core read-path tests + BenchmarkReadBypass).
+var measured = map[string]bool{"txn-modes": true, "read-policy": true}
 
 func TestGoldenExperiments(t *testing.T) {
 	for _, name := range Experiments {

@@ -331,7 +331,7 @@ func RenderFigure12(rows []Figure12Row) string {
 }
 
 // Experiment names accepted by Run.
-var Experiments = []string{"fig1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "ablations", "txn-modes", "read-policy", "batch-exec"}
+var Experiments = []string{"fig1", "table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "ablations", "txn-modes", "read-policy"}
 
 // Run executes one named experiment and renders its result as text.
 func Run(name string) (string, error) { return RunFormat(name, "text") }
@@ -427,8 +427,6 @@ func RunFormat(name, format string) (string, error) {
 		return TxnModes()
 	case "read-policy":
 		return ReadPolicyAblation()
-	case "batch-exec":
-		return BatchExecAblation()
 	default:
 		return "", fmt.Errorf("harness: unknown experiment %q (have %s)", name, strings.Join(Experiments, ", "))
 	}

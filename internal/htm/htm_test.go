@@ -3,6 +3,7 @@ package htm
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"robustconf/internal/syncprims"
@@ -155,7 +156,11 @@ func TestNonAbortErrorPropagates(t *testing.T) {
 func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 	r := NewRegion()
 	var cell syncprims.VersionLock
-	counter := 0
+	// The cell's payload. A transaction reads it speculatively, before its
+	// commit validates the cell's version, so the read can overlap another
+	// committer's apply; the STM discards such a snapshot, but under the Go
+	// memory model the overlap is still a race unless the payload is atomic.
+	var counter atomic.Int64
 	var wg sync.WaitGroup
 	const goroutines, perG = 8, 500
 	for g := 0; g < goroutines; g++ {
@@ -167,8 +172,8 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 					if err := tx.Read(&cell); err != nil {
 						return err
 					}
-					cur := counter
-					return tx.Write(&cell, func() { counter = cur + 1 })
+					cur := counter.Load()
+					return tx.Write(&cell, func() { counter.Store(cur + 1) })
 				})
 				if err != nil {
 					t.Error(err)
@@ -178,8 +183,8 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if counter != goroutines*perG {
-		t.Errorf("counter = %d, want %d (lost updates)", counter, goroutines*perG)
+	if got := counter.Load(); got != goroutines*perG {
+		t.Errorf("counter = %d, want %d (lost updates)", got, goroutines*perG)
 	}
 }
 

@@ -201,12 +201,13 @@ const (
 //     only atomically published pointers and immutable content, or take
 //     the structure's locks for the walk.
 //   - All five slices have equal length; the kernel must accept any length
-//     (callers cap groups at their sweep width, but nothing here assumes it).
+//     (the delegation sweep's runs never exceed its buffer's slot count,
+//     but nothing here assumes it).
 //
 // The method takes no OpStats sink: batch execution is the delegated hot
 // path, and accounting there is the observability layer's job. Structures
-// without a kernel are simply executed serially by the sweep (the same
-// silent-degrade pattern as ConcurrentReadSafe).
+// without a kernel are driven through closure tasks, which the sweep runs
+// in place (the same silent-degrade pattern as ConcurrentReadSafe).
 type BatchKernel interface {
 	ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool)
 }

@@ -173,8 +173,6 @@ func (o *Observer) writeMetrics(w http.ResponseWriter) {
 		func(d DomainSnapshot) uint64 { return uint64(d.ArenaResets) })
 	counter("robustconf_arena_discards_total", "Arena crash-recovery discards (slabs returned to the GC).",
 		func(d DomainSnapshot) uint64 { return uint64(d.ArenaDiscards) })
-	counter("robustconf_batch_sweeps_total", "Non-empty passes of the interleaved batched sweep body.",
-		func(d DomainSnapshot) uint64 { return d.BatchSweeps })
 	counter("robustconf_batch_kernel_ops_total", "Typed ops executed through structure batch kernels.",
 		func(d DomainSnapshot) uint64 { return d.BatchKernelOps })
 	fmt.Fprintf(w, "# HELP robustconf_wal_checkpoint_age_seconds Age of the domain's last completed checkpoint (-1 = no WAL or no checkpoint).\n")

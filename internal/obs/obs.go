@@ -260,11 +260,8 @@ type DomainExternal struct {
 	ArenaOverflows int64
 	ArenaResets    int64
 	ArenaDiscards  int64
-	// Interleaved-execution counters (zero when Config.BatchExec is off):
-	// non-empty passes of the batched sweep body, and typed ops executed
-	// through structure batch kernels. Their ratio is the realised group
-	// width the prefetch interleave actually achieved.
-	BatchSweeps    uint64
+	// Typed ops executed through structure batch kernels; over the
+	// non-empty sweep count it is the realised group width.
 	BatchKernelOps uint64
 }
 
@@ -316,13 +313,11 @@ type DomainSnapshot struct {
 	ArenaOverflows int64
 	ArenaResets    int64
 	ArenaDiscards  int64
-	// Interleaved-execution view (see DomainExternal): batched passes and
-	// kernel-executed typed ops for the domain.
-	BatchSweeps    uint64
+	// Kernel-executed typed ops for the domain (see DomainExternal).
 	BatchKernelOps uint64
 	SweepNs        metrics.HistogramSnapshot
-	ExecNs            metrics.HistogramSnapshot
-	RespNs            metrics.HistogramSnapshot
+	ExecNs         metrics.HistogramSnapshot
+	RespNs         metrics.HistogramSnapshot
 }
 
 // Occupancy is the fraction of sweeps that found work.
@@ -384,7 +379,6 @@ func (d *DomainObs) snapshotInto(s *DomainSnapshot) {
 		s.ArenaOverflows = ext.ArenaOverflows
 		s.ArenaResets = ext.ArenaResets
 		s.ArenaDiscards = ext.ArenaDiscards
-		s.BatchSweeps = ext.BatchSweeps
 		s.BatchKernelOps = ext.BatchKernelOps
 	}
 }
@@ -429,7 +423,6 @@ func (s *DomainSnapshot) merge(o DomainSnapshot) {
 	s.ArenaOverflows += o.ArenaOverflows
 	s.ArenaResets += o.ArenaResets
 	s.ArenaDiscards += o.ArenaDiscards
-	s.BatchSweeps += o.BatchSweeps
 	s.BatchKernelOps += o.BatchKernelOps
 	s.SweepNs.Merge(o.SweepNs)
 	s.ExecNs.Merge(o.ExecNs)

@@ -8,9 +8,8 @@
 // everything a client flushed, the connection goroutine decodes the whole
 // run into typed KV ops and submits them back-to-back through one pooled
 // Session's SubmitKV — so one network read becomes one delegation burst
-// whose adjacent same-kernel ops land together in the worker's two-phase
-// interleaved sweep (Config.BatchExec) and execute through a single
-// prefetch-overlapped ExecBatch call. Responses are strict FIFO, written as
+// whose adjacent same-kernel ops land together in the worker's batched
+// sweep and execute through a single prefetch-overlapped ExecBatch call. Responses are strict FIFO, written as
 // one frame run per batch, so no request ids ride the wire.
 //
 // Keys route to structure shards through a copy-on-write consistent-hash

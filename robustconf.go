@@ -163,10 +163,10 @@ type (
 	// ArenaConfig enables per-worker batch arenas recycled at sweep-batch
 	// boundaries (Config.Arena); the WAL's record staging draws from them.
 	ArenaConfig = core.ArenaConfig
-	// BatchExecConfig enables interleaved sweep execution
-	// (Config.BatchExec): workers claim a whole pass of posted slots and
-	// run typed key/value ops through the structure's batch kernel, which
-	// overlaps their traversal cache misses with software prefetch.
+	// BatchExecConfig is ignored.
+	//
+	// Deprecated: batched sweep execution is always on; the alias is kept
+	// so configurations that still set Config.BatchExec compile.
 	BatchExecConfig = core.BatchExecConfig
 	// BatchKernel is the typed-op kernel a structure implements to accept
 	// InvokeKV/SubmitKV ops (all built-in indexes do).

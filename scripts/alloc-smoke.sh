@@ -1,11 +1,15 @@
 #!/bin/sh
 # alloc-smoke: cheap allocation gate on the delegation hot path.
 #
-# Runs the unobserved AND observed invoke benchmarks, the interleaved typed
-# (KV) pipeline benchmark, and the bypass-read benchmark for 100 iterations with -benchmem and fails if any reports more
-# than 0 allocs/op or 0 B/op — the tentpole property of the zero-allocation
-# hot path (DESIGN.md §10), which span recycling extends to the observed
-# path and publication-word validation to the bypass read path (§12).
+# Runs the unobserved AND observed invoke benchmarks, the typed (KV)
+# pipeline benchmark, and the bypass-read benchmark with -benchmem and fails
+# if any reports more than 0 allocs/op — the tentpole property of the
+# zero-allocation hot path (DESIGN.md §10), which span recycling extends to
+# the observed path and publication-word validation to the bypass read path
+# (§12). The runs are warmed (WARM_BENCHTIME, default 20000x) so start-up
+# allocations amortise away; B/op is printed but not judged, because a few
+# start-up bytes still round to 1 B/op or more on short runs. The exact
+# per-call checks are the testing.AllocsPerRun pins in the test suites.
 #
 # A second gate runs the arena-backed delegated TPC-C full mix and pins it
 # to at most MAX_TPCC_ALLOCS allocs/op (default 10): with per-worker batch
@@ -16,7 +20,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT="$(go test -run NONE -bench 'BenchmarkDelegationInvoke(Observed|KV)?$|BenchmarkDelegationReadBypass$' -benchtime 100x -benchmem .)"
+WARM_BENCHTIME="${WARM_BENCHTIME:-20000x}"
+OUT="$(go test -run NONE -bench 'BenchmarkDelegationInvoke(Observed|KV)?$|BenchmarkDelegationReadBypass$' -benchtime "$WARM_BENCHTIME" -benchmem .)"
 echo "$OUT"
 
 for BENCH in BenchmarkDelegationInvoke BenchmarkDelegationInvokeObserved BenchmarkDelegationInvokeKV BenchmarkDelegationReadBypass; do
@@ -31,8 +36,8 @@ for BENCH in BenchmarkDelegationInvoke BenchmarkDelegationInvokeObserved Benchma
 		echo "alloc-smoke: $BENCH produced no allocs/op / B/op figures" >&2
 		exit 1
 	fi
-	if [ "$ALLOCS" != "0" ] || [ "$BYTES" != "0" ]; then
-		echo "alloc-smoke: $BENCH reports $BYTES B/op, $ALLOCS allocs/op, want 0/0" >&2
+	if [ "$ALLOCS" != "0" ]; then
+		echo "alloc-smoke: $BENCH reports $ALLOCS allocs/op ($BYTES B/op), want 0 allocs/op" >&2
 		exit 1
 	fi
 	echo "alloc-smoke: $BENCH is allocation-free ($BYTES B/op, $ALLOCS allocs/op)"

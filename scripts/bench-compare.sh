@@ -3,9 +3,13 @@
 #
 # Re-runs the snapshot benchmarks and compares fresh ns/op against the
 # committed BENCH_delegation.json baseline. Fails when any benchmark
-# regresses by more than THRESHOLD_PCT percent (default 15). Benchmarks
-# present in only one side are reported and skipped — renames and new
-# benchmarks don't fail the gate — but comparing nothing at all does.
+# regresses by more than THRESHOLD_PCT percent (default 15). Names are
+# matched with go test's -GOMAXPROCS suffix stripped from both sides, so a
+# baseline recorded at one processor count still lines up with a run at
+# another (the numbers are only comparable on the same host shape, which
+# the baseline's commit message states). Benchmarks present in only one
+# side are reported and skipped — renames and new benchmarks don't fail
+# the gate — but comparing nothing at all does.
 #
 # Each benchmark runs COUNT times (default 3) and the per-benchmark MINIMUM
 # ns/op is compared (the estimator bench-snapshot.sh records): scheduling
@@ -32,7 +36,7 @@ if [ ! -f "$BASELINE" ]; then
 	exit 1
 fi
 
-PATTERN='BenchmarkDelegation|BenchmarkServer|BenchmarkAblationBurstSize|BenchmarkAblationResponseBatching|BenchmarkAblationTxnMode|BenchmarkAblationBatchExec|BenchmarkIndex|BenchmarkTPCC|BenchmarkReadBypass|BenchmarkRecoveryReplay'
+PATTERN='BenchmarkDelegation|BenchmarkServer|BenchmarkAblationBurstSize|BenchmarkAblationResponseBatching|BenchmarkAblationTxnMode|BenchmarkIndex|BenchmarkTPCC|BenchmarkReadBypass|BenchmarkRecoveryReplay'
 
 RAW="$(mktemp)"
 SUSPECTS="$(mktemp)"
@@ -46,12 +50,26 @@ go test -run NONE -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$C
 # mode it exits nonzero on any remaining regression.
 evaluate() {
 	awk -v threshold="$THRESHOLD_PCT" -v suspects="$SUSPECTS" -v final="$1" '
+# A top-level benchmark name is a Go identifier, which has no "-", so a
+# trailing -N on one is the -GOMAXPROCS suffix go test appends when N > 1.
+# Every name of one run carries the same suffix; learn() finds it on the
+# top-level names and strip() removes it from any name of that run.
+function learn(side, name) {
+	if (!(side in sfx) && name !~ /\// && match(name, /-[0-9]+$/)) sfx[side] = substr(name, RSTART)
+}
+function strip(side, name) {
+	if ((side in sfx) && substr(name, length(name) - length(sfx[side]) + 1) == sfx[side]) {
+		return substr(name, 1, length(name) - length(sfx[side]))
+	}
+	return name
+}
 NR == FNR {
 	# Baseline JSON: one record per line after bench-snapshot formatting.
 	if (match($0, /"name": "[^"]+"/)) {
 		name = substr($0, RSTART + 9, RLENGTH - 10)
 		if (match($0, /"ns_per_op": [0-9.]+/)) {
-			base[name] = substr($0, RSTART + 13, RLENGTH - 13)
+			rawbase[name] = substr($0, RSTART + 13, RLENGTH - 13)
+			learn("base", name)
 		}
 	}
 	next
@@ -61,9 +79,15 @@ NR == FNR {
 	ns = ""
 	for (i = 2; i <= NF; i++) if ($i == "ns/op") ns = $(i - 1)
 	if (ns == "") next
-	if (!(name in fresh) || ns + 0 < fresh[name] + 0) fresh[name] = ns
+	learn("fresh", name)
+	if (!(name in rawfresh) || ns + 0 < rawfresh[name] + 0) rawfresh[name] = ns
 }
 END {
+	for (name in rawbase) base[strip("base", name)] = rawbase[name]
+	for (name in rawfresh) {
+		fresh[strip("fresh", name)] = rawfresh[name]
+		raw[strip("fresh", name)] = name
+	}
 	compared = 0
 	failed = 0
 	for (name in fresh) {
@@ -77,7 +101,7 @@ END {
 		if (delta > threshold) {
 			status = "REGRESSED"
 			failed++
-			print name > suspects
+			print raw[name] > suspects
 		}
 		if (final || status == "REGRESSED") {
 			printf "bench-compare: %-9s %-48s %12.1f -> %12.1f ns/op (%+6.1f%%)\n", \

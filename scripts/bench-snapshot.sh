@@ -22,19 +22,20 @@ OUT="BENCH_delegation.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT INT TERM
 
-PATTERN='BenchmarkDelegation|BenchmarkServer|BenchmarkAblationBurstSize|BenchmarkAblationResponseBatching|BenchmarkAblationTxnMode|BenchmarkAblationBatchExec|BenchmarkIndex|BenchmarkTPCC|BenchmarkReadBypass|BenchmarkRecoveryReplay'
+PATTERN='BenchmarkDelegation|BenchmarkServer|BenchmarkAblationBurstSize|BenchmarkAblationResponseBatching|BenchmarkAblationTxnMode|BenchmarkIndex|BenchmarkTPCC|BenchmarkReadBypass|BenchmarkRecoveryReplay'
 
 go test -run NONE -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
 
 # Parse `BenchmarkName  N  12.3 ns/op  4 B/op  1 allocs/op` lines into JSON,
 # folding the COUNT repeats of each benchmark to the minimum ns/op (the
 # alloc figures are deterministic across repeats; the fastest run's are
-# kept). The name is kept exactly as printed (Go appends a -GOMAXPROCS
-# suffix when running on more than one proc; stripping it cannot be told
-# apart from a numeric subbenchmark name, so we don't try).
+# kept). Names are recorded without go test's -GOMAXPROCS suffix: a
+# top-level name is a Go identifier, which has no "-", so a trailing -N on
+# one is that suffix, and every name of the run carries the same one.
 awk '
 /^Benchmark/ && /ns\/op/ {
 	name = $1
+	if (sfx == "" && name !~ /\// && match(name, /-[0-9]+$/)) sfx = substr(name, RSTART)
 	ns = ""; bytes = ""; allocs = ""
 	for (i = 2; i <= NF; i++) {
 		if ($i == "ns/op")     ns = $(i-1)
@@ -53,8 +54,10 @@ END {
 	print "["
 	for (i = 0; i < n; i++) {
 		name = order[i]
+		out = name
+		if (sfx != "" && substr(out, length(out) - length(sfx) + 1) == sfx) out = substr(out, 1, length(out) - length(sfx))
 		printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"bytes_per_op\": %s}%s\n", \
-			name, best[name], ba[name], bb[name], (i < n - 1 ? "," : "")
+			out, best[name], ba[name], bb[name], (i < n - 1 ? "," : "")
 	}
 	print "]"
 }
