@@ -700,11 +700,11 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// The reserved-slot pipeline (Reserve/PostReserved/Await) reuses
-			// the slot-embedded futures, so the loop measures sweep batching
+			// The reserved-slot pipeline (Reserve/Post/Await) reuses the
+			// slot-embedded futures, so the loop measures sweep batching
 			// alone — Delegate would add one detached future allocation per
 			// task.
-			noop := delegation.Task(func() any { return nil })
+			noop := &delegation.Op{Task: func() any { return nil }}
 			var hs [14]delegation.InvokeHandle
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -715,7 +715,7 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 						if !ok {
 							b.Fatal("no free slot")
 						}
-						hs[j] = client.PostReserved(slot, noop)
+						hs[j] = client.Post(slot, noop)
 					}
 					buf.Sweep() // one sweep answers all 14
 					for j := 0; j < 14; j++ {
@@ -729,7 +729,7 @@ func BenchmarkAblationResponseBatching(b *testing.B) {
 						if !ok {
 							b.Fatal("no free slot")
 						}
-						h := client.PostReserved(slot, noop)
+						h := client.Post(slot, noop)
 						buf.Sweep()
 						if _, err := client.Await(h); err != nil {
 							b.Fatal(err)

@@ -542,26 +542,34 @@ func (rt *Runtime) Domains() []*Domain { return rt.domains }
 // DomainOf returns the domain owning the named structure. The assignment is
 // read under the runtime lock so it stays consistent with live migrations.
 func (rt *Runtime) DomainOf(structure string) (*Domain, error) {
-	d, _, err := rt.route(structure)
+	d, _, _, err := rt.route(structure, nil)
 	return d, err
 }
 
 // route resolves a structure to its current domain and instance atomically
-// with respect to Migrate. Routing to a domain that exhausted its restart
-// budget fails fast with ErrDomainDead — the tasks would only ever be
-// answered with ErrWorkerStopped by its sealed buffers.
-func (rt *Runtime) route(structure string) (*Domain, any, error) {
+// with respect to Migrate and, when rs is non-nil, loads the structure's
+// migration epoch in the same critical section. Migrate bumps the epoch
+// under the same lock before swapping the assignment, so a reader holding
+// (domain, epoch) from one call detects any migration that lands after it.
+// Routing to a domain that exhausted its restart budget fails fast with
+// ErrDomainDead — the tasks would only ever be answered with
+// ErrWorkerStopped by its sealed buffers.
+func (rt *Runtime) route(structure string, rs *readState) (*Domain, any, uint64, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	di, ok := rt.cfg.Assignment[structure]
 	if !ok {
-		return nil, nil, fmt.Errorf("core: unknown structure %q", structure)
+		return nil, nil, 0, fmt.Errorf("core: unknown structure %q", structure)
 	}
 	d := rt.domains[di]
 	if d.dead.Load() {
-		return nil, nil, fmt.Errorf("core: structure %q: %w", structure, ErrDomainDead)
+		return nil, nil, 0, fmt.Errorf("core: structure %q: %w", structure, ErrDomainDead)
 	}
-	return d, d.structures[structure], nil
+	var epoch uint64
+	if rs != nil {
+		epoch = rs.migrations.Load()
+	}
+	return d, d.structures[structure], epoch, nil
 }
 
 // Stop drains and terminates all workers. It is the first half of the
@@ -621,6 +629,11 @@ func (rt *Runtime) Reconfigure(cfg Config) (*Runtime, error) {
 // outstanding tasks per domain (the paper's bursting mode, burst 14 in all
 // experiments). A Session is not safe for concurrent use — it models a
 // single client thread.
+//
+// Every submission method is a thin wrapper over one path, submit: note →
+// route → client → reserve → fill the slot's argument block → post. The
+// synchronous methods await the posted handle directly; the pipelined ones
+// queue a pooled AsyncFuture for it; Submit posts a detached future.
 type Session struct {
 	rt        *Runtime
 	cpu       int
@@ -636,84 +649,72 @@ type Session struct {
 	readShards        map[*Domain]*obs.ClientShard
 }
 
-// sessionClient pairs a domain's delegation client with a reusable task
-// thunk. The thunk closes over the sessionClient once, at client creation,
-// and reads the op/ds fields the session stores immediately before each
-// synchronous post — so Invoke wraps a Task without allocating a closure
-// per call. Safe because a Session is single-threaded and Invoke is
-// synchronous: the fields cannot be overwritten while a posted thunk may
-// still read them (the slot post's release store publishes them to the
-// worker along with the task).
-//
-// The pipelined path (SubmitAsync) generalises the same trick to many
-// statements in flight: each reserved slot owns an asyncThunk argument
-// block and each in-flight statement a pooled AsyncFuture, so issuing a
-// burst of independent statements allocates nothing in steady state.
+// sessionClient is a domain's delegation client plus the session state that
+// keeps posting allocation-free: one argument block per slot, the FIFO of
+// issued-but-unrecycled pipelined futures, and the future free list.
 type sessionClient struct {
-	c      *delegation.Client
-	ds     any
-	op     func(ds any) any
-	thunk  delegation.Task
-	faults *metrics.FaultCounters
-
-	// Logged-invocation state: the reusable record encoder reads these
-	// exactly like thunk reads ds/op. logenc prefixes the structure name
-	// and delegates to the task's Log encoder, so a logged Invoke carries
-	// no per-call closure either.
-	logName string
-	logApp  func(dst []byte) []byte
-	logenc  func(dst []byte) []byte
-
-	// Pipelined-statement state: per-slot argument blocks, the FIFO of
-	// issued-but-unrecycled futures, and the future free list.
+	c       *delegation.Client
+	faults  *metrics.FaultCounters
 	athunks []asyncThunk
 	qhead   *AsyncFuture
 	qtail   *AsyncFuture
 	pool    *AsyncFuture
-
-	// Batch-invocation state: the reusable thunk of InvokeBatch reads these
-	// exactly like thunk reads ds/op.
-	bds    any
-	bops   []func(ds any) any
-	bout   []any
-	bthunk delegation.Task
-
-	// Typed-op state (InvokeKVLogged): the reusable KV record encoder
-	// prefixes the structure name and delegates to the caller's encoder,
-	// exactly like logenc does for closure tasks. The worker invokes it
-	// with the slot's own kind/key/val, so unlike logenc it needs no
-	// per-call argument capture beyond these two fields.
-	kvName string
-	kvApp  delegation.KVEncoder
-	kvenc  delegation.KVEncoder
 }
 
-// asyncThunk is one reserved slot's argument block on the pipelined path.
-// SubmitAsync stores the structure instance, operation and argument here and
-// posts the slot's prebuilt fn, so a statement carries no per-call closure.
-// Reuse is safe for the same reason the sync thunk's is: the slot returns to
-// the free stack only after its embedded future completes, which happens
-// after the worker has finished reading these fields.
+// asyncThunk is one slot's argument block. submit stores the structure
+// instance, the operation and its argument here and posts the slot's
+// prebuilt fn, so a closure op carries no per-call closure. Reuse is safe
+// because the slot returns to the free stack only after its future
+// completes, which happens after the worker has finished reading these
+// fields.
 type asyncThunk struct {
 	ds  any
 	op  func(ds, arg any) any
 	arg any
 	fn  delegation.Task
 
-	// Logged-statement state (SubmitAsyncLogged): the per-slot prebuilt
-	// encFn prefixes the structure name and calls encAp with the slot's
-	// argument block. The encoder runs on the worker after op, so it may
-	// derive the record from post-execution state reachable through arg.
-	name  string
-	encAp func(dst []byte, arg any) []byte
-	encFn func(dst []byte) []byte
+	// Logged ops: the prebuilt encFn prefixes the structure name and calls
+	// enc with encArg. The encoder runs on the worker after op, so it may
+	// derive the record from post-execution state.
+	name   string
+	enc    func(dst []byte, arg any) []byte
+	encArg any
+	encFn  func(dst []byte) []byte
 }
 
-// AsyncFuture is the handle SubmitAsync returns for one pipelined
-// statement. It is pooled per session client: Wait caches the result, and
-// once a future is both resolved and consumed it recycles from the FIFO head
-// back onto the free list — so a long-lived session issues millions of
-// statements through a handful of future objects.
+// closure is a closure op's session-side half: the operation and its
+// argument, which submit parks in the slot's argument block, and for a
+// logged mutation the record encoder (called with encArg).
+type closure struct {
+	op     func(ds, arg any) any
+	arg    any
+	enc    func(dst []byte, arg any) []byte
+	encArg any
+}
+
+// applyOp runs a Task-shaped op, passed as the argument, against ds. It lets
+// Task.Op ride a slot's argument block without a closure: a func value
+// converts to any without allocating.
+func applyOp(ds, op any) any { return op.(func(ds any) any)(ds) }
+
+// applyLog is applyOp for a Task-shaped record encoder.
+func applyLog(dst []byte, log any) []byte { return log.(func(dst []byte) []byte)(dst) }
+
+// taskClosure is the closure of a Task: its Op, logged when it has a Log.
+func taskClosure(t Task) closure {
+	c := closure{op: applyOp, arg: t.Op}
+	if t.Log != nil {
+		c.enc, c.encArg = applyLog, t.Log
+	}
+	return c
+}
+
+// AsyncFuture is the handle the pipelined methods (SubmitAsync,
+// SubmitAsyncLogged, SubmitKV) return for one statement. It is pooled per
+// session client: Wait caches the result, and once a future is both resolved
+// and consumed it recycles from the FIFO head back onto the free list — so a
+// long-lived session issues millions of statements through a handful of
+// future objects.
 //
 // Consume-once contract: call Wait exactly once per returned future (it
 // blocks, or returns the result a Barrier already cached). After Wait the
@@ -723,7 +724,7 @@ type AsyncFuture struct {
 	h        delegation.InvokeHandle
 	val      any
 	err      error
-	kv       bool   // issued by SubmitKV: resolve through AwaitKV
+	kv       bool   // typed op: resolve through AwaitKV
 	kvVal    uint64 // typed result value (kv futures only)
 	kvOK     bool   // typed result found flag (kv futures only)
 	resolved bool   // result cached; the underlying slot is free again
@@ -803,17 +804,6 @@ func (sc *sessionClient) resolveOldest() bool {
 	return true
 }
 
-// ensureFree makes room for a synchronous delegation when every slot is held
-// by an un-awaited pipelined handle (the delegation client can harvest its
-// own ring-tracked delegations, but reserved handles are session-owned).
-func (sc *sessionClient) ensureFree() {
-	for sc.c.FreeSlots() == 0 && sc.c.Outstanding() == 0 {
-		if !sc.resolveOldest() {
-			return
-		}
-	}
-}
-
 // NewSession opens a session for a client thread logically running on the
 // given CPU; the CPU determines NUMA-nearest slot assignment. Burst is the
 // maximum number of outstanding tasks per domain.
@@ -855,54 +845,106 @@ func (s *Session) client(d *Domain) (*sessionClient, error) {
 	if d.obsDom != nil {
 		c.SetProbe(d.obsDom.NewClient())
 	}
-	sc := &sessionClient{c: c, faults: s.rt.faults}
-	sc.thunk = func() any { return sc.op(sc.ds) }
-	sc.logenc = func(dst []byte) []byte {
-		return sc.logApp(appendWALName(dst, sc.logName))
-	}
-	sc.bthunk = func() any {
-		ds := sc.bds
-		for i, op := range sc.bops {
-			sc.bout[i] = op(ds)
-		}
-		return nil
-	}
-	sc.kvenc = func(dst []byte, kind uint8, key, val uint64) []byte {
-		return sc.kvApp(appendWALName(dst, sc.kvName), kind, key, val)
-	}
-	sc.athunks = make([]asyncThunk, len(slots))
+	sc := &sessionClient{c: c, faults: s.rt.faults, athunks: make([]asyncThunk, len(slots))}
 	for i := range sc.athunks {
 		at := &sc.athunks[i]
 		at.fn = func() any { return at.op(at.ds, at.arg) }
 		at.encFn = func(dst []byte) []byte {
-			return at.encAp(appendWALName(dst, at.name), at.arg)
+			return at.enc(appendWALName(dst, at.name), at.encArg)
 		}
 	}
 	s.perDomain[d] = sc
 	return sc, nil
 }
 
-// Submit routes the task to the domain owning its structure and delegates
-// it, returning the future (step 1/2.x of Figure 3).
-func (s *Session) Submit(task Task) (*delegation.Future, error) {
-	s.noteWrite(task.Structure, 1)
-	d, ds, err := s.rt.route(task.Structure)
+// submit is the session's one submission path (DESIGN.md §10). op is the
+// delegation descriptor: a typed op (c nil) arrives with Kind, Key and Val
+// set, a closure op with at most Read. submit notes the op against an
+// adaptive read policy, routes it to the owning domain, sets a typed op's
+// kernel, takes the domain's client, reserves a slot — resolving the oldest
+// pipelined statement when every slot is held by one — parks a closure op in
+// the slot's argument block, and posts: through Delegate when detached (the
+// returned future is the caller's), otherwise through Post (the caller must
+// await the returned handle).
+func (s *Session) submit(structure string, op *delegation.Op, c *closure, detached bool) (*sessionClient, delegation.InvokeHandle, *delegation.Future, error) {
+	var h delegation.InvokeHandle
+	if rs := s.rt.readStates[structure]; rs != nil {
+		s.note(rs, op.Read || c == nil && op.Kind == delegation.KVGet)
+	}
+	d, ds, _, err := s.rt.route(structure, nil)
 	if err != nil {
-		return nil, err
+		return nil, h, nil, err
+	}
+	if c == nil {
+		kern, ok := ds.(delegation.BatchKernel)
+		if !ok {
+			return nil, h, nil, fmt.Errorf("core: structure %q has no batch kernel; submit a closure task", structure)
+		}
+		op.Kern = kern
 	}
 	sc, err := s.client(d)
 	if err != nil {
+		return nil, h, nil, err
+	}
+	i, ok := sc.c.Reserve()
+	for !ok {
+		if !sc.resolveOldest() {
+			return nil, h, nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
+		}
+		i, ok = sc.c.Reserve()
+	}
+	if c != nil {
+		at := &sc.athunks[i]
+		at.ds, at.op, at.arg = ds, c.op, c.arg
+		op.Task = at.fn
+		if c.enc != nil {
+			at.name, at.enc, at.encArg = structure, c.enc, c.encArg
+			op.Log = at.encFn
+		}
+	}
+	if detached {
+		return sc, h, sc.c.Delegate(i, op), nil
+	}
+	return sc, sc.c.Post(i, op), nil, nil
+}
+
+// invoke submits a closure op and waits for its value: the synchronous round
+// trip. It awaits the handle directly — a synchronous op never enters the
+// pipelined FIFO, where an unconsumed head future would keep it from
+// recycling.
+func (s *Session) invoke(structure string, op *delegation.Op, c *closure) (any, error) {
+	sc, h, _, err := s.submit(structure, op, c, false)
+	if err != nil {
 		return nil, err
 	}
-	sc.ensureFree()
-	op := task.Op
-	if task.Log != nil {
-		name, logApp := task.Structure, task.Log
-		return sc.c.DelegateLogged(func() any { return op(ds) }, func(dst []byte) []byte {
-			return logApp(appendWALName(dst, name))
-		}), nil
+	v, err := sc.c.Await(h)
+	if err != nil {
+		s.rt.faults.TasksFailed.Add(1)
+		return nil, err
 	}
-	return sc.c.Delegate(func() any { return op(ds) }), nil
+	return v, nil
+}
+
+// pipeline submits an op and queues a pooled AsyncFuture for it.
+func (s *Session) pipeline(structure string, op *delegation.Op, c *closure) (*AsyncFuture, error) {
+	sc, h, _, err := s.submit(structure, op, c, false)
+	if err != nil {
+		return nil, err
+	}
+	f := sc.getFuture()
+	f.h, f.kv = h, c == nil
+	sc.enqueue(f)
+	return f, nil
+}
+
+// Submit routes the task to the domain owning its structure and delegates
+// it, returning a detached future (step 1/2.x of Figure 3): the caller may
+// hold it as long as it likes — WaitTimeout, WaitCtx and TryGet included,
+// even after Close.
+func (s *Session) Submit(task Task) (*delegation.Future, error) {
+	c := taskClosure(task)
+	_, _, f, err := s.submit(task.Structure, &delegation.Op{}, &c, true)
+	return f, err
 }
 
 // SubmitAsync issues one pipelined statement against the named structure and
@@ -916,30 +958,9 @@ func (s *Session) Submit(task Task) (*delegation.Future, error) {
 //
 // When all slots are in flight SubmitAsync resolves the oldest outstanding
 // statement first (its result stays cached for its Wait), preserving the
-// bursting-window semantics of Delegate.
+// bursting-window semantics of Submit.
 func (s *Session) SubmitAsync(structure string, op func(ds, arg any) any, arg any) (*AsyncFuture, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	i, ok := sc.c.Reserve()
-	for !ok {
-		if !sc.resolveOldest() {
-			return nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
-		}
-		i, ok = sc.c.Reserve()
-	}
-	at := &sc.athunks[i]
-	at.ds, at.op, at.arg = ds, op, arg
-	f := sc.getFuture()
-	f.h = sc.c.PostReserved(i, at.fn)
-	sc.enqueue(f)
-	return f, nil
+	return s.pipeline(structure, &delegation.Op{}, &closure{op: op, arg: arg})
 }
 
 // SubmitAsyncLogged is SubmitAsync for a logged mutation: enc encodes the
@@ -948,29 +969,20 @@ func (s *Session) SubmitAsync(structure string, op func(ds, arg any) any, arg an
 // Like SubmitAsync the op and enc must be statement-pooled or otherwise
 // allocation-free to keep the hot path clean.
 func (s *Session) SubmitAsyncLogged(structure string, op func(ds, arg any) any, arg any, enc func(dst []byte, arg any) []byte) (*AsyncFuture, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	i, ok := sc.c.Reserve()
-	for !ok {
-		if !sc.resolveOldest() {
-			return nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
-		}
-		i, ok = sc.c.Reserve()
-	}
-	at := &sc.athunks[i]
-	at.ds, at.op, at.arg = ds, op, arg
-	at.name, at.encAp = structure, enc
-	f := sc.getFuture()
-	f.h = sc.c.PostReservedLogged(i, at.fn, at.encFn)
-	sc.enqueue(f)
-	return f, nil
+	return s.pipeline(structure, &delegation.Op{}, &closure{op: op, arg: arg, enc: enc, encArg: arg})
+}
+
+// SubmitKV issues one pipelined typed op (delegation.KVGet, KVInsert,
+// KVUpdate or KVDelete) and returns its future without waiting — the typed
+// counterpart of SubmitAsync, and the path that feeds interleaved execution
+// best: a burst of SubmitKV calls lands several typed ops in the worker's
+// pass, so one sweep executes them through a single prefetch-interleaved
+// kernel call. The structure must implement delegation.BatchKernel (every
+// built-in index does). Typed ops are unlogged; a durable mutation is a
+// closure task with a Log. Synchronise with WaitKV (or Barrier, then WaitKV
+// for the cached results).
+func (s *Session) SubmitKV(structure string, kind uint8, key, val uint64) (*AsyncFuture, error) {
+	return s.pipeline(structure, &delegation.Op{Kind: kind, Key: key, Val: val}, nil)
 }
 
 // Wait blocks until the statement completes and returns its result (or the
@@ -1008,7 +1020,7 @@ func (f *AsyncFuture) Done() bool {
 // them. Results stay cached: each future's Wait still returns its own
 // result. A barrier on a structure with no outstanding statements is free.
 func (s *Session) Barrier(structure string) error {
-	d, _, err := s.rt.route(structure)
+	d, _, _, err := s.rt.route(structure, nil)
 	if err != nil {
 		return err
 	}
@@ -1030,40 +1042,15 @@ func (s *Session) Barrier(structure string) error {
 // Invoke submits the task and waits for its result (synchronous
 // delegation). Lifecycle failures surface as the error: a PanicError when
 // the task panicked in its domain, ErrWorkerStopped when the runtime shut
-// down before the task ran.
+// down before the task ran. A task with a Log on a WAL-enabled runtime
+// returns only after its record's group commit — a nil error means durable.
 //
-// Invoke is the zero-allocation round trip: the task runs through the
-// session's reusable per-domain thunk and the slot's recycled embedded
-// future, so the steady state allocates nothing (unlike Submit, whose
-// detached future and closure must escape to the heap).
+// Invoke is the zero-allocation round trip: the task rides the slot's
+// argument block and recycled embedded future, so the steady state allocates
+// nothing (unlike Submit, whose detached future must escape to the heap).
 func (s *Session) Invoke(task Task) (any, error) {
-	s.noteWrite(task.Structure, 1)
-	d, ds, err := s.rt.route(task.Structure)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	sc.ensureFree()
-	sc.ds, sc.op = ds, task.Op
-	var v any
-	if task.Log != nil {
-		// Logged mutation: the future completes after the group commit, so
-		// a nil error here means the record is durable. Field reuse is safe
-		// for the same reason ds/op reuse is — the call is synchronous and
-		// the encoder runs on the worker before the future completes.
-		sc.logName, sc.logApp = task.Structure, task.Log
-		v, err = sc.c.InvokeLoggedErr(sc.thunk, sc.logenc)
-	} else {
-		v, err = sc.c.InvokeErr(sc.thunk)
-	}
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-		return nil, err
-	}
-	return v, nil
+	c := taskClosure(task)
+	return s.invoke(task.Structure, &delegation.Op{}, &c)
 }
 
 // InvokeKV submits one typed key/value op (delegation.KVGet, KVInsert,
@@ -1075,146 +1062,48 @@ func (s *Session) Invoke(task Task) (any, error) {
 // delegation.BatchKernel (every built-in index does); structures without a
 // kernel must use Invoke with a closure task.
 func (s *Session) InvokeKV(structure string, kind uint8, key, val uint64) (uint64, bool, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
+	sc, h, _, err := s.submit(structure, &delegation.Op{Kind: kind, Key: key, Val: val}, nil, false)
 	if err != nil {
 		return 0, false, err
 	}
-	kern, ok := ds.(delegation.BatchKernel)
-	if !ok {
-		return 0, false, fmt.Errorf("core: structure %q has no batch kernel; use Invoke", structure)
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return 0, false, err
-	}
-	sc.ensureFree()
-	v, found, err := sc.c.InvokeKVErr(kern, kind, key, val)
+	v, found, err := sc.c.AwaitKV(h)
 	if err != nil {
 		s.rt.faults.TasksFailed.Add(1)
 		return 0, false, err
 	}
 	return v, found, nil
-}
-
-// InvokeKVLogged is InvokeKV for a logged mutation: enc encodes the op's
-// logical WAL record from its kind/key/val (the structure-name prefix is
-// added by the session) and the call returns only after the record's group
-// commit — a nil error means durable.
-func (s *Session) InvokeKVLogged(structure string, kind uint8, key, val uint64, enc delegation.KVEncoder) (uint64, bool, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return 0, false, err
-	}
-	kern, ok := ds.(delegation.BatchKernel)
-	if !ok {
-		return 0, false, fmt.Errorf("core: structure %q has no batch kernel; use Invoke", structure)
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return 0, false, err
-	}
-	sc.ensureFree()
-	sc.kvName, sc.kvApp = structure, enc
-	v, found, err := sc.c.InvokeKVLoggedErr(kern, kind, key, val, sc.kvenc)
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-		return 0, false, err
-	}
-	return v, found, nil
-}
-
-// SubmitKV issues one pipelined typed op and returns its future without
-// waiting — the typed counterpart of SubmitAsync, and the path that feeds
-// interleaved execution best: a burst of SubmitKV calls lands several typed
-// ops in the worker's pass, so one sweep executes them through a single
-// prefetch-interleaved kernel call. Synchronise with WaitKV (or Barrier,
-// then WaitKV for the cached results).
-func (s *Session) SubmitKV(structure string, kind uint8, key, val uint64) (*AsyncFuture, error) {
-	s.noteWrite(structure, 1)
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
-	}
-	kern, ok := ds.(delegation.BatchKernel)
-	if !ok {
-		return nil, fmt.Errorf("core: structure %q has no batch kernel; use SubmitAsync", structure)
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	i, ok := sc.c.Reserve()
-	for !ok {
-		if !sc.resolveOldest() {
-			return nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
-		}
-		i, ok = sc.c.Reserve()
-	}
-	f := sc.getFuture()
-	f.kv = true
-	f.h = sc.c.PostReservedKV(i, kern, kind, key, val)
-	sc.enqueue(f)
-	return f, nil
 }
 
 // SubmitBulk delegates several tasks targeting the same structure under a
-// single synchronisation phase (bulk bursting) and returns their results in
-// order. The error is the first lifecycle failure among them (PanicError,
-// ErrWorkerStopped); results of failed tasks are nil.
+// single synchronisation phase (bulk bursting): every op is issued as a
+// pipelined statement, then all are awaited, and the results return in
+// order. The error is the first failure among them (PanicError,
+// ErrWorkerStopped, or a submission error that cut the bulk short); results
+// of failed or unissued ops are nil.
 func (s *Session) SubmitBulk(structure string, ops []func(ds any) any) ([]any, error) {
-	s.noteWrite(structure, uint64(len(ops)))
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
+	futs := make([]*AsyncFuture, 0, len(ops))
+	var submitErr error
+	for _, op := range ops {
+		f, err := s.pipeline(structure, &delegation.Op{}, &closure{op: applyOp, arg: op})
+		if err != nil {
+			submitErr = err
+			break
+		}
+		futs = append(futs, f)
 	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	sc.ensureFree()
-	tasks := make([]delegation.Task, len(ops))
-	for i, op := range ops {
-		op := op
-		tasks[i] = func() any { return op(ds) }
-	}
-	out, err := sc.c.DelegateBulkErr(tasks)
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-	}
-	return out, err
-}
-
-// InvokeBatch executes several operations against the same structure as ONE
-// delegated task — same-domain task fusion: the worker runs the ops in order
-// in a single sweep, so the batch pays one round trip instead of len(ops).
-// Results come back in order. If an op panics, the whole batch completes
-// with its PanicError; results of the ops that ran before the panic are
-// already filled in, the rest stay nil.
-//
-// Like Invoke, the batch rides a reusable per-domain thunk and the slot's
-// recycled future — the only steady-state allocation is the results slice.
-func (s *Session) InvokeBatch(structure string, ops []func(ds any) any) ([]any, error) {
-	s.noteWrite(structure, uint64(len(ops)))
-	d, ds, err := s.rt.route(structure)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	sc.ensureFree()
 	out := make([]any, len(ops))
-	sc.bds, sc.bops, sc.bout = ds, ops, out
-	_, err = sc.c.InvokeErr(sc.bthunk)
-	sc.bds, sc.bops, sc.bout = nil, nil, nil
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-		return out, err
+	var firstErr error
+	for i, f := range futs {
+		v, err := f.Wait()
+		out[i] = v
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
-	return out, nil
+	if firstErr == nil {
+		firstErr = submitErr
+	}
+	return out, firstErr
 }
 
 // Close drains all outstanding tasks and returns the session's slots. The
@@ -1238,7 +1127,7 @@ func (s *Session) Close() error {
 			f.consumed = true
 		}
 		sc.qhead, sc.qtail, sc.pool = nil, nil, nil
-		if err := sc.c.DrainErr(); err != nil && firstErr == nil {
+		if err := sc.c.Drain(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if err := d.inbox.ReleaseSlots(sc.c.Slots()); err != nil && firstErr == nil {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"robustconf/internal/delegation"
 	"robustconf/internal/faultinject"
 	"robustconf/internal/metrics"
 	"robustconf/internal/obs"
@@ -119,5 +121,74 @@ func TestDefaultFaultsIsGlobal(t *testing.T) {
 	defer rt.Stop()
 	if rt.Faults() != metrics.Faults {
 		t.Error("default fault counters are not the process-global set")
+	}
+}
+
+// TestTypedGetsCountAsReads pins read accounting on the typed pipelined
+// path: a pure-GET SubmitKV stream must read as write fraction 0 in the
+// sampler's signals, exactly like the same GETs through InvokeKV, and must
+// count as reads — not writes — in an adaptive read policy's observations,
+// so read traffic never pushes the structure toward delegate mode.
+func TestTypedGetsCountAsReads(t *testing.T) {
+	cfg, structures := twoDomainConfig(t)
+	o := obs.New(obs.Options{})
+	cfg.Obs = o
+	cfg.ReadPolicies = map[string]ReadPolicy{"map": ReadAdaptive}
+	rt, err := Start(cfg, structures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	smp := o.StartSampler(obs.SamplerOptions{Every: -1})
+	defer smp.Stop()
+	smp.TickNow() // baseline window
+
+	s, _ := rt.NewSession(0, 14)
+	var futs [14]*AsyncFuture
+	for w := 0; w < 2000; w++ {
+		for j := range futs {
+			if futs[j], err = s.SubmitKV("map", delegation.KVGet, uint64(j), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range futs {
+			if _, _, err := f.WaitKV(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if _, _, err := s.InvokeKV("map", delegation.KVGet, uint64(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil { // flushes the client shard and read stats
+		t.Fatal(err)
+	}
+	time.Sleep(time.Millisecond)
+	smp.TickNow()
+
+	var found bool
+	for _, d := range o.Signals() {
+		if d.Domain != "d1" {
+			continue
+		}
+		found = true
+		if d.PostRate.Value <= 0 {
+			t.Fatalf("d1 post rate = %g, want > 0 (the window saw no traffic)", d.PostRate.Value)
+		}
+		if d.WriteFraction.Value != 0 {
+			t.Errorf("write fraction of a pure typed-GET window = %g, want 0", d.WriteFraction.Value)
+		}
+	}
+	if !found {
+		t.Fatal("no signals for domain d1")
+	}
+	rs := rt.readStates["map"]
+	if r, w := rs.reads.Load(), rs.writes.Load(); r != 2000*14+200 || w != 0 {
+		t.Errorf("adaptive observations reads=%d writes=%d, want %d and 0", r, w, 2000*14+200)
+	}
+	if rs.delegateMode.Load() {
+		t.Error("pure read traffic switched the adaptive policy to delegate mode")
 	}
 }

@@ -169,28 +169,11 @@ func (rt *Runtime) EffectiveReadPolicy(structure string) ReadPolicy {
 	return ReadDelegate
 }
 
-// routeEpoch is route plus the structure's migration epoch, loaded in the
-// same critical section. Migrate bumps the epoch under the same lock before
-// swapping the assignment, so a reader holding (domain, epoch) from one call
-// detects any migration that lands after it.
-func (rt *Runtime) routeEpoch(structure string, rs *readState) (*Domain, any, uint64, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	di, ok := rt.cfg.Assignment[structure]
-	if !ok {
-		return nil, nil, 0, fmt.Errorf("core: unknown structure %q", structure)
-	}
-	d := rt.domains[di]
-	if d.dead.Load() {
-		return nil, nil, 0, fmt.Errorf("core: structure %q: %w", structure, ErrDomainDead)
-	}
-	return d, d.structures[structure], rs.migrations.Load(), nil
-}
-
-// noteRead records one read against the structure's adaptive observations
-// (no-op for non-adaptive policies). Session-local plain counters, published
-// on the readStatsFlushEvery cadence.
-func (s *Session) noteRead(rs *readState) {
+// note records one submission — a read or a mutation — against the
+// adaptive observations of the structure whose read state is rs (no-op for
+// non-adaptive policies). Session-local plain counters, published on the
+// readStatsFlushEvery cadence.
+func (s *Session) note(rs *readState, read bool) {
 	if rs.policy != ReadAdaptive {
 		return
 	}
@@ -198,29 +181,12 @@ func (s *Session) noteRead(rs *readState) {
 		s.flushReadStats()
 		s.rsLast = rs
 	}
-	s.rsReads++
+	if read {
+		s.rsReads++
+	} else {
+		s.rsWrites++
+	}
 	s.rsSince++
-	if s.rsSince >= readStatsFlushEvery {
-		s.flushReadStats()
-		s.rsLast = rs
-	}
-}
-
-// noteWrite records one mutating submission, looked up by structure name so
-// the write paths (Invoke, Submit, SubmitAsync, the batch entry points) can
-// call it unconditionally: structures without an adaptive policy cost one
-// read-only map probe.
-func (s *Session) noteWrite(structure string, n uint64) {
-	rs := s.rt.readStates[structure]
-	if rs == nil || rs.policy != ReadAdaptive {
-		return
-	}
-	if s.rsLast != rs {
-		s.flushReadStats()
-		s.rsLast = rs
-	}
-	s.rsWrites += n
-	s.rsSince += n
 	if s.rsSince >= readStatsFlushEvery {
 		s.flushReadStats()
 		s.rsLast = rs
@@ -266,21 +232,13 @@ func (s *Session) countBypass(d *Domain, hit bool, retries uint64) {
 // other sessions' bypass reads.
 func (s *Session) SubmitRead(task Task) (any, error) {
 	rs := s.rt.readStates[task.Structure] // read-only map after Start
-	if rs == nil {
-		d, ds, err := s.rt.route(task.Structure)
-		if err != nil {
-			return nil, err
-		}
-		return s.invokeRead(d, ds, task)
-	}
-	s.noteRead(rs)
-	if rs.bypassNow() {
+	if rs != nil && rs.bypassNow() {
 		var d *Domain
 		for attempt := uint64(0); attempt < bypassAttempts; attempt++ {
 			var ds any
 			var m1 uint64
 			var err error
-			d, ds, m1, err = s.rt.routeEpoch(task.Structure, rs)
+			d, ds, m1, err = s.rt.route(task.Structure, rs)
 			if err != nil {
 				return nil, err
 			}
@@ -312,6 +270,7 @@ func (s *Session) SubmitRead(task Task) (any, error) {
 				n2 += b.MutEnter()
 			}
 			if n2 == n1 && rs.migrations.Load() == m1 {
+				s.note(rs, true)
 				s.countBypass(d, true, attempt)
 				if perr != nil {
 					// The read was stable, so the panic is the op's own
@@ -330,11 +289,8 @@ func (s *Session) SubmitRead(task Task) (any, error) {
 			s.countBypass(d, false, bypassAttempts)
 		}
 	}
-	d, ds, err := s.rt.route(task.Structure)
-	if err != nil {
-		return nil, err
-	}
-	return s.invokeRead(d, ds, task)
+	// The delegated read: Invoke's round trip with the op flagged read-only.
+	return s.invoke(task.Structure, &delegation.Op{Read: true}, &closure{op: applyOp, arg: task.Op})
 }
 
 // runBypassRead executes a bypass read on the client's own goroutine,
@@ -350,23 +306,6 @@ func runBypassRead(op func(any) any, ds any) (v any, err error) {
 		}
 	}()
 	return op(ds), nil
-}
-
-// invokeRead is the delegated read: Invoke's zero-allocation round trip with
-// the slot flagged read-only.
-func (s *Session) invokeRead(d *Domain, ds any, task Task) (any, error) {
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, err
-	}
-	sc.ensureFree()
-	sc.ds, sc.op = ds, task.Op
-	v, err := sc.c.InvokeReadErr(sc.thunk)
-	if err != nil {
-		s.rt.faults.TasksFailed.Add(1)
-		return nil, err
-	}
-	return v, nil
 }
 
 // BypassArmed reports whether every buffer of the domain currently has a

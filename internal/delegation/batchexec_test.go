@@ -1,7 +1,6 @@
 package delegation
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -112,11 +111,10 @@ func TestBatchedSweepGroupsAndAnswers(t *testing.T) {
 
 	h1 := postKVt(t, c, ka, KVGet, 7, 0) // group A: [get, insert]
 	h2 := postKVt(t, c, ka, KVInsert, 8, 80)
-	i3, _ := c.Reserve()
-	h3 := c.PostReserved(i3, func() any { return "opaque" }) // splits the runs
-	h4 := postKVt(t, c, ka, KVUpdate, 7, 71)                 // group B: same kernel, split by the closure
-	h5 := postKVt(t, c, kb, KVDelete, 9, 0)                  // group C: different kernel ⇒ own group
-	h6 := postKVt(t, c, kb, KVGet, 9, 0)                     // group C continued: delete then get ⇒ miss
+	h3 := c.Post(reserve(c), &Op{Task: func() any { return "opaque" }}) // splits the runs
+	h4 := postKVt(t, c, ka, KVUpdate, 7, 71)                            // group B: same kernel, split by the closure
+	h5 := postKVt(t, c, kb, KVDelete, 9, 0)                             // group C: different kernel ⇒ own group
+	h6 := postKVt(t, c, kb, KVGet, 9, 0)                                // group C continued: delete then get ⇒ miss
 
 	if n := buf.Sweep(); n != 6 {
 		t.Fatalf("sweep answered %d, want 6", n)
@@ -167,8 +165,7 @@ func TestBatchedSweepKernelPanicFailsRun(t *testing.T) {
 	h1 := postKVt(t, c, ka, KVInsert, 1, 10)
 	h2 := postKVt(t, c, ka, KVInsert, 2, 20) // boom
 	h3 := postKVt(t, c, ka, KVInsert, 3, 30) // same run: fails wholesale
-	i4, _ := c.Reserve()
-	h4 := c.PostReserved(i4, func() any { return 44 })
+	h4 := c.Post(reserve(c), &Op{Task: func() any { return 44 }})
 	h5 := postKVt(t, c, kb, KVInsert, 5, 50)
 
 	buf.Sweep()
@@ -202,8 +199,7 @@ func TestBatchedSweepOpaquePanicMidBatch(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	k := newMapKernel()
 	h1 := postKVt(t, c, k, KVInsert, 1, 10)
-	i2, _ := c.Reserve()
-	h2 := c.PostReserved(i2, func() any { panic("task boom") })
+	h2 := c.Post(reserve(c), &Op{Task: func() any { panic("task boom") }})
 	h3 := postKVt(t, c, k, KVGet, 1, 0)
 
 	if n := buf.Sweep(); n != 3 {
@@ -249,61 +245,58 @@ func (w *recordingWAL) Commit(allowFaults bool) error {
 
 func (w *recordingWAL) Abort() { w.aborts++ }
 
-func testKVEnc(dst []byte, kind uint8, key, val uint64) []byte {
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint64(dst, key)
-	return binary.LittleEndian.AppendUint64(dst, val)
+// rec returns a record encoder that appends tag.
+func rec(tag string) func(dst []byte) []byte {
+	return func(dst []byte) []byte { return append(dst, tag...) }
 }
 
-// TestBatchedSweepWALStagesAndCommits runs a logged batched pass: typed
-// mutations stage records in execution order and complete only after the
-// group commit; the typed read completes inline and stages nothing.
+// TestBatchedSweepWALStagesAndCommits runs a logged pass mixing logged
+// closure mutations with typed ops and a read-flagged closure: the logged
+// mutations stage their records in execution order and complete only after
+// the group commit; typed ops (never logged, even with a WAL installed) and
+// the read stage nothing, and every op sees its predecessors' effects.
 func TestBatchedSweepWALStagesAndCommits(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	w := &recordingWAL{}
 	buf.SetWAL(w)
 	k := newMapKernel()
 
-	post := func(kind uint8, key, val uint64) InvokeHandle {
-		i, ok := c.Reserve()
-		if !ok {
-			t.Fatal("no free slot")
-		}
-		return c.PostReservedKVLogged(i, k, kind, key, val, testKVEnc)
-	}
-	h1 := post(KVInsert, 1, 11)
-	h2 := post(KVGet, 1, 0) // read-only: never staged
-	h3 := post(KVUpdate, 1, 12)
+	h1 := c.Post(reserve(c), &Op{Task: func() any { k.m[1] = 11; return "ins" }, Log: rec("ins 1")})
+	h2 := postKVt(t, c, k, KVGet, 1, 0)     // typed read: sees the logged insert
+	h3 := postKVt(t, c, k, KVInsert, 2, 22) // typed mutation: unlogged
+	h4 := c.Post(reserve(c), &Op{Task: func() any { k.m[1] = 12; return "upd" }, Log: rec("upd 1")})
+	h5 := c.Post(reserve(c), &Op{Task: func() any { return k.m[1] }, Log: rec("read"), Read: true})
 
-	if n := buf.Sweep(); n != 3 {
-		t.Fatalf("sweep answered %d, want 3", n)
+	if n := buf.Sweep(); n != 5 {
+		t.Fatalf("sweep answered %d, want 5", n)
 	}
-	if _, ok, err := c.AwaitKV(h1); err != nil || !ok {
-		t.Fatalf("insert ok=%v err=%v", ok, err)
+	if v, err := c.Await(h1); err != nil || v != "ins" {
+		t.Fatalf("logged insert = %v,%v", v, err)
 	}
 	if v, ok, err := c.AwaitKV(h2); err != nil || !ok || v != 11 {
 		t.Fatalf("get = %d,%v,%v want 11,true,nil", v, ok, err)
 	}
 	if _, ok, err := c.AwaitKV(h3); err != nil || !ok {
-		t.Fatalf("update ok=%v err=%v", ok, err)
+		t.Fatalf("typed insert ok=%v err=%v", ok, err)
+	}
+	if v, err := c.Await(h4); err != nil || v != "upd" {
+		t.Fatalf("logged update = %v,%v", v, err)
+	}
+	if v, err := c.Await(h5); err != nil || v != uint64(12) {
+		t.Fatalf("read = %v,%v want 12", v, err)
 	}
 	if w.begins != 1 || w.commits != 1 || w.aborts != 0 {
 		t.Fatalf("wal begins/commits/aborts = %d/%d/%d, want 1/1/0", w.begins, w.commits, w.aborts)
 	}
-	if len(w.records) != 2 {
-		t.Fatalf("staged %d records, want 2 (mutations only)", len(w.records))
-	}
-	want1 := testKVEnc(nil, KVInsert, 1, 11)
-	want2 := testKVEnc(nil, KVUpdate, 1, 12)
-	if string(w.records[0]) != string(want1) || string(w.records[1]) != string(want2) {
-		t.Fatalf("records = %x / %x, want %x / %x", w.records[0], w.records[1], want1, want2)
+	if len(w.records) != 2 || string(w.records[0]) != "ins 1" || string(w.records[1]) != "upd 1" {
+		t.Fatalf("records = %q, want [ins 1, upd 1] (logged mutations, in execution order)", w.records)
 	}
 }
 
-// TestBatchedSweepWALCommitErrorFailsStashed pins the group-commit rule on
-// the batched path: when Commit fails, every stashed (logged-mutation)
-// future fails with a PanicError carrying the commit error, while inline
-// completions (the typed read) keep their results.
+// TestBatchedSweepWALCommitErrorFailsStashed pins the group-commit rule:
+// when Commit fails, every stashed (logged-mutation) future fails with a
+// PanicError carrying the commit error, while inline completions — the
+// typed read and the unlogged closure — keep their results.
 func TestBatchedSweepWALCommitErrorFailsStashed(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	w := &recordingWAL{commitErr: errors.New("disk gone")}
@@ -311,37 +304,44 @@ func TestBatchedSweepWALCommitErrorFailsStashed(t *testing.T) {
 	k := newMapKernel()
 	k.m[5] = 55
 
-	i1, _ := c.Reserve()
-	h1 := c.PostReservedKVLogged(i1, k, KVInsert, 1, 11, testKVEnc)
-	i2, _ := c.Reserve()
-	h2 := c.PostReservedKVLogged(i2, k, KVGet, 5, 0, testKVEnc)
+	h1 := c.Post(reserve(c), &Op{Task: func() any { return 1 }, Log: rec("a")})
+	h2 := postKVt(t, c, k, KVGet, 5, 0)
+	h3 := c.Post(reserve(c), &Op{Task: func() any { return 3 }})
+	h4 := c.Post(reserve(c), &Op{Task: func() any { return 4 }, Log: rec("b")})
 
 	buf.Sweep()
-	var pe PanicError
-	if _, _, err := c.AwaitKV(h1); !errors.As(err, &pe) {
-		t.Fatalf("logged insert err = %v, want PanicError", err)
+	for i, h := range []InvokeHandle{h1, h4} {
+		var pe PanicError
+		if _, err := c.Await(h); !errors.As(err, &pe) || pe.Value != w.commitErr {
+			t.Fatalf("logged op %d err = %v, want PanicError(disk gone)", i, err)
+		}
 	}
 	if v, ok, err := c.AwaitKV(h2); err != nil || !ok || v != 55 {
 		t.Fatalf("inline get = %d,%v,%v want 55,true,nil", v, ok, err)
 	}
+	if v, err := c.Await(h3); err != nil || v != 3 {
+		t.Fatalf("unlogged closure = %v,%v want 3", v, err)
+	}
+	if buf.Failed.Load() != 2 {
+		t.Errorf("Failed = %d, want 2", buf.Failed.Load())
+	}
 }
 
 // TestBatchedSweepWALPanicAborts panics the pass itself (StageRecord blows
-// up, as an injected worker kill would): the defer must Abort the log
-// batch, fail the already-stashed and the claimed-but-unanswered futures
-// with PanicError, and re-raise to the sweep's caller.
+// up mid-pass, as an injected worker kill would): the defer must Abort the
+// log batch, fail the already-stashed and the claimed-but-unanswered futures
+// with PanicError — a typed op after the panic included — and re-raise to
+// the sweep's caller.
 func TestBatchedSweepWALPanicAborts(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	w := &recordingWAL{panicOnStage: 2}
 	buf.SetWAL(w)
 	k := newMapKernel()
 
-	i1, _ := c.Reserve()
-	h1 := c.PostReservedKVLogged(i1, k, KVInsert, 1, 11, testKVEnc) // stages fine
-	i2, _ := c.Reserve()
-	h2 := c.PostReservedKVLogged(i2, k, KVInsert, 2, 22, testKVEnc) // stage boom
-	i3, _ := c.Reserve()
-	h3 := c.PostReservedKVLogged(i3, k, KVInsert, 3, 33, testKVEnc) // never staged
+	h1 := c.Post(reserve(c), &Op{Task: func() any { return 1 }, Log: rec("a")}) // stages fine
+	h2 := c.Post(reserve(c), &Op{Task: func() any { return 2 }, Log: rec("b")}) // stage boom
+	h3 := c.Post(reserve(c), &Op{Task: func() any { return 3 }, Log: rec("c")}) // never runs
+	h4 := postKVt(t, c, k, KVInsert, 4, 44)                                     // never runs
 
 	func() {
 		defer func() {
@@ -356,9 +356,15 @@ func TestBatchedSweepWALPanicAborts(t *testing.T) {
 	}
 	var pe PanicError
 	for i, h := range []InvokeHandle{h1, h2, h3} {
-		if _, _, err := c.AwaitKV(h); !errors.As(err, &pe) {
+		if _, err := c.Await(h); !errors.As(err, &pe) {
 			t.Fatalf("op %d err = %v, want PanicError", i+1, err)
 		}
+	}
+	if _, _, err := c.AwaitKV(h4); !errors.As(err, &pe) {
+		t.Fatalf("typed op err = %v, want PanicError", err)
+	}
+	if len(k.m) != 0 {
+		t.Fatalf("typed op after the panic executed: %v", k.m)
 	}
 }
 
@@ -404,7 +410,7 @@ func TestBatchedSweepSealRace(t *testing.T) {
 
 // TestBatchedSweepPostAfterSealRescued: a typed post into a sealed buffer
 // must be rescued with ErrWorkerStopped (the stop/post race contract,
-// extended to postKV).
+// extended to typed ops).
 func TestBatchedSweepPostAfterSealRescued(t *testing.T) {
 	buf, c := newBatchedClient(t)
 	buf.Seal()
@@ -445,11 +451,9 @@ type countingArena struct{ resets int }
 
 func (a *countingArena) Reset() { a.resets++ }
 
-func opaqueRec(dst []byte) []byte { return append(dst, "opaque-rec"...) }
-
-// postMixedPass posts one mixed pass in slot order — a typed run on ka (an
-// insert, then a logged insert), an opaque closure, a typed run on kb (an
-// insert, then a get of a preloaded key), and a logged opaque closure — and
+// postMixedPass posts one mixed pass in slot order — a typed run on ka (two
+// inserts), a logged closure, a typed run on kb (an insert, then a get of a
+// preloaded key), and a second logged closure — and
 // returns a check that every op executed exactly once and answered its
 // serially-correct result. Every op touches its own key, so the answers do
 // not depend on which sweeper claims which slot.
@@ -457,19 +461,12 @@ func postMixedPass(t *testing.T, c *Client, ka, kb *mapKernel) (check func()) {
 	t.Helper()
 	kb.m[4] = 40
 	var opaqueRuns, loggedRuns atomic.Int32
-	reserve := func() int32 {
-		i, ok := c.Reserve()
-		if !ok {
-			t.Fatal("no free slot")
-		}
-		return i
-	}
-	h1 := c.PostReservedKV(reserve(), ka, KVInsert, 1, 10)
-	h2 := c.PostReservedKVLogged(reserve(), ka, KVInsert, 2, 20, testKVEnc)
-	h3 := c.PostReserved(reserve(), func() any { opaqueRuns.Add(1); return "opaque" })
-	h4 := c.PostReservedKV(reserve(), kb, KVInsert, 3, 30)
-	h5 := c.PostReservedKV(reserve(), kb, KVGet, 4, 0)
-	h6 := c.PostReservedLogged(reserve(), func() any { loggedRuns.Add(1); return "logged" }, opaqueRec)
+	h1 := postKVt(t, c, ka, KVInsert, 1, 10)
+	h2 := postKVt(t, c, ka, KVInsert, 2, 20)
+	h3 := c.Post(reserve(c), &Op{Task: func() any { opaqueRuns.Add(1); return "opaque" }, Log: rec("first")})
+	h4 := postKVt(t, c, kb, KVInsert, 3, 30)
+	h5 := postKVt(t, c, kb, KVGet, 4, 0)
+	h6 := c.Post(reserve(c), &Op{Task: func() any { loggedRuns.Add(1); return "logged" }, Log: rec("second")})
 	return func() {
 		t.Helper()
 		for i, h := range []InvokeHandle{h1, h2, h4} {
@@ -526,14 +523,8 @@ func TestSealSweepRunsTheOneBody(t *testing.T) {
 	if len(ka.groups) != 1 || len(kb.groups) != 1 {
 		t.Fatalf("groups A=%v B=%v, want one run per kernel", ka.groups, kb.groups)
 	}
-	want := [][]byte{testKVEnc(nil, KVInsert, 2, 20), opaqueRec(nil)}
-	if len(w.records) != len(want) {
-		t.Fatalf("staged %d records, want %d", len(w.records), len(want))
-	}
-	for i := range want {
-		if string(w.records[i]) != string(want[i]) {
-			t.Fatalf("record %d = %q, want %q", i, w.records[i], want[i])
-		}
+	if len(w.records) != 2 || string(w.records[0]) != "first" || string(w.records[1]) != "second" {
+		t.Fatalf("records = %q, want [first second] (execution order)", w.records)
 	}
 	if w.begins != 1 || w.commits != 1 || w.aborts != 0 {
 		t.Fatalf("wal begins/commits/aborts = %d/%d/%d, want 1/1/0", w.begins, w.commits, w.aborts)

@@ -18,18 +18,22 @@
 //     single response-line write; the worker drains all posted slots of a
 //     buffer in one sweep (response batching).
 //
-// Hot-path memory discipline (DESIGN.md §10): the steady-state round trip
-// allocates nothing and is O(1) per operation. Each slot embeds a recycled
-// Future whose completion word carries a monotonically increasing generation
-// (gen<<2 | state), so the synchronous Invoke/InvokeErr paths reuse the same
-// future across operations without ABA: every completion path — worker
-// sweep, seal rescue, crash fail-over — first claims the slot with a CAS on
-// its versioned state word and then publishes the result with a CAS on the
-// future's generation word, making both execution and completion exactly
-// once per generation. Clients track free slots and outstanding tasks in
+// One way to post (DESIGN.md §10): every operation is an Op — a closure Task
+// or a typed (Kern, Kind, Key, Val) key/value op, plus an optional WAL record
+// encoder and a read flag — and every post goes Reserve → Post → Await. Post
+// publishes into the slot's embedded, recycled Future; Delegate publishes the
+// same Op with a detached heap Future for callers that hold the result longer
+// than the slot lives.
+//
+// Hot-path memory discipline: the steady-state round trip allocates nothing
+// and is O(1) per operation. The embedded Future's completion word carries a
+// monotonically increasing generation (gen<<2 | state), so a slot reuses it
+// across operations without ABA: every completion path — worker sweep, seal
+// rescue, crash fail-over — first claims the slot with a CAS on its versioned
+// state word and then publishes the result with a CAS on the future's
+// generation word, making both execution and completion exactly once per
+// generation. Clients track free slots and outstanding delegations in
 // fixed-capacity index rings, so posting never scans and never grows.
-// Asynchronous Delegate still hands out a one-shot heap future, because its
-// caller may hold the handle arbitrarily long after the slot has cycled.
 //
 // NUMA-aware slot assignment — giving a client slots in the buffer of the
 // worker nearest to it — is the caller's policy: AcquireSlots accepts a
@@ -107,9 +111,9 @@ type Future struct {
 	err  error
 	span *obs.Span // lifecycle span on sampled posts; nil almost always
 
-	// Typed result channel for KV posts (postKV): written by the completer
-	// before the publishing CAS, read by awaitTokenKV after it, so a typed
-	// round trip never boxes a uint64 into val. Every completion path of a
+	// Typed result channel for typed ops: written by the completer before
+	// the publishing CAS, read by AwaitKV after it, so a typed round trip
+	// never boxes a uint64 into val. Every completion path of a
 	// typed op either writes these or completes with futError, so no reset
 	// in begin is needed.
 	kvVal uint64
@@ -127,55 +131,22 @@ func (f *Future) begin() uint64 {
 	return w
 }
 
-// awaitToken blocks until the generation identified by tok completes, then
-// returns its result. Only the slot-owning client calls it (the embedded
-// future is never handed out), so the word cannot move past tok's completion
-// while we wait.
-func (f *Future) awaitToken(tok uint64) (any, error) {
+// await blocks until the generation identified by tok completes and returns
+// its typed error, nil for a value result; the caller then reads the value
+// channel the op used (val, or kvVal/kvOK). Only the slot-owning client calls
+// it (the embedded future is never handed out), so the word cannot move past
+// tok's completion while we wait.
+func (f *Future) await(tok uint64) error {
 	w := f.word.Load()
-	for i := 0; w == tok && i < waitSpins; i++ {
-		runtime.Gosched()
-		w = f.word.Load()
-	}
-	d := waitSleepMin
-	for w == tok {
-		time.Sleep(d)
-		if d < waitSleepMax {
-			d *= 2
-		}
-		w = f.word.Load()
+	if w == tok {
+		w = f.settle(tok)
 	}
 	failed := w&futStateMask == futError
 	f.span.Resolve(failed)
 	if failed {
-		return nil, f.err
+		return f.err
 	}
-	return f.val, nil
-}
-
-// awaitTokenKV is awaitToken for a typed KV post: it blocks until the
-// generation identified by tok completes and returns the typed result
-// without boxing. Only the slot-owning client calls it.
-func (f *Future) awaitTokenKV(tok uint64) (uint64, bool, error) {
-	w := f.word.Load()
-	for i := 0; w == tok && i < waitSpins; i++ {
-		runtime.Gosched()
-		w = f.word.Load()
-	}
-	d := waitSleepMin
-	for w == tok {
-		time.Sleep(d)
-		if d < waitSleepMax {
-			d *= 2
-		}
-		w = f.word.Load()
-	}
-	failed := w&futStateMask == futError
-	f.span.Resolve(failed)
-	if failed {
-		return 0, false, f.err
-	}
-	return f.kvVal, f.kvOK, nil
+	return nil
 }
 
 // complete publishes a value result for the current generation; used by
@@ -233,23 +204,28 @@ const (
 	waitSleepMax = 100 * time.Microsecond
 )
 
-// block waits until the future completes, spinning first and then sleeping
-// with exponential backoff.
-func (f *Future) block() {
-	for i := 0; i < waitSpins; i++ {
-		if f.word.Load()&futStateMask != futPending {
-			return
-		}
+// settle blocks until the future's word moves off tok — the pending word of
+// the generation being waited on — spinning first and then sleeping with
+// exponential backoff, and returns the word it moved to.
+func (f *Future) settle(tok uint64) uint64 {
+	w := f.word.Load()
+	for i := 0; w == tok && i < waitSpins; i++ {
 		runtime.Gosched()
+		w = f.word.Load()
 	}
 	d := waitSleepMin
-	for f.word.Load()&futStateMask == futPending {
+	for w == tok {
 		time.Sleep(d)
 		if d < waitSleepMax {
 			d *= 2
 		}
+		w = f.word.Load()
 	}
+	return w
 }
+
+// block waits until the future's current generation completes.
+func (f *Future) block() { f.settle(f.word.Load() &^ futStateMask) }
 
 // result returns the completed future's result in Wait's historical shape:
 // the value, or the error as the value (a PanicError came back through Wait
@@ -358,77 +334,51 @@ type Slot struct {
 	state atomic.Uint64
 	task  Task
 	fut   *Future
-	fut0  Future // recycled future for the zero-alloc synchronous path
+	fut0  Future // recycled future of every Post through this slot
 	owner int32  // client id for diagnostics; -1 = unowned
-	ro    bool   // task is read-only: the sweep must not count it as a mutating batch
+	ro    bool   // op is read-only: the sweep must not count it as a mutating batch
 	enc   func(dst []byte) []byte
 	buf   *Buffer
 
-	// Typed KV posts (postKV): the op encoded as plain words instead of a
-	// closure, so the sweep can group same-kernel ops into one interleaved
-	// ExecBatch call and the result travels back through the future's typed
-	// fields — no boxing anywhere. kern is nil for opaque closure posts.
-	kern  BatchKernel
-	kind  uint8
-	key   uint64
-	val   uint64
-	kvenc KVEncoder
-	// encKV adapts kvenc to the WALSink.StageRecord shape; prebuilt once in
-	// NewBuffer (it reads the slot's kind/key/val at encode time), so logged
-	// typed posts allocate nothing.
-	encKV func(dst []byte) []byte
+	// Typed ops: the op encoded as plain words instead of a closure, so the
+	// sweep can group same-kernel ops into one interleaved ExecBatch call and
+	// the result travels back through the future's typed fields — no boxing
+	// anywhere. kern is nil for closure ops.
+	kern BatchKernel
+	kind uint8
+	key  uint64
+	val  uint64
 }
 
 // posted reports whether the slot currently holds an unclaimed task.
 func (s *Slot) posted() bool { return s.state.Load()&1 == 1 }
 
-// post publishes a task into the slot. The client must own the slot and the
-// slot must be free. f is either a fresh detached future (Delegate) or the
-// slot's own recycled fut0 with its generation already begun (InvokeErr).
-// enc, when non-nil, is the task's logical WAL record encoder: the sweep
-// stages its output and defers the future's completion to the group commit.
-//
-// The sealed check after the posted store closes the stop/post race: both
-// sides use sequentially consistent atomics, so either the worker's final
-// sweep observes the posted slot, or this client observes the seal and
-// rescues its own task with ErrWorkerStopped — a post can never dangle.
-func (s *Slot) post(t Task, f *Future, ro bool, enc func(dst []byte) []byte) {
-	s.task = t
-	s.fut = f
-	s.ro = ro
-	s.enc = enc
-	s.kern = nil                      // opaque post: the sweep must not route it through a kernel
-	s.state.Store(s.state.Load() + 1) // release: publishes task+fut+ro+enc to the worker
-	if s.buf.sealed.Load() {
-		s.buf.rescue(s)
-	}
+// Op is the one descriptor of a delegated operation: a closure Task, or a
+// typed key/value op (Kern, Kind, Key, Val) that the sweep batches with
+// neighbouring typed ops on the same kernel. Log, on a closure op, is the
+// op's logical WAL record encoder: with a WAL sink installed the sweep stages
+// its output after the task runs and completes the future only after the
+// batch group-commits, so success implies durable; without a sink it is
+// ignored. Read marks a closure op the caller guarantees is read-only, so the
+// sweep does not open a mutating window for it. A typed op's read flag is
+// derived from its Kind, and typed ops are never logged.
+type Op struct {
+	Task Task
+	Log  func(dst []byte) []byte
+	Read bool
+
+	Kern BatchKernel
+	Kind uint8
+	Key  uint64
+	Val  uint64
 }
 
-// postKV publishes a typed KV operation into the slot: kern is the target
-// structure's batch kernel, kind/key/val the operation. A KVGet posts as
-// read-only (it must not open the mutating-batch window, like
-// InvokeReadErr); a mutation with a non-nil kvenc posts with the prebuilt
-// encKV record encoder so the WAL sweep stages and group-commits it exactly
-// like a logged closure task. The same sealed check as post closes the
-// stop/post race.
-func (s *Slot) postKV(kern BatchKernel, kind uint8, key, val uint64, f *Future, kvenc KVEncoder) {
-	s.task = nil
-	s.fut = f
-	s.kern = kern
-	s.kind = kind
-	s.key = key
-	s.val = val
-	s.kvenc = kvenc
-	s.ro = kind == KVGet
-	if kvenc != nil && kind != KVGet {
-		s.enc = s.encKV
-	} else {
-		s.enc = nil
+// read reports whether op posts read-only.
+func (op *Op) read() bool {
+	if op.Kern != nil {
+		return op.Kind == KVGet
 	}
-	s.state.Store(s.state.Load() + 1) // release: publishes the typed op to the worker
-	if s.buf.sealed.Load() {
-		s.buf.rescue(s)
-	}
+	return op.Read
 }
 
 // FaultHook intercepts the worker's poll loop for deterministic fault
@@ -532,14 +482,8 @@ func NewBuffer(worker, n int) (*Buffer, error) {
 	}
 	b := &Buffer{worker: worker, slots: make([]Slot, n)}
 	for i := range b.slots {
-		s := &b.slots[i]
-		s.owner = -1
-		s.buf = b
-		// One closure per slot, for the buffer's lifetime: adapts a typed
-		// post's stateless KVEncoder to the WALSink.StageRecord shape by
-		// reading the slot's op words at encode time (stable until the
-		// future is answered, which is after the commit that consumes them).
-		s.encKV = func(dst []byte) []byte { return s.kvenc(dst, s.kind, s.key, s.val) }
+		b.slots[i].owner = -1
+		b.slots[i].buf = b
 	}
 	return b, nil
 }
@@ -573,15 +517,11 @@ type WALSink interface {
 
 // walStash is one executed-but-uncommitted completion: the future, the
 // pending word to CAS against, and the task's result, parked between
-// execution and the batch's group commit. Typed KV results park in the kv
-// fields (kv=true) so the logged typed path stays free of boxing.
+// execution and the batch's group commit.
 type walStash struct {
-	f     *Future
-	w     uint64
-	res   any
-	kv    bool
-	kvVal uint64
-	kvOK  bool
+	f   *Future
+	w   uint64
+	res any
 }
 
 // sweepStage is one sweeper's pass state, preallocated in the Buffer so a
@@ -637,13 +577,6 @@ const (
 type BatchKernel interface {
 	ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool)
 }
-
-// KVEncoder encodes the logical WAL record of one typed KV mutation into
-// dst. It must be stateless with respect to the call site — the sweep
-// invokes it through a per-slot prebuilt closure that reads the slot's
-// kind/key/val fields, which stay stable from post until the future is
-// answered (the owning client never reposts before observing completion).
-type KVEncoder func(dst []byte, kind uint8, key, val uint64) []byte
 
 // SetBatchExec does nothing; width is ignored.
 //
@@ -805,10 +738,11 @@ func (b *Buffer) runKernel(st *sweepStage, kern BatchKernel, i, j int, hook Faul
 //     installed, the first claimed slot opens the log batch — Begin takes
 //     the domain quiescence gate's read side for every execution in the
 //     pass, logged or not, so recovery's in-place restore quiesces behind
-//     all of them. Logged mutations stage their records in execution order
-//     and park in the stash until the end-of-pass group commit: a client
-//     observes success only once its record is durable (DESIGN.md §13).
-//     Reads, unlogged tasks and failed ops answer inline.
+//     all of them. Logged closure mutations stage their records in
+//     execution order and park in the stash until the end-of-pass group
+//     commit: a client observes success only once its record is durable
+//     (DESIGN.md §13). Reads, typed ops (never logged), unlogged tasks and
+//     failed ops answer inline.
 //
 // The mutating window opens once, before anything executes, when any
 // claimed op is non-read, so a concurrent bypass reader cannot validate over
@@ -967,24 +901,16 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 			probe.TaskEnd(tt)
 		}
 		for g := done; g < j; g++ {
-			sg := st.slot[g]
-			f := sg.fut
+			f := st.slot[g].fut
 			w := st.w[g]
 			sp := f.span
 			sp.MarkExecEnd()
 			sp.MarkResponded()
-			switch {
-			case kerr != nil:
+			if kerr != nil {
 				f.err = kerr
 				f.word.CompareAndSwap(w, w|futError)
 				b.Failed.Add(1)
-			case logging && sg.enc != nil && !sg.ro:
-				// The record encoder (the slot's prebuilt encKV) reads the
-				// slot's op words, so it stages before the future is answered.
-				b.wal.StageRecord(sg.enc)
-				st.stash[ns] = walStash{f: f, w: w, kv: true, kvVal: st.outV[g], kvOK: st.outOK[g]}
-				ns++
-			default:
+			} else {
 				f.kvVal, f.kvOK = st.outV[g], st.outOK[g]
 				f.word.CompareAndSwap(w, w|futValue)
 			}
@@ -1008,11 +934,7 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 					b.Failed.Add(1)
 				}
 			} else {
-				if sh.kv {
-					sh.f.kvVal, sh.f.kvOK = sh.kvVal, sh.kvOK
-				} else {
-					sh.f.val = sh.res
-				}
+				sh.f.val = sh.res
 				sh.f.word.CompareAndSwap(sh.w, sh.w|futValue)
 			}
 			*sh = walStash{}
@@ -1052,7 +974,7 @@ func (b *Buffer) countSweep(n, kernOps int) {
 // Seal marks the buffer closed and runs a final sweep that executes every
 // task already posted, so no future delegated before shutdown dangles. Any
 // task posted after the seal is completed with ErrWorkerStopped by its own
-// client (see Slot.post). Seal is idempotent and safe to call from a
+// client (see Client.post). Seal is idempotent and safe to call from a
 // supervisor goroutine after the worker has exited; it returns the number
 // of tasks the final sweep executed.
 func (b *Buffer) Seal() int {
@@ -1236,12 +1158,14 @@ func (in *Inbox) ReleaseSlots(slots []*Slot) error {
 	return nil
 }
 
-// Client delegates tasks through slots it owns, keeping up to burst tasks
+// Client delegates ops through slots it owns, keeping up to len(slots) ops
 // outstanding (the paper's bursting delegation mode; Section 6). A Client is
 // not safe for concurrent use — it models one application thread, as in FFWD.
 //
-// Bookkeeping is O(1) and allocation-free: free slots live on a fixed index
-// stack, outstanding delegations in a fixed-capacity FIFO ring — there is no
+// Every op takes the same three steps: Reserve a free slot, Post the op into
+// it (or Delegate it, for a detached future), Await the handle. Bookkeeping
+// is O(1) and allocation-free: free slots live on a fixed index stack,
+// Delegate's outstanding futures in a fixed-capacity FIFO ring — there is no
 // slot scan, no in-flight list walk, and no slice growth no matter how long
 // the client lives.
 type Client struct {
@@ -1281,12 +1205,6 @@ func NewClient(slots []*Slot) (*Client, error) {
 // threaded by contract, so the shard shares its owner's serial execution.
 func (c *Client) SetProbe(p *obs.ClientShard) { c.probe = p }
 
-// Burst returns the client's maximum number of outstanding tasks.
-func (c *Client) Burst() int { return len(c.slots) }
-
-// Outstanding returns the number of tasks currently in flight.
-func (c *Client) Outstanding() int { return c.n }
-
 // harvestOldest retires the oldest outstanding delegation: waits for its
 // future and returns its slot to the free stack. The completer has already
 // advanced the slot's version to free before publishing the result, so
@@ -1305,41 +1223,20 @@ func (c *Client) harvestOldest() *Future {
 	return f
 }
 
-// takeSlot pops a free slot index, first retiring the oldest outstanding
-// task when the burst window is full — the throughput-maximising delegation
-// mode of Section 6. When every non-free slot is held by a reserved handle
-// (Reserve) rather than a ring-tracked delegation there is nothing this
-// client can harvest; the caller must Await its handles first.
-func (c *Client) takeSlot() int32 {
-	for len(c.free) == 0 {
-		if c.n == 0 {
-			panic("delegation: no free slots and none outstanding; await reserved handles first")
-		}
-		if c.probe != nil {
-			c.probe.BurstWait()
-		}
-		f := c.harvestOldest()
-		f.observeResolved()
-	}
-	i := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	return i
-}
-
-// InvokeHandle identifies one in-flight reserved-slot invocation: the slot
-// whose embedded future carries the result and the generation token to await.
-// It is a value, not a pointer — pipelined callers keep handles in their own
-// storage, so the burst path stays allocation-free.
+// InvokeHandle identifies one posted op: the slot whose embedded future
+// carries the result and the generation token to await. It is a value, not a
+// pointer — pipelined callers keep handles in their own storage, so the burst
+// path stays allocation-free.
 type InvokeHandle struct {
 	slot int32
 	tok  uint64
 }
 
-// Reserve pops a free slot for a pipelined zero-allocation invocation
-// (PostReserved/Await). When no slot is free it retires the oldest
-// ring-tracked delegation like takeSlot; when every slot is held by an
-// un-awaited handle it reports false — the caller owns those handles and
-// must Await one to free a slot.
+// Reserve pops a free slot for the next Post or Delegate. When no slot is
+// free it first retires the oldest outstanding delegation — the
+// throughput-maximising bursting mode of Section 6; when every slot is held
+// by an un-awaited handle it reports false — the caller owns those handles
+// and must Await one to free a slot.
 func (c *Client) Reserve() (int32, bool) {
 	for len(c.free) == 0 {
 		if c.n == 0 {
@@ -1356,298 +1253,124 @@ func (c *Client) Reserve() (int32, bool) {
 	return i, true
 }
 
-// PostReserved posts a task into a slot obtained from Reserve without
-// waiting, returning the handle to Await later. Like InvokeErr it runs on
-// the zero-allocation path — the slot's embedded future is recycled for this
-// generation and never escapes — but the round trip is split so a client can
-// keep several statements in flight and synchronise once per dependency
-// barrier instead of once per statement.
-func (c *Client) PostReserved(i int32, task Task) InvokeHandle {
-	return c.postReserved(i, task, nil)
+// Post publishes op into slot i, obtained from Reserve, without waiting and
+// returns the handle to Await (AwaitKV for a typed op). This is the
+// zero-allocation path: the slot's embedded future is recycled for this
+// generation and never escapes, and a client keeps as many ops in flight as
+// it reserved slots, synchronising once per dependency barrier instead of
+// once per op.
+func (c *Client) Post(i int32, op *Op) InvokeHandle {
+	return InvokeHandle{slot: i, tok: c.post(i, op, nil)}
 }
 
-// PostReservedLogged is PostReserved for a mutating task with a logical WAL
-// record encoder: the worker stages enc's output into its log and completes
-// the handle's future only after the sweep batch group-commits. On a
-// runtime without a WAL sink the encoder is ignored and the task behaves
-// exactly like PostReserved.
-func (c *Client) PostReservedLogged(i int32, task Task, enc func(dst []byte) []byte) InvokeHandle {
-	return c.postReserved(i, task, enc)
-}
-
-func (c *Client) postReserved(i int32, task Task, enc func(dst []byte) []byte) InvokeHandle {
-	s := c.slots[i]
-	f := &s.fut0
-	tok := f.begin()
-	if c.probe != nil {
-		f.span = c.probe.PostRecycled()
-	}
-	s.post(task, f, false, enc)
-	return InvokeHandle{slot: i, tok: tok}
-}
-
-// Await blocks until the handle's invocation completes, frees its slot, and
-// returns the result. Each handle must be awaited exactly once; handles may
-// be awaited in any order (each lives in its own slot's embedded future).
-func (c *Client) Await(h InvokeHandle) (any, error) {
-	v, err := c.slots[h.slot].fut0.awaitToken(h.tok)
-	c.free = append(c.free, h.slot)
-	return v, err
-}
-
-// PostReservedKV posts a typed key/value op into a slot obtained from
-// Reserve without waiting, returning the handle to AwaitKV later. The op
-// carries no closure: the worker's sweep groups adjacent typed ops on the
-// same kernel into one ExecBatch call, overlapping their traversal cache
-// misses.
+// PostReservedKV is Post of a typed op: Post(i, &Op{Kern: kern, Kind: kind,
+// Key: key, Val: val}), written out so it stays inlinable.
 func (c *Client) PostReservedKV(i int32, kern BatchKernel, kind uint8, key, val uint64) InvokeHandle {
-	return c.postReservedKV(i, kern, kind, key, val, nil)
+	return InvokeHandle{slot: i, tok: c.post(i, &Op{Kern: kern, Kind: kind, Key: key, Val: val}, nil)}
 }
 
-// PostReservedKVLogged is PostReservedKV for a logged mutation: kvenc
-// encodes the op's logical WAL record on the worker and the handle's future
-// completes only after the sweep batch group-commits.
-func (c *Client) PostReservedKVLogged(i int32, kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) InvokeHandle {
-	return c.postReservedKV(i, kern, kind, key, val, kvenc)
-}
-
-func (c *Client) postReservedKV(i int32, kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) InvokeHandle {
-	s := c.slots[i]
-	f := &s.fut0
-	tok := f.begin()
-	if c.probe != nil {
-		f.span = c.probe.PostRecycled()
+// Delegate publishes op into slot i, obtained from Reserve, with a detached
+// future: heap-allocated, generation 0, so the caller may hold it for as long
+// as it likes, independent of slot reuse. The slot returns to the free stack
+// when a later Reserve or Drain retires the delegation. The future carries a
+// closure op's value; a typed op's value/found pair comes back only through
+// Post and AwaitKV.
+func (c *Client) Delegate(i int32, op *Op) *Future {
+	f := &Future{}
+	c.post(i, op, f)
+	tail := c.head + c.n
+	if tail >= len(c.ring) {
+		tail -= len(c.ring)
 	}
-	s.postKV(kern, kind, key, val, f, kvenc)
-	return InvokeHandle{slot: i, tok: tok}
+	c.ring[tail] = pendingOp{slot: i, fut: f}
+	c.n++
+	return f
 }
 
-// AwaitKV blocks until a typed handle's op completes, frees its slot, and
-// returns the kernel's value/found pair. Each handle must be awaited
-// exactly once, with the await flavour matching the post flavour.
-func (c *Client) AwaitKV(h InvokeHandle) (uint64, bool, error) {
-	v, ok, err := c.slots[h.slot].fut0.awaitTokenKV(h.tok)
+// post is the one publication path: it counts op on the probe, writes op
+// and its future into slot i and advances the slot's state word to posted.
+// The slot must be owned and free. f is a fresh detached future (Delegate),
+// or nil to post through the slot's embedded future, whose next generation
+// post begins and whose pending token it returns (Post).
+//
+// The sealed check after the posted store closes the stop/post race: both
+// sides use sequentially consistent atomics, so either the worker's final
+// sweep observes the posted slot, or this client observes the seal and
+// rescues its own op with ErrWorkerStopped — a post can never dangle.
+func (c *Client) post(i int32, op *Op, f *Future) (tok uint64) {
+	s := c.slots[i]
+	ro := op.read()
+	detached := f != nil
+	if !detached {
+		f = &s.fut0
+		tok = f.begin()
+	}
+	if p := c.probe; p != nil {
+		// The read/write split is known right here and nowhere cheaper:
+		// counting reads at this branch gives the signal sampler its write
+		// fraction without any bookkeeping on the write path. The embedded
+		// future resolves its span exactly once per generation, so it can
+		// take a recycled span; a detached future's holder may resolve long
+		// after the span would recycle, so it takes a fresh one.
+		if ro {
+			p.CountRead()
+		}
+		if detached {
+			f.span = p.Post()
+		} else {
+			f.span = p.PostRecycled()
+		}
+	}
+	s.task, s.enc, s.ro = op.Task, op.Log, ro
+	s.kern, s.kind, s.key, s.val = op.Kern, op.Kind, op.Key, op.Val
+	s.fut = f
+	s.state.Store(s.state.Load() + 1) // release: publishes the op to the worker
+	if s.buf.sealed.Load() {
+		s.buf.rescue(s)
+	}
+	return tok
+}
+
+// Await blocks until a closure op's handle completes, frees its slot, and
+// returns the result: the task's value, or the typed error (PanicError when
+// it panicked, ErrWorkerStopped when it never ran). Each handle must be
+// awaited exactly once; handles may be awaited in any order (each lives in
+// its own slot's embedded future).
+func (c *Client) Await(h InvokeHandle) (any, error) {
+	f := &c.slots[h.slot].fut0
+	err := f.await(h.tok)
 	c.free = append(c.free, h.slot)
-	return v, ok, err
+	if err != nil {
+		return nil, err
+	}
+	return f.val, nil
+}
+
+// AwaitKV is Await for a typed op: it returns the kernel's value/found pair
+// without boxing.
+func (c *Client) AwaitKV(h InvokeHandle) (uint64, bool, error) {
+	f := &c.slots[h.slot].fut0
+	err := f.await(h.tok)
+	c.free = append(c.free, h.slot)
+	if err != nil {
+		return 0, false, err
+	}
+	return f.kvVal, f.kvOK, nil
 }
 
 // HandleDone reports, without blocking or freeing the slot, whether the
-// handle's invocation has completed. Valid only between PostReserved and
-// Await — the embedded future's word equals the handle's token exactly while
-// that generation is pending.
+// handle's op has completed. Valid only between Post and Await — the
+// embedded future's word equals the handle's token exactly while that
+// generation is pending.
 func (c *Client) HandleDone(h InvokeHandle) bool {
 	return c.slots[h.slot].fut0.word.Load() != h.tok
 }
 
-// FreeSlots returns how many of the client's slots are currently free
-// (neither ring-tracked outstanding nor held by a reserved handle).
-func (c *Client) FreeSlots() int { return len(c.free) }
-
-// Delegate posts task into a free owned slot and returns its future. When
-// the burst is completely filled it first waits for the oldest outstanding
-// task. The returned future is detached (heap-allocated, generation 0): the
-// caller may hold it for as long as it likes, independent of slot reuse.
-func (c *Client) Delegate(task Task) *Future {
-	i := c.takeSlot()
-	f := &Future{}
-	if c.probe != nil {
-		// Post counts the delegation and, on sampled posts, mints the
-		// lifecycle span; the slot's release store publishes it (via the
-		// future) to the worker alongside the task.
-		f.span = c.probe.Post()
-	}
-	c.slots[i].post(task, f, false, nil)
-	tail := c.head + c.n
-	if tail >= len(c.ring) {
-		tail -= len(c.ring)
-	}
-	c.ring[tail] = pendingOp{slot: i, fut: f}
-	c.n++
-	return f
-}
-
-// DelegateLogged is Delegate for a logged mutation: enc encodes the task's
-// WAL record on the worker after the task runs, and the future completes
-// only after the record's group commit — success implies durable.
-func (c *Client) DelegateLogged(task Task, enc func(dst []byte) []byte) *Future {
-	i := c.takeSlot()
-	f := &Future{}
-	if c.probe != nil {
-		f.span = c.probe.Post()
-	}
-	c.slots[i].post(task, f, false, enc)
-	tail := c.head + c.n
-	if tail >= len(c.ring) {
-		tail -= len(c.ring)
-	}
-	c.ring[tail] = pendingOp{slot: i, fut: f}
-	c.n++
-	return f
-}
-
-// Invoke delegates a task and synchronously waits for its result — the
-// simple delegation mode (burst size 1 semantics regardless of owned slots).
-// An error completion comes back as the value; InvokeErr separates it.
-//
-// Invoke runs on the zero-allocation path: it recycles the slot's embedded
-// future instead of allocating one.
-func (c *Client) Invoke(task Task) any {
-	v, err := c.InvokeErr(task)
-	if err != nil {
-		return err
-	}
-	return v
-}
-
-// InvokeErr delegates a task, waits, and returns the value and the typed
-// error separately: PanicError when the task panicked, ErrWorkerStopped
-// when the buffer was sealed before the task ran.
-//
-// This is the steady-state zero-allocation round trip: the task is posted
-// through the slot's embedded future, whose generation word is bumped for
-// this invocation and CAS-completed by exactly one of worker sweep, seal
-// rescue, or crash fail-over. The future never escapes, so the slot can be
-// recycled the moment the result is observed.
-func (c *Client) InvokeErr(task Task) (any, error) { return c.invokeErr(task, false, nil) }
-
-// InvokeLoggedErr is InvokeErr for a mutating task with a logical WAL
-// record encoder: the worker stages enc's output into its log during the
-// sweep and completes the future only after the batch group-commits, so a
-// successful return implies the record is durable. On a runtime without a
-// WAL sink the encoder is ignored and the call behaves exactly like
-// InvokeErr. The encoder runs on the worker goroutine, serialised with the
-// task itself — it may read the structure state the task just wrote.
-func (c *Client) InvokeLoggedErr(task Task, enc func(dst []byte) []byte) (any, error) {
-	return c.invokeErr(task, false, enc)
-}
-
-// InvokeReadErr is InvokeErr for a task the caller guarantees is read-only:
-// the slot is posted with the read flag, so the worker's sweep does not open
-// a mutating-batch window for it. The read-bypass fallback path uses it — a
-// delegated read serializes with mutations exactly like any other task, it
-// just must not spuriously invalidate concurrent bypass readers.
-func (c *Client) InvokeReadErr(task Task) (any, error) { return c.invokeErr(task, true, nil) }
-
-// InvokeKVErr delegates a typed key/value op synchronously: the op's kind,
-// key and value travel in the slot itself (no closure, no boxing) and the
-// worker executes it through kern, batched with neighbouring typed ops on
-// the same kernel. Returns the kernel's value/found pair. Zero-allocation
-// like InvokeErr.
-func (c *Client) InvokeKVErr(kern BatchKernel, kind uint8, key, val uint64) (uint64, bool, error) {
-	return c.invokeKVErr(kern, kind, key, val, nil)
-}
-
-// InvokeKVLoggedErr is InvokeKVErr for a logged mutation: kvenc encodes the
-// op's logical WAL record on the worker (from the same kind/key/val the
-// kernel executed) and the call returns only after the record's batch
-// group-commits, so success implies durable.
-func (c *Client) InvokeKVLoggedErr(kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) (uint64, bool, error) {
-	return c.invokeKVErr(kern, kind, key, val, kvenc)
-}
-
-func (c *Client) invokeKVErr(kern BatchKernel, kind uint8, key, val uint64, kvenc KVEncoder) (uint64, bool, error) {
-	i := c.takeSlot()
-	s := c.slots[i]
-	f := &s.fut0
-	tok := f.begin()
-	if c.probe != nil {
-		if kind == KVGet {
-			c.probe.CountRead()
-		}
-		f.span = c.probe.PostRecycled()
-	}
-	s.postKV(kern, kind, key, val, f, kvenc)
-	v, ok, err := f.awaitTokenKV(tok)
-	c.free = append(c.free, i)
-	return v, ok, err
-}
-
-func (c *Client) invokeErr(task Task, ro bool, enc func(dst []byte) []byte) (any, error) {
-	i := c.takeSlot()
-	s := c.slots[i]
-	f := &s.fut0
-	tok := f.begin()
-	if c.probe != nil {
-		// PostRecycled, not Post: the embedded future resolves its span
-		// exactly once per generation, so the shard can hand back a recycled
-		// span instead of allocating one (the stray 1 B/op on the observed
-		// path). Detached Delegate futures keep the allocating Post — their
-		// holders may Wait (and Resolve) long after the span would recycle.
-		if ro {
-			// The read/write split is known right here and nowhere cheaper:
-			// counting read-flagged invokes at this branch gives the signal
-			// sampler its write fraction without adding any bookkeeping to
-			// the (hotter) write path.
-			c.probe.CountRead()
-		}
-		f.span = c.probe.PostRecycled()
-	}
-	s.post(task, f, ro, enc)
-	v, err := f.awaitToken(tok)
-	c.free = append(c.free, i)
-	return v, err
-}
-
-// DelegateErr posts like Delegate and additionally surfaces an immediately
-// known failure: a post into a sealed buffer is completed with
-// ErrWorkerStopped before DelegateErr returns, so the caller can stop
-// submitting instead of discovering the error future by future.
-func (c *Client) DelegateErr(task Task) (*Future, error) {
-	f := c.Delegate(task)
-	return f, f.Err()
-}
-
-// DelegateBulk posts tasks as one bulk burst under a single synchronisation
-// phase (the bulk-bursting mode): all tasks are delegated, then all futures
-// awaited, and the results returned in order.
-func (c *Client) DelegateBulk(tasks []Task) []any {
-	futs := make([]*Future, len(tasks))
-	for i, t := range tasks {
-		futs[i] = c.Delegate(t)
-	}
-	out := make([]any, len(tasks))
-	for i, f := range futs {
-		out[i] = f.Wait()
-	}
-	return out
-}
-
-// DelegateBulkErr is DelegateBulk with an error channel: results hold each
-// task's value (nil where a task failed) and the returned error is the
-// first typed error among them.
-func (c *Client) DelegateBulkErr(tasks []Task) ([]any, error) {
-	futs := make([]*Future, len(tasks))
-	for i, t := range tasks {
-		futs[i] = c.Delegate(t)
-	}
-	out := make([]any, len(tasks))
-	var firstErr error
-	for i, f := range futs {
-		v, err := f.Result()
-		out[i] = v
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
-}
-
-// Drain waits for every outstanding task to finish and frees the pending
-// window. Call before releasing slots.
-func (c *Client) Drain() {
-	for c.n > 0 {
-		f := c.harvestOldest()
-		f.observeResolved()
-	}
-	if c.probe != nil {
-		c.probe.Flush()
-	}
-}
-
-// DrainErr drains like Drain and returns the first typed error among the
-// outstanding tasks, so a caller shutting down can tell "all work done"
-// from "work abandoned by a stopped or crashed worker".
-func (c *Client) DrainErr() error {
+// Drain waits for every outstanding delegation to finish, frees its slot,
+// and returns the first typed error among them, so a caller shutting down
+// can tell "all work done" from "work abandoned by a stopped or crashed
+// worker". Call before releasing slots.
+func (c *Client) Drain() error {
 	var firstErr error
 	for c.n > 0 {
 		f := c.harvestOldest()

@@ -24,6 +24,22 @@ func startWorkers(bufs []*Buffer) (stop func()) {
 	}
 }
 
+// reserve pops a free slot, failing loudly when every slot is held by an
+// un-awaited handle.
+func reserve(c *Client) int32 {
+	i, ok := c.Reserve()
+	if !ok {
+		panic("delegation test: no free slot")
+	}
+	return i
+}
+
+// invoke is the synchronous round trip: Reserve → Post → Await.
+func invoke(c *Client, op *Op) (any, error) { return c.Await(c.Post(reserve(c), op)) }
+
+// delegate posts task with a detached, ring-tracked future.
+func delegate(c *Client, task Task) *Future { return c.Delegate(reserve(c), &Op{Task: task}) }
+
 func newInboxT(t *testing.T, workers, slotsPer int) *Inbox {
 	t.Helper()
 	var bufs []*Buffer
@@ -66,9 +82,9 @@ func TestSynchronousInvoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.Invoke(func() any { return 41 + 1 })
-	if got != 42 {
-		t.Errorf("Invoke = %v, want 42", got)
+	got, err := invoke(c, &Op{Task: func() any { return 41 + 1 }})
+	if err != nil || got != 42 {
+		t.Errorf("invoke = %v, %v, want 42", got, err)
 	}
 	c.Drain()
 	if err := in.ReleaseSlots(c.Slots()); err != nil {
@@ -106,15 +122,15 @@ func TestBurstDelegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(slots)
-	if c.Burst() != 14 {
-		t.Fatalf("Burst = %d", c.Burst())
+	if len(c.Slots()) != 14 {
+		t.Fatalf("burst = %d", len(c.Slots()))
 	}
 	var futs []*Future
 	for i := 0; i < 1000; i++ {
 		i := i
-		futs = append(futs, c.Delegate(func() any { return i * 2 }))
-		if c.Outstanding() > 14 {
-			t.Fatalf("outstanding %d exceeds burst", c.Outstanding())
+		futs = append(futs, delegate(c, func() any { return i * 2 }))
+		if c.n > 14 {
+			t.Fatalf("outstanding %d exceeds burst", c.n)
 		}
 	}
 	for i, f := range futs {
@@ -123,8 +139,8 @@ func TestBurstDelegation(t *testing.T) {
 		}
 	}
 	c.Drain()
-	if c.Outstanding() != 0 {
-		t.Errorf("Outstanding = %d after drain", c.Outstanding())
+	if c.n != 0 {
+		t.Errorf("outstanding = %d after drain", c.n)
 	}
 }
 
@@ -138,18 +154,16 @@ func TestDelegateBulk(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewClient(slots)
-	var tasks []Task
-	for i := 0; i < 50; i++ {
+	// Bulk bursting: delegate every task, then await all futures in order.
+	// The burst of 10 spans both workers' buffers and cycles five times.
+	futs := make([]*Future, 50)
+	for i := range futs {
 		i := i
-		tasks = append(tasks, func() any { return i })
+		futs[i] = delegate(c, func() any { return i })
 	}
-	out := c.DelegateBulk(tasks)
-	if len(out) != 50 {
-		t.Fatalf("bulk returned %d results", len(out))
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("bulk[%d] = %v", i, v)
+	for i, f := range futs {
+		if v, err := f.Result(); err != nil || v != i {
+			t.Fatalf("bulk[%d] = %v, %v", i, v, err)
 		}
 	}
 }
@@ -172,8 +186,8 @@ func TestManyClientsOneWorker(t *testing.T) {
 			c, _ := NewClient(slots)
 			sum := 0
 			for i := 0; i < 500; i++ {
-				v := c.Invoke(func() any { return 1 }).(int)
-				sum += v
+				v, _ := invoke(c, &Op{Task: func() any { return 1 }})
+				sum += v.(int)
 			}
 			mu.Lock()
 			total += int64(sum)
@@ -198,7 +212,7 @@ func TestResponseBatchingObserved(t *testing.T) {
 	slots, _ := in.AcquireSlots(8, nil)
 	c, _ := NewClient(slots)
 	for i := 0; i < 8; i++ {
-		c.Delegate(func() any { return nil })
+		delegate(c, func() any { return nil })
 	}
 	if n := b.Sweep(); n != 8 {
 		t.Errorf("sweep answered %d, want 8", n)
@@ -282,7 +296,7 @@ func TestReleaseInFlightRejected(t *testing.T) {
 	in, _ := NewInbox([]*Buffer{b})
 	slots, _ := in.AcquireSlots(1, nil)
 	c, _ := NewClient(slots)
-	c.Delegate(func() any { return nil }) // never swept: no worker running
+	delegate(c, func() any { return nil }) // never swept: no worker running
 	if err := in.ReleaseSlots(slots); err == nil {
 		t.Error("release of in-flight slot accepted")
 	}
@@ -304,7 +318,7 @@ func TestWorkerStopAnswersLateTask(t *testing.T) {
 		NewWorker(in.Buffers()[0]).Run(stopCh)
 		close(done)
 	}()
-	f := c.Delegate(func() any { return "late" })
+	f := delegate(c, func() any { return "late" })
 	close(stopCh)
 	<-done
 	// The final sweep in Run must have answered the task (or the regular
@@ -331,7 +345,7 @@ func TestStatsCounters(t *testing.T) {
 	in, _ := NewInbox([]*Buffer{b})
 	slots, _ := in.AcquireSlots(1, nil)
 	c, _ := NewClient(slots)
-	c.Delegate(func() any { return nil })
+	delegate(c, func() any { return nil })
 	b.Sweep()
 	b.SyncStats()
 	if b.Executed.Load() != 1 {
@@ -352,7 +366,7 @@ func TestPanickingTaskDoesNotKillWorker(t *testing.T) {
 	c, _ := NewClient(slots)
 	defer c.Drain()
 
-	f := c.Delegate(func() any { panic("boom") })
+	f := delegate(c, func() any { panic("boom") })
 	res := f.Wait()
 	perr, ok := res.(PanicError)
 	if !ok {
@@ -365,7 +379,7 @@ func TestPanickingTaskDoesNotKillWorker(t *testing.T) {
 		t.Error("empty error string")
 	}
 	// The worker must still serve subsequent tasks.
-	if got := c.Invoke(func() any { return "alive" }); got != "alive" {
-		t.Errorf("worker dead after panic: %v", got)
+	if got, err := invoke(c, &Op{Task: func() any { return "alive" }}); err != nil || got != "alive" {
+		t.Errorf("worker dead after panic: %v, %v", got, err)
 	}
 }

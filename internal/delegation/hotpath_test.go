@@ -9,8 +9,9 @@ import (
 )
 
 // TestInvokeErrZeroAlloc pins the tentpole property: the synchronous
-// round trip through the slot-embedded recycled future allocates nothing in
-// steady state.
+// Reserve → Post → Await round trip through the slot-embedded recycled
+// future allocates nothing in steady state, for a closure op and a typed op
+// alike.
 func TestInvokeErrZeroAlloc(t *testing.T) {
 	in := newInboxT(t, 1, 4)
 	stop := startWorkers(in.Buffers())
@@ -19,14 +20,22 @@ func TestInvokeErrZeroAlloc(t *testing.T) {
 	slots, _ := in.AcquireSlots(1, nil)
 	c, _ := NewClient(slots)
 	task := Task(func() any { return nil })
-	c.InvokeErr(task) // warm up: first post touches cold paths
+	invoke(c, &Op{Task: task}) // warm up: first post touches cold paths
 
 	if n := testing.AllocsPerRun(2000, func() {
-		if _, err := c.InvokeErr(task); err != nil {
+		if _, err := invoke(c, &Op{Task: task}); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("InvokeErr allocates %.1f objects/op, want 0", n)
+		t.Errorf("closure Post/Await allocates %.1f objects/op, want 0", n)
+	}
+	k := newMapKernel()
+	if n := testing.AllocsPerRun(2000, func() {
+		if _, _, err := c.AwaitKV(c.Post(reserve(c), &Op{Kern: k, Kind: KVGet, Key: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("typed Post/AwaitKV allocates %.1f objects/op, want 0", n)
 	}
 }
 
@@ -47,19 +56,19 @@ func TestDelegateCyclingDoesNotGrow(t *testing.T) {
 	c, _ := NewClient(slots)
 	task := Task(func() any { return nil })
 	for i := 0; i < 100; i++ { // cycle the window a few times before measuring
-		c.Delegate(task)
+		delegate(c, task)
 	}
 	c.Drain()
 
 	const ops = 1_000_000
 	if n := testing.AllocsPerRun(ops, func() {
-		c.Delegate(task)
+		delegate(c, task)
 	}); n > 1 {
 		t.Errorf("Delegate allocates %.2f objects/op over %d ops, want ≤1 (no bookkeeping growth)", n, ops)
 	}
 	c.Drain()
-	if got := c.Outstanding(); got != 0 {
-		t.Errorf("Outstanding after drain = %d", got)
+	if got := c.n; got != 0 {
+		t.Errorf("outstanding after drain = %d", got)
 	}
 }
 
@@ -70,8 +79,8 @@ func TestEmbeddedFutureGenerations(t *testing.T) {
 	var f Future
 	tok1 := f.begin()
 	f.complete(1)
-	if v, err := f.awaitToken(tok1); err != nil || v != 1 {
-		t.Fatalf("gen1 = %v, %v", v, err)
+	if err := f.await(tok1); err != nil || f.val != 1 {
+		t.Fatalf("gen1 = %v, %v", f.val, err)
 	}
 	tok2 := f.begin()
 	if tok2 <= tok1 {
@@ -83,8 +92,8 @@ func TestEmbeddedFutureGenerations(t *testing.T) {
 		t.Fatal("stale generation CAS succeeded")
 	}
 	f.complete(2)
-	if v, err := f.awaitToken(tok2); err != nil || v != 2 {
-		t.Fatalf("gen2 = %v, %v", v, err)
+	if err := f.await(tok2); err != nil || f.val != 2 {
+		t.Fatalf("gen2 = %v, %v", f.val, err)
 	}
 	// completeErr after completion is a no-op.
 	if f.completeErr(errors.New("late")) {
@@ -147,7 +156,7 @@ func TestGenerationStressChaos(t *testing.T) {
 			for phase := 0; phase < 3; phase++ {
 				for i := 0; i < perGen; i++ {
 					want := ci*1_000_000 + phase*1_000 + i
-					v, err := c.InvokeErr(func() any { return want })
+					v, err := invoke(c, &Op{Task: func() any { return want }})
 					invocations++
 					switch {
 					case err == nil:

@@ -26,7 +26,7 @@ func TestPostAfterStopResolves(t *testing.T) {
 	close(stopCh)
 	<-done // worker exited: buffer sealed, nobody will ever sweep again
 
-	f := c.Delegate(func() any { t.Error("task executed after stop"); return nil })
+	f := delegate(c, func() any { t.Error("task executed after stop"); return nil })
 	v, err := f.WaitTimeout(2 * time.Second)
 	if errors.Is(err, ErrWaitTimeout) {
 		t.Fatal("post-stop future hung (the pre-seal stop/post race)")
@@ -64,7 +64,7 @@ func TestStopPostRaceHammer(t *testing.T) {
 		go func() {
 			defer close(postDone)
 			for i := 0; i < 20; i++ {
-				futs = append(futs, c.Delegate(func() any { return i }))
+				futs = append(futs, delegate(c, func() any { return i }))
 			}
 		}()
 		if round%2 == 0 {
@@ -144,8 +144,8 @@ func TestSealIdempotentAndSweepsPosted(t *testing.T) {
 	in, _ := NewInbox([]*Buffer{b})
 	slots, _ := in.AcquireSlots(3, nil)
 	c, _ := NewClient(slots)
-	f1 := c.Delegate(func() any { return 1 })
-	f2 := c.Delegate(func() any { return 2 })
+	f1 := delegate(c, func() any { return 1 })
+	f2 := delegate(c, func() any { return 2 })
 	if n := b.Seal(); n != 2 {
 		t.Errorf("seal's final sweep ran %d tasks, want 2", n)
 	}
@@ -168,8 +168,8 @@ func TestFailPending(t *testing.T) {
 	in, _ := NewInbox([]*Buffer{b})
 	slots, _ := in.AcquireSlots(2, nil)
 	c, _ := NewClient(slots)
-	f1 := c.Delegate(func() any { return 1 })
-	f2 := c.Delegate(func() any { return 2 })
+	f1 := delegate(c, func() any { return 1 })
+	f2 := delegate(c, func() any { return 2 })
 	crash := PanicError{Value: "kill"}
 	if n := b.FailPending(crash); n != 2 {
 		t.Fatalf("FailPending failed %d futures, want 2", n)
@@ -201,43 +201,41 @@ func TestErrVariants(t *testing.T) {
 	slots, _ := in.AcquireSlots(2, nil)
 	c, _ := NewClient(slots)
 
-	if v, err := c.InvokeErr(func() any { return 5 }); err != nil || v != 5 {
-		t.Errorf("InvokeErr = %v, %v", v, err)
+	if v, err := invoke(c, &Op{Task: func() any { return 5 }}); err != nil || v != 5 {
+		t.Errorf("invoke = %v, %v", v, err)
 	}
-	if _, err := c.InvokeErr(func() any { panic("p") }); err == nil {
-		t.Error("InvokeErr missed the panic")
+	if _, err := invoke(c, &Op{Task: func() any { panic("p") }}); err == nil {
+		t.Error("invoke missed the panic")
 	}
-	out, err := c.DelegateBulkErr([]Task{
-		func() any { return 1 },
-		func() any { panic("bulk") },
-		func() any { return 3 },
-	})
+	// Delegated futures separate the channels: values for the tasks that
+	// returned, the typed error for the one that panicked.
+	futs := []*Future{
+		delegate(c, func() any { return 1 }),
+		delegate(c, func() any { panic("bulk") }),
+	}
+	if v, err := futs[0].Result(); err != nil || v != 1 {
+		t.Errorf("delegated value = %v, %v", v, err)
+	}
 	var pe PanicError
-	if !errors.As(err, &pe) || pe.Value != "bulk" {
-		t.Errorf("DelegateBulkErr err = %v", err)
+	if v, err := futs[1].Result(); !errors.As(err, &pe) || pe.Value != "bulk" || v != nil {
+		t.Errorf("delegated panic = %v, %v", v, err)
 	}
-	if out[0] != 1 || out[1] != nil || out[2] != 3 {
-		t.Errorf("DelegateBulkErr out = %v", out)
-	}
-	// The panicked bulk task is still in the pending window, so DrainErr
-	// reports it again (futures hold their result; draining re-reads it).
+	// The panicked task is still in the pending window, so Drain reports it
+	// again (futures hold their result; draining re-reads it).
 	var dpe PanicError
-	if err := c.DrainErr(); !errors.As(err, &dpe) || dpe.Value != "bulk" {
-		t.Errorf("DrainErr after bulk = %v, want the bulk PanicError", err)
+	if err := c.Drain(); !errors.As(err, &dpe) || dpe.Value != "bulk" {
+		t.Errorf("Drain after panic = %v, want the PanicError", err)
 	}
 
-	// After the worker stops, DelegateErr reports the failure immediately
-	// and DrainErr surfaces it again on drain.
+	// After the worker stops, a delegated future is already failed when
+	// Delegate returns, and Drain surfaces the failure again.
 	stop()
-	f, derr := c.DelegateErr(func() any { return nil })
-	if !errors.Is(derr, ErrWorkerStopped) {
-		t.Errorf("DelegateErr after stop = %v", derr)
-	}
+	f := delegate(c, func() any { return nil })
 	if !errors.Is(f.Err(), ErrWorkerStopped) {
-		t.Errorf("future err = %v", f.Err())
+		t.Errorf("future err after stop = %v", f.Err())
 	}
-	if err := c.DrainErr(); !errors.Is(err, ErrWorkerStopped) {
-		t.Errorf("DrainErr after stop = %v", err)
+	if err := c.Drain(); !errors.Is(err, ErrWorkerStopped) {
+		t.Errorf("Drain after stop = %v", err)
 	}
 }
 
@@ -252,7 +250,7 @@ func TestCrashedWorkerReportsAndBufferStaysOpen(t *testing.T) {
 
 	kill := &killOnceHook{}
 	b.SetFaultHook(kill)
-	f := c.Delegate(func() any { return "never" })
+	f := delegate(c, func() any { return "never" })
 
 	stopCh := make(chan struct{})
 	crash := NewWorker(b).Run(stopCh)
@@ -275,7 +273,7 @@ func TestCrashedWorkerReportsAndBufferStaysOpen(t *testing.T) {
 		NewWorker(b).Run(stopCh)
 		close(done)
 	}()
-	if v, err := c.InvokeErr(func() any { return "back" }); err != nil || v != "back" {
+	if v, err := invoke(c, &Op{Task: func() any { return "back" }}); err != nil || v != "back" {
 		t.Fatalf("respawned worker invoke = %v, %v", v, err)
 	}
 	close(stopCh)

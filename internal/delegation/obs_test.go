@@ -42,7 +42,7 @@ func TestDelegateNoObsAllocs(t *testing.T) {
 
 	task := Task(func() any { return nil })
 	if n := testing.AllocsPerRun(2000, func() {
-		c.Delegate(task).Wait()
+		delegate(c, task).Wait()
 	}); n > 1 {
 		t.Errorf("Invoke with no probe allocates %.1f objects, want ≤1 (the Future)", n)
 	}
@@ -73,12 +73,12 @@ func TestInvokeObservedZeroAlloc(t *testing.T) {
 	c.SetProbe(d.NewClient())
 	defer c.Drain()
 
-	task := Task(func() any { return nil })
+	op := &Op{Task: func() any { return nil }}
 	for i := 0; i < 100; i++ {
-		c.Invoke(task) // warm the spare span and the shard
+		invoke(c, op) // warm the spare span and the shard
 	}
 	if n := testing.AllocsPerRun(5000, func() {
-		c.Invoke(task)
+		invoke(c, op)
 	}); n != 0 {
 		t.Errorf("observed Invoke allocates %.2f objects/op, want 0", n)
 	}
@@ -103,7 +103,7 @@ func TestProbeCountsDelegations(t *testing.T) {
 
 	const posts = 500
 	for i := 0; i < posts; i++ {
-		c.Delegate(func() any { return i })
+		delegate(c, func() any { return i })
 	}
 	c.Drain()
 	join() // worker exit flushes its shard
@@ -147,8 +147,8 @@ func TestSpanLifecycleThroughWorker(t *testing.T) {
 
 	const posts = 100
 	for i := 0; i < posts; i++ {
-		if v := c.Invoke(func() any { return i * 2 }); v != i*2 {
-			t.Fatalf("Invoke(%d) = %v", i, v)
+		if v, err := invoke(c, &Op{Task: func() any { return i * 2 }}); err != nil || v != i*2 {
+			t.Fatalf("invoke(%d) = %v, %v", i, v, err)
 		}
 	}
 	c.Drain()
@@ -188,7 +188,7 @@ func TestSpanResolvedOnSealRescue(t *testing.T) {
 	c.SetProbe(d.NewClient())
 
 	buf.Seal() // no worker ever runs
-	f := c.Delegate(func() any { return 1 })
+	f := delegate(c, func() any { return 1 })
 	if _, err := f.Result(); err != ErrWorkerStopped {
 		t.Fatalf("err = %v, want ErrWorkerStopped", err)
 	}
@@ -222,7 +222,7 @@ func BenchmarkDelegateProbed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Delegate(task)
+		delegate(c, task)
 	}
 	c.Drain()
 	b.StopTimer()

@@ -285,7 +285,7 @@ type DomainSnapshot struct {
 	Posts      uint64
 	BurstWaits uint64
 	// Reads counts read-classified operations: bypass hits plus delegated
-	// read-flagged invokes (Client.InvokeReadErr). Writes are derivable as
+	// reads (read-flagged closures and typed GETs). Writes are derivable as
 	// Posts − (Reads − BypassHits); the sampler turns the two deltas into
 	// the windowed write fraction.
 	Reads uint64

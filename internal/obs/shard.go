@@ -186,13 +186,13 @@ func (c *ClientShard) Post() *Span {
 	return sp
 }
 
-// PostRecycled is Post for recycled-future callers (Invoke, the pipelined
-// reserved-handle path): identical counting and sampling, but the sampled
+// PostRecycled is Post for recycled-future callers (the delegation
+// client's Post into a slot-embedded future): identical counting and sampling, but the sampled
 // span is drawn from a one-deep per-shard recycle pool instead of being
 // freshly allocated — the source of the observed path's stray 1 B/op.
 // Safe only where the span is resolved exactly once per lifecycle before
 // the next sampled post can reclaim it, which the slot-embedded future
-// guarantees (awaitToken resolves before the slot frees); detached Delegate
+// guarantees (Await resolves before the slot frees); detached Delegate
 // futures must keep using Post. An unresolved spare (several sampled posts
 // in flight at once) falls back to allocating.
 func (c *ClientShard) PostRecycled() *Span {
@@ -221,9 +221,9 @@ func (c *ClientShard) PostRecycled() *Span {
 // free slots bookkept pending) and it had to wait for its oldest future.
 func (c *ClientShard) BurstWait() { c.burstWaits++ }
 
-// CountRead marks the in-flight post as a read. The delegation client calls
-// it on the read-flagged invoke path (Client.InvokeReadErr), where the
-// read/write distinction is already a compile-time fact — one predictable
+// CountRead marks the in-flight post as a read. The delegation client's one
+// post path calls it for read ops (read-flagged closures and typed GETs),
+// where the read/write distinction is already known — one predictable
 // branch and an owner-local increment, no extra lookup on the write path.
 // Together with BypassHit (which also counts a read) this gives the sampler
 // the windowed write fraction: writes = posts − (reads − bypass hits).

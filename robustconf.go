@@ -171,8 +171,6 @@ type (
 	// BatchKernel is the typed-op kernel a structure implements to accept
 	// InvokeKV/SubmitKV ops (all built-in indexes do).
 	BatchKernel = delegation.BatchKernel
-	// KVEncoder encodes a typed op's logical WAL record (InvokeKVLogged).
-	KVEncoder = delegation.KVEncoder
 )
 
 // Typed key/value op kinds for Session.InvokeKV / SubmitKV.

@@ -8,14 +8,21 @@
 #     crash-free run of the same seed.
 #  2. The logged delegation round trip stays allocation-free: turning the
 #     WAL on must not put allocations on the hot path (staging reuses the
-#     per-worker buffers), so WAL-off costs nothing by construction.
+#     per-worker buffers), so WAL-off costs nothing by construction. The
+#     exact per-call check is the testing.AllocsPerRun pin
+#     TestLoggedInvokeZeroAlloc; the benchmark run is warmed
+#     (WARM_BENCHTIME, default 20000x) and judged on allocs/op only, with
+#     B/op printed — a few start-up bytes can still round to 1 B/op or more
+#     on short runs, the same reason alloc-smoke judges allocs/op.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 go test -race -short -run 'TestChaosWAL' ./internal/harness/
+go test -count=1 -run '^TestLoggedInvokeZeroAlloc$' ./internal/core/
 
-OUT="$(go test -run NONE -bench 'BenchmarkDelegationInvokeLogged$' -benchtime 100x -benchmem .)"
+WARM_BENCHTIME="${WARM_BENCHTIME:-20000x}"
+OUT="$(go test -run NONE -bench 'BenchmarkDelegationInvokeLogged$' -benchtime "$WARM_BENCHTIME" -benchmem .)"
 echo "$OUT"
 
 LINE=$(echo "$OUT" | awk '$1 ~ "^BenchmarkDelegationInvokeLogged(-[0-9]+)?$" { print }')
@@ -29,8 +36,8 @@ if [ -z "$ALLOCS" ] || [ -z "$BYTES" ]; then
 	echo "wal-smoke: no allocs/op / B/op figures" >&2
 	exit 1
 fi
-if [ "$ALLOCS" != "0" ] || [ "$BYTES" != "0" ]; then
-	echo "wal-smoke: logged invoke reports $BYTES B/op, $ALLOCS allocs/op, want 0/0" >&2
+if [ "$ALLOCS" != "0" ]; then
+	echo "wal-smoke: logged invoke reports $ALLOCS allocs/op ($BYTES B/op), want 0 allocs/op" >&2
 	exit 1
 fi
 echo "wal-smoke: logged delegation round trip is allocation-free ($BYTES B/op, $ALLOCS allocs/op)"
