@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke
+.PHONY: build test verify fmt-check chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -18,10 +18,16 @@ test: build
 # for the full sweep. The arm64 cross-build keeps the prefetch package's
 # per-arch split (assembly on amd64, no-op elsewhere) compiling on a
 # non-amd64 target.
-verify: build obs-smoke alloc-smoke wal-smoke net-smoke fuzz-smoke
+verify: build fmt-check obs-smoke alloc-smoke wal-smoke net-smoke fuzz-smoke
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -short ./...
+
+# Fail if any tracked Go file is not gofmt-clean. Listing tracked files
+# keeps the check out of .bench_build/'s module cache.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Fail if the unobserved synchronous delegation round trip allocates.
 alloc-smoke:
@@ -44,12 +50,15 @@ obs-smoke:
 net-smoke:
 	./scripts/net-smoke.sh
 
-# Ten seconds of native fuzzing on the B-Tree batch kernel's differential
-# target (ExecBatch vs the public methods in index order), mutating from the
-# checked-in corpus under internal/index/btree/testdata/fuzz. A failing
-# input is written there; commit it with the fix.
+# Ten seconds of native fuzzing on each differential target: the B-Tree
+# batch kernel (ExecBatch vs the public methods in index order) and the
+# four indexes against a map oracle (point ops plus early-stopping scans
+# over a key space wide enough to split and drain leaves). Each mutates
+# from its checked-in corpus under the package's testdata/fuzz; a failing
+# input is written there — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecBatchVsSerial$$' -fuzztime 10s ./internal/index/btree
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexAgainstOracle$$' -fuzztime 10s ./internal/index
 
 # The full-size chaos fault-injection suite on its own — both the WAL-off
 # schedules (crash-with-data-loss envelope) and the TestChaosWAL* suite

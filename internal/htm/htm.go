@@ -11,6 +11,12 @@
 // is part of every transaction's read set, so taking it aborts all
 // concurrent transactions, as on real hardware.
 //
+// A transaction that wrote nothing commits by validation alone (see
+// Tx.commit), taking no lock, so concurrent readers never contend on
+// commit. The caller owns the transaction descriptor: Atomic takes a *Tx the
+// caller keeps (the FP-Tree embeds one in its pooled per-operation scratch),
+// so a steady-state transaction allocates nothing.
+//
 // A companion analytical model (model.go) predicts abort ratios as a
 // function of domain size and NUMA span for the machine simulator, following
 // the measurements of Brown et al. (SPAA'16) that the paper cites.
@@ -61,20 +67,17 @@ type Region struct {
 	capacity   int
 	Stats      Stats
 
-	// txPool recycles transaction descriptors (and their read/write-set
-	// backing arrays) across Atomic calls, so a steady-state transaction
-	// allocates nothing. Safe under concurrent Atomic callers.
-	txPool sync.Pool
-
-	// commitGate makes the fallback-lock check atomic with commit:
-	// transactional commits hold the read side across [validate
+	// commitGate makes the fallback-lock check atomic with a writing
+	// commit: such commits hold the read side across [validate
 	// fallback version; commit]; the fallback body holds the write
 	// side. Without it a fallback execution — whose writes apply
 	// directly, without bumping cell versions — can interleave with an
 	// in-flight commit that already passed the fallback check, and the
 	// two apply concurrently (e.g. double-inserting one key). Real HTM
 	// has no such window: the fallback lock sits in the hardware read
-	// set, monitored to the commit instant.
+	// set, monitored to the commit instant. A read-only commit applies
+	// nothing, so checking the fallback version after its last read
+	// suffices and it skips the gate.
 	commitGate sync.RWMutex
 }
 
@@ -95,8 +98,10 @@ func NewRegionLimits(maxRetries, capacity int) *Region {
 	return &Region{maxRetries: maxRetries, capacity: capacity}
 }
 
-// Tx is one in-flight transaction attempt. A Tx is only valid inside the
-// body passed to Atomic and must not escape it.
+// Tx is a transaction descriptor. The zero value is ready; Atomic binds it
+// to its region and resets it on entry and exit, so a caller may reuse one
+// Tx for any number of sequential Atomic calls (never for two at once). The
+// body passed to Atomic must not retain it.
 type Tx struct {
 	region   *Region
 	fallback bool // running under the global lock: operations apply directly
@@ -155,9 +160,28 @@ func (tx *Tx) Write(l *syncprims.VersionLock, apply func()) error {
 // a state it cannot handle transactionally).
 func (tx *Tx) Abort() error { return ErrAbort }
 
-// commit acquires write cells, validates the read set, applies the writes
-// and releases. It reports whether the transaction committed.
-func (tx *Tx) commit() bool {
+// commit makes the attempt's effects visible and reports whether it
+// committed. fbVersion is the fallback lock's version at the attempt's start.
+// A read-only attempt validates its read set and then the fallback version,
+// which also catches a fallback body that ran between its reads (fallback
+// writes apply without bumping cell versions). A writer holds the commit
+// gate's read side across [validate fallback version; commit] and acquires
+// its write cells before validating the read set.
+func (tx *Tx) commit(fbVersion uint64) bool {
+	r := tx.region
+	if len(tx.writes) == 0 {
+		for _, rd := range tx.reads {
+			if rd.lock.Version() != rd.version {
+				return false
+			}
+		}
+		return r.fallback.Version() == fbVersion
+	}
+	r.commitGate.RLock()
+	defer r.commitGate.RUnlock()
+	if r.fallback.Version() != fbVersion {
+		return false
+	}
 	// Acquire written cells; any busy cell is a conflict.
 	acquired := 0
 	ok := true
@@ -171,12 +195,12 @@ func (tx *Tx) commit() bool {
 	if ok {
 		// Validate reads: a cell we also write moved from even v to odd
 		// v+1 by our own acquisition, so accept v+1 for owned cells.
-		for _, r := range tx.reads {
-			cur := r.lock.Version()
-			if cur == r.version {
+		for _, rd := range tx.reads {
+			cur := rd.lock.Version()
+			if cur == rd.version {
 				continue
 			}
-			if cur == r.version+1 && tx.owns(r.lock) {
+			if cur == rd.version+1 && tx.owns(rd.lock) {
 				continue
 			}
 			ok = false
@@ -210,46 +234,26 @@ func (tx *Tx) owns(l *syncprims.VersionLock) bool {
 	return false
 }
 
-// acquireTx returns a recycled (or fresh) transaction descriptor with
-// empty read/write sets.
-func (r *Region) acquireTx() *Tx {
-	tx, _ := r.txPool.Get().(*Tx)
-	if tx == nil {
-		tx = &Tx{region: r}
-	}
-	return tx
-}
-
-// releaseTx clears the descriptor (dropping closure references so the
-// pool never pins caller state) and returns it for reuse. The Tx
-// contract — it must not escape the Atomic body — is what makes the
-// recycling safe.
-func (r *Region) releaseTx(tx *Tx) {
-	tx.resetSets()
-	tx.fallback = false
-	r.txPool.Put(tx)
-}
-
-// resetSets empties the read/write sets, keeping their capacity but
-// dropping apply-closure references.
-func (tx *Tx) resetSets() {
+// reset empties the read/write sets, keeping their capacity but dropping
+// apply-closure references so a retained descriptor never pins caller state.
+func (tx *Tx) reset() {
 	tx.reads = tx.reads[:0]
-	for i := range tx.writes {
-		tx.writes[i] = writeEntry{}
-	}
+	clear(tx.writes)
 	tx.writes = tx.writes[:0]
+	tx.fallback = false
 }
 
-// Atomic executes body as a memory transaction, retrying on aborts and
-// falling back to the region's global lock after MaxRetries attempts. The
-// body may be executed several times and must be idempotent up to its Tx
-// writes (which only apply on commit). Any non-ErrAbort error is returned
-// to the caller after the transaction machinery unwinds.
-func (r *Region) Atomic(body func(tx *Tx) error) error {
-	tx := r.acquireTx()
-	defer r.releaseTx(tx)
+// Atomic executes body as a memory transaction on the caller's descriptor
+// tx, retrying on aborts and falling back to the region's global lock after
+// MaxRetries attempts. The body may be executed several times and must be
+// idempotent up to its Tx writes (which only apply on commit). Any
+// non-ErrAbort error is returned to the caller after the transaction
+// machinery unwinds.
+func (r *Region) Atomic(tx *Tx, body func(tx *Tx) error) error {
+	tx.region = r
+	defer tx.reset()
 	for attempt := 0; attempt <= r.maxRetries; attempt++ {
-		tx.resetSets()
+		tx.reset()
 		// The fallback lock is in every read set: holders abort us.
 		fbVersion := r.fallback.Version()
 		if fbVersion&1 == 1 {
@@ -260,14 +264,9 @@ func (r *Region) Atomic(body func(tx *Tx) error) error {
 		if err != nil && !errors.Is(err, ErrAbort) {
 			return err
 		}
-		if err == nil {
-			r.commitGate.RLock()
-			ok := r.fallback.Version() == fbVersion && tx.commit()
-			r.commitGate.RUnlock()
-			if ok {
-				r.Stats.Commits.Add(1)
-				return nil
-			}
+		if err == nil && tx.commit(fbVersion) {
+			r.Stats.Commits.Add(1)
+			return nil
 		}
 		r.Stats.Aborts.Add(1)
 	}
@@ -282,7 +281,7 @@ func (r *Region) Atomic(body func(tx *Tx) error) error {
 		r.fallback.WriteUnlock()
 	}()
 	r.Stats.Fallbacks.Add(1)
-	tx.resetSets()
+	tx.reset()
 	tx.fallback = true
 	return body(tx)
 }

@@ -13,7 +13,7 @@ func TestAtomicCommitsSimpleWrite(t *testing.T) {
 	r := NewRegion()
 	var cell syncprims.VersionLock
 	value := 0
-	err := r.Atomic(func(tx *Tx) error {
+	err := r.Atomic(new(Tx), func(tx *Tx) error {
 		return tx.Write(&cell, func() { value = 42 })
 	})
 	if err != nil {
@@ -34,7 +34,7 @@ func TestWritesDeferredUntilCommit(t *testing.T) {
 	r := NewRegion()
 	var cell syncprims.VersionLock
 	value := 0
-	_ = r.Atomic(func(tx *Tx) error {
+	_ = r.Atomic(new(Tx), func(tx *Tx) error {
 		if err := tx.Write(&cell, func() { value++ }); err != nil {
 			return err
 		}
@@ -52,7 +52,7 @@ func TestReadValidation(t *testing.T) {
 	r := NewRegion()
 	var cell syncprims.VersionLock
 	data := 10
-	err := r.Atomic(func(tx *Tx) error {
+	err := r.Atomic(new(Tx), func(tx *Tx) error {
 		if err := tx.Read(&cell); err != nil {
 			return err
 		}
@@ -74,7 +74,7 @@ func TestReadOfLockedCellAborts(t *testing.T) {
 	// The single transactional attempt must abort (cell write-locked); the
 	// fallback path does not validate the cell, so Atomic completes via the
 	// global lock even while the cell stays locked.
-	err := r.Atomic(func(tx *Tx) error {
+	err := r.Atomic(new(Tx), func(tx *Tx) error {
 		if err := tx.Read(&cell); err != nil {
 			return err
 		}
@@ -95,7 +95,7 @@ func TestReadOfLockedCellAborts(t *testing.T) {
 func TestExplicitAbortFallsBack(t *testing.T) {
 	r := NewRegionLimits(2, 16)
 	attempts := 0
-	err := r.Atomic(func(tx *Tx) error {
+	err := r.Atomic(new(Tx), func(tx *Tx) error {
 		attempts++
 		if !tx.Fallback() {
 			return tx.Abort()
@@ -121,7 +121,7 @@ func TestCapacityAbort(t *testing.T) {
 	r := NewRegionLimits(0, 4)
 	cells := make([]syncprims.VersionLock, 10)
 	fallbackUsed := false
-	err := r.Atomic(func(tx *Tx) error {
+	err := r.Atomic(new(Tx), func(tx *Tx) error {
 		if tx.Fallback() {
 			fallbackUsed = true
 			return nil
@@ -144,7 +144,7 @@ func TestCapacityAbort(t *testing.T) {
 func TestNonAbortErrorPropagates(t *testing.T) {
 	r := NewRegion()
 	sentinel := errors.New("boom")
-	err := r.Atomic(func(tx *Tx) error { return sentinel })
+	err := r.Atomic(new(Tx), func(tx *Tx) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v, want sentinel", err)
 	}
@@ -168,7 +168,7 @@ func TestConcurrentCounterNoLostUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				err := r.Atomic(func(tx *Tx) error {
+				err := r.Atomic(new(Tx), func(tx *Tx) error {
 					if err := tx.Read(&cell); err != nil {
 						return err
 					}
@@ -199,7 +199,7 @@ func TestConcurrentDisjointWritesCommitTransactionally(t *testing.T) {
 		go func(slot int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				err := r.Atomic(func(tx *Tx) error {
+				err := r.Atomic(new(Tx), func(tx *Tx) error {
 					return tx.Write(&cells[slot], func() { values[slot]++ })
 				})
 				if err != nil {
@@ -287,5 +287,93 @@ func TestExpectedAttemptsBounds(t *testing.T) {
 	got := m.ExpectedAttempts(384, 0.5, 3)
 	if got < 1 || got > float64(m.MaxRetries)+1 {
 		t.Errorf("ExpectedAttempts = %v out of [1, %d]", got, m.MaxRetries+1)
+	}
+}
+
+// TestReadOnlyCommitSeesInterleavedFallback pins the read-only commit's
+// fallback check: a fallback body applies its writes without bumping cell
+// versions, so when one runs between a read-only transaction's reads the
+// read set still validates and only the fallback version exposes the torn
+// snapshot. The transaction must retry, never return the torn pair.
+func TestReadOnlyCommitSeesInterleavedFallback(t *testing.T) {
+	r := NewRegionLimits(2, 16)
+	var cellA, cellB syncprims.VersionLock
+	var a, b atomic.Int64 // invariant: a == b outside any transaction
+
+	writer := func() {
+		err := r.Atomic(new(Tx), func(tx *Tx) error {
+			if !tx.Fallback() {
+				return tx.Abort() // force the global-lock path
+			}
+			if err := tx.Write(&cellA, func() { a.Add(1) }); err != nil {
+				return err
+			}
+			return tx.Write(&cellB, func() { b.Add(1) })
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+
+	attempts := 0
+	var gotA, gotB int64
+	err := r.Atomic(new(Tx), func(tx *Tx) error {
+		attempts++
+		if err := tx.Read(&cellA); err != nil {
+			return err
+		}
+		gotA = a.Load()
+		if attempts == 1 {
+			done := make(chan struct{})
+			go func() { writer(); close(done) }()
+			<-done
+		}
+		if err := tx.Read(&cellB); err != nil {
+			return err
+		}
+		gotB = b.Load()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotA != gotB {
+		t.Fatalf("read-only transaction returned torn pair (%d, %d)", gotA, gotB)
+	}
+	if gotA != 1 || attempts < 2 {
+		t.Errorf("got (%d, %d) after %d attempts, want (1, 1) after a retry", gotA, gotB, attempts)
+	}
+	if r.Stats.Fallbacks.Load() != 1 {
+		t.Errorf("fallbacks = %d, want 1 (the writer's)", r.Stats.Fallbacks.Load())
+	}
+}
+
+// TestTxReusedAcrossRegions checks the caller-owned descriptor contract:
+// one Tx serves sequential Atomic calls, on one region or several, and
+// leaves each call with empty sets.
+func TestTxReusedAcrossRegions(t *testing.T) {
+	r1, r2 := NewRegion(), NewRegion()
+	var tx Tx
+	var cell syncprims.VersionLock
+	n := 0
+	for i := 0; i < 4; i++ {
+		r := r1
+		if i%2 == 1 {
+			r = r2
+		}
+		if err := r.Atomic(&tx, func(tx *Tx) error {
+			if err := tx.Read(&cell); err != nil {
+				return err
+			}
+			return tx.Write(&cell, func() { n++ })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(tx.reads) != 0 || len(tx.writes) != 0 {
+			t.Fatalf("call %d left %d reads, %d writes", i, len(tx.reads), len(tx.writes))
+		}
+	}
+	if n != 4 || r1.Stats.Commits.Load() != 2 || r2.Stats.Commits.Load() != 2 {
+		t.Errorf("n = %d, commits %d/%d, want 4, 2/2", n, r1.Stats.Commits.Load(), r2.Stats.Commits.Load())
 	}
 }

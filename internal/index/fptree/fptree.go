@@ -13,10 +13,15 @@
 // in-flight optimistic readers never observe torn words.
 //
 // Steady-state operations are allocation-free: each op borrows a pooled
-// scratch descriptor carrying prebuilt transaction bodies, prebuilt
-// commit-time apply closures, a fixed descend-path array, and retained
-// scan/split buffers, so nothing escapes to the heap on the hot path
-// (structural splits still allocate the nodes they publish).
+// scratch descriptor carrying its transaction descriptor, prebuilt
+// transaction bodies, prebuilt commit-time apply closures, a fixed
+// descend-path array, and retained scan/split buffers, so nothing escapes to
+// the heap on the hot path (structural changes — splits and leaf reclaims —
+// allocate the inner contents and nodes they publish).
+//
+// A Delete that empties a leaf reclaims it in the same transaction, as the
+// original FPTree does (see reclaim): only the leftmost leaf may stay
+// empty, so scans never walk drained stretches of the key space.
 //
 // In the original system the leaves live in storage-class memory; here they
 // are DRAM-resident (see DESIGN.md §2) with identical structure.
@@ -39,9 +44,10 @@ const (
 	// maxDepth sizes the scratch descend-path array; deeper trees fall
 	// back to a heap-grown path (32^15 keys before that happens).
 	maxDepth = 16
-	// maxRetainedScan caps the scan buffer capacity a pooled scratch
-	// may retain, so one huge range scan doesn't pin memory forever.
-	maxRetainedScan = 4096
+	// maxScanLeaves caps the leaves one Scan chunk collects, keeping its
+	// read set far below htm.DefaultCapacity and the scan buffer a pooled
+	// scratch retains at maxScanLeaves*leafCap records.
+	maxScanLeaves = 64
 )
 
 // fingerprint is the one-byte hash probed before any key comparison.
@@ -78,6 +84,14 @@ type inner struct {
 
 func innerBytes(c *innerContent) int { return 16 + len(c.keys)*8 + len(c.children)*8 }
 
+// step is one inner node on a descent path: the node, the content the
+// descent read from it and the child index it followed.
+type step struct {
+	n *inner
+	c *innerContent
+	i int
+}
+
 // rootRef wraps the root so it can be swapped atomically.
 type rootRef struct {
 	node any // *inner or *leaf
@@ -110,7 +124,8 @@ func newLeaf() *leaf { return &leaf{} }
 // costs zero heap allocations at steady state; parameters and results
 // travel through the struct fields instead of closure captures.
 type opScratch struct {
-	t *Tree
+	t  *Tree
+	tx htm.Tx
 
 	// parameters
 	k, v   uint64
@@ -123,15 +138,17 @@ type opScratch struct {
 	updated  bool
 	deleted  bool
 	inserted bool
+	scanEnd  bool // the chunk reached the end of the range or the chain
 
 	// per-attempt state consumed by the prebuilt apply closures
 	lf   *leaf
 	slot int
 	bm   uint64
 
-	pathBuf   [maxDepth]*inner
-	splitRecs [leafCap + 1]rec
-	scanOut   []rec
+	pathBuf    [maxDepth]step
+	splitRecs  [leafCap + 1]rec
+	scanOut    []rec
+	scanLeaves int // chunk size: leaves with in-range records to collect
 
 	// prebuilt closures (one allocation each, at scratch construction)
 	getBody     func(*htm.Tx) error
@@ -168,9 +185,6 @@ func (t *Tree) getScratch() *opScratch { return t.scratch.Get().(*opScratch) }
 func (t *Tree) putScratch(sc *opScratch) {
 	sc.st = nil
 	sc.lf = nil
-	if cap(sc.scanOut) > maxRetainedScan {
-		sc.scanOut = nil
-	}
 	t.scratch.Put(sc)
 }
 
@@ -184,7 +198,8 @@ func (t *Tree) Scheme() index.Scheme { return index.SchemeHTM }
 // region's version-lock validation, inner-node content is copy-on-write
 // behind an atomic pointer, and leaf bitmap/fingerprint/key/value cells are
 // atomic — so a concurrent read is race-clean (and allocation-free at
-// steady state: the transaction descriptor and op scratch are pooled).
+// steady state: the op scratch, which carries the transaction descriptor,
+// is pooled).
 func (t *Tree) ConcurrentReadSafe() bool { return true }
 
 // Len implements index.Index.
@@ -196,15 +211,14 @@ func (t *Tree) HTMStats() *htm.Stats { return &t.region.Stats }
 
 // descend walks from the root to the leaf covering k inside tx, registering
 // every cell on the path in the transaction's read set. It returns the leaf
-// and its parent chain (nearest last), appended into path (normally the
-// scratch's fixed-size array, so no allocation below maxDepth).
-func (t *Tree) descend(tx *htm.Tx, k uint64, st *index.OpStats, path []*inner) (*leaf, []*inner, error) {
+// and the inner nodes above it (nearest last) with the content read and the
+// child followed at each, appended into path (normally the scratch's
+// fixed-size array, so no allocation below maxDepth).
+func (t *Tree) descend(tx *htm.Tx, k uint64, st *index.OpStats, path []step) (*leaf, []step, error) {
 	if err := tx.Read(&t.rootCell); err != nil {
 		return nil, nil, err
 	}
-	ref := t.root.Load()
-	node := ref.node
-	depth := uint64(0)
+	node := t.root.Load().node
 	for {
 		switch n := node.(type) {
 		case *inner:
@@ -215,18 +229,19 @@ func (t *Tree) descend(tx *htm.Tx, k uint64, st *index.OpStats, path []*inner) (
 			if c == nil || len(c.children) == 0 {
 				return nil, nil, tx.Abort() // torn mid-install; retry
 			}
-			st.Visit(1, index.CacheLines(innerBytes(c)))
-			depth++
+			if st != nil {
+				st.Visit(1, index.CacheLines(innerBytes(c)))
+			}
 			i := searchSeparators(c.keys, k)
-			path = append(path, n)
+			path = append(path, step{n, c, i})
 			node = c.children[i]
 		case *leaf:
 			if err := tx.Read(&n.cell); err != nil {
 				return nil, nil, err
 			}
-			st.Visit(1, index.CacheLines(leafBytes))
 			if st != nil {
-				st.Depth += depth
+				st.Visit(1, index.CacheLines(leafBytes))
+				st.Depth += uint64(len(path))
 			}
 			return n, path, nil
 		default:
@@ -290,7 +305,7 @@ func (t *Tree) Get(k uint64, st *index.OpStats) (uint64, bool) {
 	}
 	sc := t.getScratch()
 	sc.k, sc.st = k, st
-	if err := t.region.Atomic(sc.getBody); err != nil {
+	if err := t.region.Atomic(&sc.tx, sc.getBody); err != nil {
 		// Atomic only surfaces non-abort errors, which we never generate.
 		panic("fptree: unexpected transaction error: " + err.Error())
 	}
@@ -321,7 +336,7 @@ func (t *Tree) Update(k, v uint64, st *index.OpStats) bool {
 	}
 	sc := t.getScratch()
 	sc.k, sc.v, sc.st = k, v, st
-	if err := t.region.Atomic(sc.updateBody); err != nil {
+	if err := t.region.Atomic(&sc.tx, sc.updateBody); err != nil {
 		panic("fptree: unexpected transaction error: " + err.Error())
 	}
 	updated := sc.updated
@@ -331,7 +346,7 @@ func (t *Tree) Update(k, v uint64, st *index.OpStats) bool {
 
 func (sc *opScratch) doDelete(tx *htm.Tx) error {
 	sc.deleted = false
-	lf, _, err := sc.t.descend(tx, sc.k, sc.st, sc.pathBuf[:0])
+	lf, path, err := sc.t.descend(tx, sc.k, sc.st, sc.pathBuf[:0])
 	if err != nil {
 		return err
 	}
@@ -341,19 +356,96 @@ func (sc *opScratch) doDelete(tx *htm.Tx) error {
 	}
 	sc.lf, sc.slot, sc.bm = lf, i, lf.bitmap.Load()
 	sc.deleted = true
+	if sc.bm == 1<<uint(i) {
+		return sc.reclaim(tx, lf, path)
+	}
 	return tx.Write(&lf.cell, sc.applyDelete)
+}
+
+// reclaim registers the writes of a delete that empties lf and, unless lf
+// is the leftmost leaf (which, like a lone root leaf, stays), removes lf
+// from the tree, following FPTree's FindLeafAndPrevLeaf: the predecessor is
+// the rightmost leaf under the left sibling at the deepest ancestor where
+// the path did not follow child 0, and its next pointer skips lf; lf leaves
+// the deepest ancestor that keeps another child, taking one adjacent
+// separator with it (ancestors in between are left childless and drop out
+// with it). Every node read joins the read set, and all reads precede the
+// writes: under the fallback lock writes apply at once.
+func (sc *opScratch) reclaim(tx *htm.Tx, lf *leaf, path []step) error {
+	p := len(path) - 1
+	for p >= 0 && path[p].i == 0 {
+		p--
+	}
+	if p < 0 {
+		return tx.Write(&lf.cell, sc.applyDelete)
+	}
+	node := path[p].c.children[path[p].i-1]
+	var pred *leaf
+	for pred == nil {
+		switch n := node.(type) {
+		case *inner:
+			if err := tx.Read(&n.cell); err != nil {
+				return err
+			}
+			c := n.content.Load()
+			if c == nil || len(c.children) == 0 {
+				return tx.Abort()
+			}
+			sc.st.Visit(1, index.CacheLines(innerBytes(c)))
+			node = c.children[len(c.children)-1]
+		case *leaf:
+			if err := tx.Read(&n.cell); err != nil {
+				return err
+			}
+			sc.st.Visit(1, index.CacheLines(leafBytes))
+			pred = n
+		default:
+			return tx.Abort()
+		}
+	}
+	if pred.next.Load() != lf {
+		return tx.Abort() // inconsistent snapshot; retry
+	}
+	// path[p] has at least two children, so this stops at or below p.
+	r := len(path) - 1
+	for len(path[r].c.children) == 1 {
+		r--
+	}
+	c, i := path[r].c, path[r].i
+	ki := i - 1 // the separator to the child's left ...
+	if i == 0 {
+		ki = 0 // ... or, for a first child, to its right
+	}
+	fresh := &innerContent{
+		keys:     make([]uint64, 0, len(c.keys)-1),
+		children: make([]any, 0, len(c.children)-1),
+	}
+	fresh.keys = append(append(fresh.keys, c.keys[:ki]...), c.keys[ki+1:]...)
+	fresh.children = append(append(fresh.children, c.children[:i]...), c.children[i+1:]...)
+	if sc.st != nil {
+		sc.st.BytesCopied += uint64(innerBytes(fresh))
+	}
+	if err := tx.Write(&lf.cell, sc.applyDelete); err != nil {
+		return err
+	}
+	if err := tx.Write(&pred.cell, func() { pred.next.Store(lf.next.Load()) }); err != nil {
+		return err
+	}
+	parent := path[r].n
+	return tx.Write(&parent.cell, func() { parent.content.Store(fresh) })
 }
 
 // Delete implements index.Index: the unsorted-leaf design makes removal a
 // single bitmap-bit clear under the leaf's cell — the slot is simply
-// unpublished and becomes reusable by later inserts.
+// unpublished and becomes reusable by later inserts. Clearing a leaf's last
+// bit also reclaims the leaf (see reclaim).
 func (t *Tree) Delete(k uint64, st *index.OpStats) bool {
 	if st != nil {
 		st.Ops++
 	}
 	sc := t.getScratch()
 	sc.k, sc.st = k, st
-	if err := t.region.Atomic(sc.deleteBody); err != nil {
+	if err := t.region.Atomic(&sc.tx, sc.deleteBody); err != nil {
 		panic("fptree: unexpected transaction error: " + err.Error())
 	}
 	deleted := sc.deleted
@@ -393,7 +485,7 @@ func (t *Tree) Insert(k, v uint64, st *index.OpStats) bool {
 	}
 	sc := t.getScratch()
 	sc.k, sc.v, sc.st = k, v, st
-	if err := t.region.Atomic(sc.insertBody); err != nil {
+	if err := t.region.Atomic(&sc.tx, sc.insertBody); err != nil {
 		panic("fptree: unexpected transaction error: " + err.Error())
 	}
 	inserted := sc.inserted
@@ -430,7 +522,7 @@ func insertionSortRecs(a []rec) {
 // the tree if the root splits. All modifications are registered as
 // transactional writes. The split path allocates (it publishes new nodes);
 // that cost is structural and amortises to <1/leafCap per insert.
-func (t *Tree) planSplitInsert(tx *htm.Tx, sc *opScratch, lf *leaf, path []*inner) error {
+func (t *Tree) planSplitInsert(tx *htm.Tx, sc *opScratch, lf *leaf, path []step) error {
 	// Snapshot the full leaf (bitmap is all-ones here).
 	recs := sc.splitRecs[:0]
 	for i := 0; i < leafCap; i++ {
@@ -481,7 +573,7 @@ func (t *Tree) planSplitInsert(tx *htm.Tx, sc *opScratch, lf *leaf, path []*inne
 
 // propagateSplit inserts separator sep with new right child into the parent,
 // splitting inner nodes upward as needed (copy-on-write contents).
-func (t *Tree) propagateSplit(tx *htm.Tx, path []*inner, left, right any, sep uint64, st *index.OpStats) error {
+func (t *Tree) propagateSplit(tx *htm.Tx, path []step, left, right any, sep uint64, st *index.OpStats) error {
 	if len(path) == 0 {
 		// The split node was the root: grow the tree.
 		newRoot := &inner{}
@@ -491,8 +583,7 @@ func (t *Tree) propagateSplit(tx *htm.Tx, path []*inner, left, right any, sep ui
 		})
 		return tx.Write(&t.rootCell, func() { t.root.Store(&rootRef{node: newRoot}) })
 	}
-	parent := path[len(path)-1]
-	c := parent.content.Load()
+	parent, c := path[len(path)-1].n, path[len(path)-1].c
 	i := searchSeparators(c.keys, sep)
 	nk := make([]uint64, 0, len(c.keys)+1)
 	nc := make([]any, 0, len(c.children)+1)
@@ -618,13 +709,25 @@ func (t *Tree) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []b
 	}
 }
 
+// doScan collects one chunk: whole leaves from the one covering sc.lo until
+// sc.scanLeaves leaves have contributed in-range records, or the range ends
+// (which sets sc.scanEnd): at the chain's end, at a leaf wholly above sc.hi,
+// or at the descended leaf when sc.hi lies below its upper fence — the
+// separator right of the path at the deepest level that has one — so a
+// range inside one leaf costs one transaction and one leaf.
 func (sc *opScratch) doScan(tx *htm.Tx) error {
-	sc.scanOut = sc.scanOut[:0]
-	lf, _, err := sc.t.descend(tx, sc.lo, sc.st, sc.pathBuf[:0])
+	sc.scanOut, sc.scanEnd = sc.scanOut[:0], false
+	lf, path, err := sc.t.descend(tx, sc.lo, sc.st, sc.pathBuf[:0])
 	if err != nil {
 		return err
 	}
-	for lf != nil {
+	fence := ^uint64(0)
+	for _, p := range path {
+		if p.i < len(p.c.keys) {
+			fence = p.c.keys[p.i]
+		}
+	}
+	for taken := 0; ; {
 		start := len(sc.scanOut)
 		bm := lf.bitmap.Load()
 		minKey := uint64(1<<64 - 1)
@@ -643,42 +746,63 @@ func (sc *opScratch) doScan(tx *htm.Tx) error {
 		// Leaves are unsorted internally but the chain is in key order,
 		// so sorting each leaf's batch keeps the whole result sorted.
 		insertionSortRecs(sc.scanOut[start:])
-		if bm != 0 && minKey > sc.hi {
-			break
+		if bm != 0 && minKey > sc.hi || sc.hi < fence {
+			sc.scanEnd = true
+			return nil
+		}
+		if len(sc.scanOut) > start {
+			if taken++; taken == sc.scanLeaves {
+				return nil
+			}
 		}
 		next := lf.next.Load()
 		if next == nil {
-			break
+			sc.scanEnd = true
+			return nil
 		}
 		if err := tx.Read(&next.cell); err != nil {
 			return err
 		}
 		sc.st.Visit(1, index.CacheLines(leafBytes))
-		lf = next
+		lf, fence = next, 0 // a chained leaf's fence is unknown
 	}
-	return nil
 }
 
-// Scan implements index.Ranger. Leaves are unsorted, so each leaf's live
-// records are collected into the scratch buffer and insertion-sorted before
-// yielding. Large scans may exceed HTM capacity and execute on the fallback
-// path — the behaviour a real HTM-synchronised FP-Tree exhibits.
+// Scan implements index.Ranger in chunks, each one committed transaction
+// over whole leaves: leaves are unsorted, so a leaf's live records are
+// collected and insertion-sorted before anything is yielded. The first
+// chunk stops after the first leaf holding an in-range record — a
+// stop-after-first caller never reads further — and each later chunk
+// re-descends from the last yielded key + 1 and collects up to
+// maxScanLeaves leaves, so no chunk outgrows the HTM capacity.
+// Records are ascending and yielded once; there is no snapshot across
+// chunks (see index.Ranger).
 func (t *Tree) Scan(lo, hi uint64, fn func(k, v uint64) bool, st *index.OpStats) int {
 	if st != nil {
 		st.Ops++
 	}
 	sc := t.getScratch()
-	sc.lo, sc.hi, sc.st = lo, hi, st
-	if err := t.region.Atomic(sc.scanBody); err != nil {
-		panic("fptree: unexpected transaction error: " + err.Error())
-	}
+	defer t.putScratch(sc)
+	sc.lo, sc.hi, sc.st, sc.scanLeaves = lo, hi, st, 1
 	n := 0
-	for _, r := range sc.scanOut {
-		n++
-		if !fn(r.k, r.v) {
-			break
+	for {
+		if err := t.region.Atomic(&sc.tx, sc.scanBody); err != nil {
+			panic("fptree: unexpected transaction error: " + err.Error())
 		}
+		for _, r := range sc.scanOut {
+			n++
+			if !fn(r.k, r.v) {
+				return n
+			}
+		}
+		if sc.scanEnd {
+			return n
+		}
+		// A chunk that stopped on its leaf budget yielded records.
+		last := sc.scanOut[len(sc.scanOut)-1].k
+		if last >= hi {
+			return n
+		}
+		sc.lo, sc.scanLeaves = last+1, maxScanLeaves
 	}
-	t.putScratch(sc)
-	return n
 }

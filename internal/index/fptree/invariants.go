@@ -4,8 +4,10 @@ import "fmt"
 
 // CheckInvariants verifies the tree's structural invariants from a quiesced
 // state: every occupied leaf slot's fingerprint matches its key, leaf
-// contents respect the inner separators, inner keys are sorted, and the
-// leaf chain covers exactly Len() keys in ascending range order. For tests
+// contents respect the inner separators, inner keys are sorted, no
+// reachable leaf but the leftmost is empty, the leaf chain from the
+// leftmost leaf is exactly the in-order sequence of reachable leaves, and
+// the leaves hold exactly Len() keys in ascending range order. For tests
 // and debugging.
 func (t *Tree) CheckInvariants() error {
 	ref := t.root.Load()
@@ -13,7 +15,7 @@ func (t *Tree) CheckInvariants() error {
 		return fmt.Errorf("fptree: nil root")
 	}
 	counted := 0
-	var firstLeaf *leaf
+	var leaves []*leaf
 	var walk func(node any, lo, hi uint64, hasLo, hasHi bool) error
 	walk = func(node any, lo, hi uint64, hasLo, hasHi bool) error {
 		switch n := node.(type) {
@@ -45,10 +47,12 @@ func (t *Tree) CheckInvariants() error {
 			}
 			return nil
 		case *leaf:
-			if firstLeaf == nil {
-				firstLeaf = n
-			}
 			bm := n.bitmap.Load()
+			if bm == 0 && len(leaves) > 0 {
+				return fmt.Errorf("fptree: reachable empty leaf %d in key order (only the leftmost may be empty)", len(leaves))
+			}
+			leaves = append(leaves, n)
+			seen := map[uint64]bool{}
 			for i := 0; i < leafCap; i++ {
 				if bm&(1<<uint(i)) == 0 {
 					continue
@@ -63,19 +67,11 @@ func (t *Tree) CheckInvariants() error {
 				if hasHi && k >= hi {
 					return fmt.Errorf("fptree: leaf key %d not below separator %d", k, hi)
 				}
-				counted++
-			}
-			// No duplicate keys within a leaf.
-			seen := map[uint64]bool{}
-			for i := 0; i < leafCap; i++ {
-				if bm&(1<<uint(i)) == 0 {
-					continue
-				}
-				k := n.keys[i].Load()
 				if seen[k] {
 					return fmt.Errorf("fptree: duplicate key %d within a leaf", k)
 				}
 				seen[k] = true
+				counted++
 			}
 			return nil
 		default:
@@ -88,38 +84,41 @@ func (t *Tree) CheckInvariants() error {
 	if int64(counted) != t.count.Load() {
 		return fmt.Errorf("fptree: %d occupied slots, count says %d", counted, t.count.Load())
 	}
-	// Leaf chain ranges must ascend: every key of leaf i+1 exceeds the max
-	// key of leaf i (leaves are internally unsorted but range-disjoint).
-	prevMax := uint64(0)
-	first := true
-	chainCount := 0
-	for lf := firstLeaf; lf != nil; lf = lf.next.Load() {
+	// The chain from the leftmost leaf must visit exactly the reachable
+	// leaves, in order: an unlinked leaf still on the chain, or a
+	// reachable leaf missing from it, breaks the match. Leaf ranges must
+	// ascend along it (leaves are internally unsorted but range-disjoint).
+	var prevMax uint64
+	seenKey := false
+	i := 0
+	for lf := leaves[0]; lf != nil; lf, i = lf.next.Load(), i+1 {
+		if i >= len(leaves) || lf != leaves[i] {
+			return fmt.Errorf("fptree: leaf chain position %d is not reachable leaf %d", i, i)
+		}
 		bm := lf.bitmap.Load()
 		var mn, mx uint64
-		any := false
-		for i := 0; i < leafCap; i++ {
-			if bm&(1<<uint(i)) == 0 {
+		for s, first := 0, true; s < leafCap; s++ {
+			if bm&(1<<uint(s)) == 0 {
 				continue
 			}
-			k := lf.keys[i].Load()
-			if !any || k < mn {
+			k := lf.keys[s].Load()
+			if first || k < mn {
 				mn = k
 			}
-			if !any || k > mx {
+			if first || k > mx {
 				mx = k
 			}
-			any = true
-			chainCount++
+			first = false
 		}
-		if any {
-			if !first && mn <= prevMax {
+		if bm != 0 {
+			if seenKey && mn <= prevMax {
 				return fmt.Errorf("fptree: leaf chain ranges overlap (%d ≤ %d)", mn, prevMax)
 			}
-			prevMax, first = mx, false
+			prevMax, seenKey = mx, true
 		}
 	}
-	if chainCount != counted {
-		return fmt.Errorf("fptree: leaf chain holds %d keys, tree walk found %d", chainCount, counted)
+	if i != len(leaves) {
+		return fmt.Errorf("fptree: leaf chain holds %d leaves, tree walk found %d", i, len(leaves))
 	}
 	return nil
 }

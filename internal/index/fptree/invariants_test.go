@@ -108,4 +108,49 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Error("out-of-range key not detected")
 		}
 	})
+
+	// middle returns a leaf well inside the tree with its parent step.
+	middle := func(tr *Tree) (*leaf, step) {
+		lf, path := rawPath(tr, 1500)
+		return lf, path[len(path)-1]
+	}
+
+	t.Run("unlinked leaf still on the chain", func(t *testing.T) {
+		tr := build()
+		lf, parent := middle(tr)
+		n := uint64(len(leafKeys(lf)))
+		c := parent.c
+		fresh := &innerContent{
+			keys:     append(append([]uint64(nil), c.keys[:parent.i-1]...), c.keys[parent.i:]...),
+			children: append(append([]any(nil), c.children[:parent.i]...), c.children[parent.i+1:]...),
+		}
+		parent.n.content.Store(fresh)
+		tr.count.Add(-int64(n))
+		err := tr.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), "chain") {
+			t.Errorf("unlinked leaf on the chain not detected: %v", err)
+		}
+	})
+
+	t.Run("reachable leaf missing from the chain", func(t *testing.T) {
+		tr := build()
+		lf, parent := middle(tr)
+		pred := parent.c.children[parent.i-1].(*leaf)
+		pred.next.Store(lf.next.Load())
+		err := tr.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), "chain") {
+			t.Errorf("leaf missing from the chain not detected: %v", err)
+		}
+	})
+
+	t.Run("empty reachable leaf", func(t *testing.T) {
+		tr := build()
+		lf, _ := middle(tr)
+		tr.count.Add(-int64(len(leafKeys(lf))))
+		lf.bitmap.Store(0)
+		err := tr.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), "empty leaf") {
+			t.Errorf("empty reachable leaf not detected: %v", err)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"sort"
 	"testing"
 
 	"robustconf/internal/index"
@@ -10,16 +11,26 @@ import (
 	"robustconf/internal/index/hashmap"
 )
 
-// FuzzIndexAgainstOracle decodes the fuzz input as a stream of operations
-// and applies it to all four structures in lock-step with a map oracle.
-// Run with `go test -fuzz=FuzzIndexAgainstOracle ./internal/index`; the
-// seed corpus also executes under plain `go test`.
+// fuzzKeyBits sizes the fuzzed key space: 1 024 keys is wide enough for
+// FP-Tree and B-Tree leaves to split and then drain again, narrow enough
+// that inputs collide on keys.
+const fuzzKeyBits = 10
+
+// FuzzIndexAgainstOracle decodes the fuzz input as a stream of 3-byte
+// operations [op, a, b] and applies it to all four structures in lock-step
+// with a map oracle. op%5 picks Insert, Update, Delete, Get or Scan; the key
+// is the low fuzzKeyBits of a<<8|b. A Scan covers [key, key+33*(op>>3)] and
+// stops after b%8 records (0: no limit); the three Rangers must yield
+// exactly the oracle's first records of that range. Structures with a
+// CheckInvariants method are checked at the end. Run with
+// `go test -fuzz=FuzzIndexAgainstOracle ./internal/index`; the seed corpus
+// (f.Add plus testdata/fuzz) also executes under plain `go test`.
 func FuzzIndexAgainstOracle(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 0})
-	f.Add([]byte{0, 10, 2, 10, 1, 10, 3, 10, 0, 10})
-	f.Add([]byte{255, 254, 253, 252, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{0, 0, 1, 1, 0, 1, 2, 0, 2, 3, 0, 3, 0, 0, 0})
+	f.Add([]byte{0, 0, 10, 2, 0, 10, 1, 0, 10, 3, 0, 10, 0, 0, 10, 4, 0, 0})
+	f.Add([]byte{255, 254, 253, 252, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4, 3, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 || len(data) > 2048 {
+		if len(data) < 3 || len(data) > 3072 {
 			return
 		}
 		structures := map[string]index.Index{
@@ -29,11 +40,15 @@ func FuzzIndexAgainstOracle(f *testing.F) {
 			"hashmap": hashmap.New(),
 		}
 		oracle := map[uint64]uint64{}
-		for i := 0; i+1 < len(data); i += 2 {
-			op := data[i] % 4
-			k := uint64(data[i+1] % 64) // small key space forces collisions
+		for i := 0; i+2 < len(data); i += 3 {
+			op := data[i] % 5
+			k := (uint64(data[i+1])<<8 | uint64(data[i+2])) & (1<<fuzzKeyBits - 1)
 			v := uint64(i)
 			_, exists := oracle[k]
+			if op == 4 {
+				checkScan(t, structures, oracle, k, k+33*uint64(data[i]>>3), int(data[i+2]%8))
+				continue
+			}
 			for name, idx := range structures {
 				switch op {
 				case 0:
@@ -73,6 +88,47 @@ func FuzzIndexAgainstOracle(f *testing.F) {
 			if idx.Len() != len(oracle) {
 				t.Fatalf("%s: Len = %d, oracle %d", name, idx.Len(), len(oracle))
 			}
+			if c, ok := idx.(interface{ CheckInvariants() error }); ok {
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
 		}
 	})
+}
+
+// checkScan runs Scan(lo, hi) stopping after limit records (0: none) on
+// every Ranger and compares the records and the returned count with the
+// oracle's sorted range.
+func checkScan(t *testing.T, structures map[string]index.Index, oracle map[uint64]uint64, lo, hi uint64, limit int) {
+	t.Helper()
+	var want []uint64
+	for k := range oracle {
+		if k >= lo && k <= hi {
+			want = append(want, k)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if limit > 0 && len(want) > limit {
+		want = want[:limit]
+	}
+	for name, idx := range structures {
+		r, ok := idx.(index.Ranger)
+		if !ok {
+			continue
+		}
+		var got []uint64
+		n := r.Scan(lo, hi, func(k, v uint64) bool {
+			if len(got) < len(want) && (k != want[len(got)] || v != oracle[k]) {
+				t.Fatalf("%s: Scan(%d, %d) record %d = (%d, %d), oracle (%d, %d)",
+					name, lo, hi, len(got), k, v, want[len(got)], oracle[want[len(got)]])
+			}
+			got = append(got, k)
+			return limit == 0 || len(got) < limit
+		}, nil)
+		if len(got) != len(want) || n != len(got) {
+			t.Fatalf("%s: Scan(%d, %d) limit %d yielded %d and returned %d, oracle %d",
+				name, lo, hi, limit, len(got), n, len(want))
+		}
+	}
 }

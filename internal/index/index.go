@@ -50,7 +50,9 @@ func (s Scheme) String() string {
 
 // OpStats accumulates the structural events of executed operations. Pass nil
 // when the caller does not need accounting; implementations must tolerate a
-// nil sink.
+// nil sink. Visits are counted per attempt: an operation that retries (an
+// HTM abort, a failed CAS) counts the nodes every attempt read, including
+// the attempts that did not commit.
 type OpStats struct {
 	Ops          uint64 // operations accounted
 	NodesVisited uint64 // tree nodes, delta records or buckets traversed
@@ -215,9 +217,22 @@ type BatchKernel interface {
 // Ranger is implemented by the ordered structures (the three trees) and
 // supports ascending range scans, which the TPC-C engine needs for
 // secondary-index lookups.
+//
+// The contract every implementation keeps, and all a caller may assume:
+//   - keys in [lo, hi] come in ascending order, each at most once;
+//   - every yielded record was read by a committed read (a validated
+//     transaction or an equivalent consistent read of its node);
+//   - there is no snapshot across the whole scan: a scan may proceed in
+//     chunks (the FP-Tree's transactions, the Bw-Tree's pages), so writes
+//     that commit while it runs may or may not be seen. The B-Tree holds
+//     its lock across fn and so happens to give one snapshot.
+//
+// No caller needs more: TPC-C scans run on the worker that owns the
+// table, and WAL checkpoints scan a quiesced domain.
 type Ranger interface {
 	// Scan visits keys in [lo, hi] in ascending order until fn returns
-	// false or the range is exhausted, and returns the number visited.
+	// false or the range is exhausted, and returns the number visited
+	// (including the call that returned false).
 	Scan(lo, hi uint64, fn func(k, v uint64) bool, st *OpStats) int
 }
 

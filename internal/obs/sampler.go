@@ -87,11 +87,11 @@ type ServerSignals struct {
 	AtUnixNs      int64   `json:"at_unix_ns"`
 	WindowSeconds float64 `json:"window_seconds"`
 
-	OpsRate       signal.Signal `json:"ops_rate"`        // ops/s
-	BatchRate     signal.Signal `json:"batch_rate"`      // delegation bursts/s
-	RejectRate    signal.Signal `json:"reject_rate"`     // BUSY replies/s
-	PipelineDepth float64       `json:"pipeline_depth"`  // windowed ops/batch
-	ConnsActive   float64       `json:"conns_active"`    // gauge
+	OpsRate       signal.Signal `json:"ops_rate"`       // ops/s
+	BatchRate     signal.Signal `json:"batch_rate"`     // delegation bursts/s
+	RejectRate    signal.Signal `json:"reject_rate"`    // BUSY replies/s
+	PipelineDepth float64       `json:"pipeline_depth"` // windowed ops/batch
+	ConnsActive   float64       `json:"conns_active"`   // gauge
 	Draining      bool          `json:"draining"`
 }
 

@@ -109,14 +109,14 @@ func TestFramePartialAndOversized(t *testing.T) {
 // TestDecodeRequestMalformed pins operand-length validation per op.
 func TestDecodeRequestMalformed(t *testing.T) {
 	cases := [][]byte{
-		{},                    // empty payload
-		{OpGet},               // GET missing key
-		{OpGet, 1, 2, 3},      // GET short key
+		{},                              // empty payload
+		{OpGet},                         // GET missing key
+		{OpGet, 1, 2, 3},                // GET short key
 		{OpPut, 1, 2, 3, 4, 5, 6, 7, 8}, // PUT missing value
-		{OpPing, 9},           // PING with operands
-		{OpHello, 5},          // HELLO truncated length
-		{OpHello, 5, 0, 'a'},  // HELLO length > bytes
-		{99, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown op
+		{OpPing, 9},                     // PING with operands
+		{OpHello, 5},                    // HELLO truncated length
+		{OpHello, 5, 0, 'a'},            // HELLO length > bytes
+		{99, 0, 0, 0, 0, 0, 0, 0, 0},    // unknown op
 	}
 	var r Request
 	for i, payload := range cases {

@@ -411,9 +411,9 @@ func TestListenValidation(t *testing.T) {
 	}
 	defer rt.Stop()
 	cases := []Config{
-		{},                                     // no runtime
-		{Runtime: rt},                          // no shards
-		{Runtime: rt, Shards: []string{"s"}},   // no sessions
+		{},                                   // no runtime
+		{Runtime: rt},                        // no shards
+		{Runtime: rt, Shards: []string{"s"}}, // no sessions
 		{Runtime: rt, Shards: []string{"nope"}, Sessions: 1}, // unregistered shard
 	}
 	for i, cfg := range cases {
