@@ -262,6 +262,65 @@ func BenchmarkDelegationInvokeKV(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionSubmitKV measures the session path the kv.* and
+// net.pipe64 workloads run: SubmitKV/WaitKV windows of 14 Gets alternating
+// between two Hash Map shards of one domain, so every op resolves its name
+// through the session's route table. ns/op is per op, not per window.
+// Pinned allocation-free by alloc-smoke.
+func BenchmarkSessionSubmitKV(b *testing.B) {
+	const burst = 14
+	cfg := robustconf.Config{
+		Machine:    robustconf.Machine(1),
+		Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
+		Assignment: map[string]int{"x": 0, "y": 0},
+	}
+	structures := map[string]any{}
+	for name := range cfg.Assignment {
+		idx := hashmap.New()
+		for k := uint64(0); k < 1024; k++ {
+			idx.Insert(k, k, nil)
+		}
+		structures[name] = idx
+	}
+	rt, err := robustconf.Start(cfg, structures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Stop()
+	s, err := rt.NewSession(0, burst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	names := [2]string{"x", "y"}
+	var futs [burst]*core.AsyncFuture
+	cycle := func() error {
+		for j := 0; j < burst; j++ {
+			f, err := s.SubmitKV(names[j&1], robustconf.KVGet, uint64(j), 0)
+			if err != nil {
+				return err
+			}
+			futs[j] = f
+		}
+		for j := 0; j < burst; j++ {
+			if _, _, err := futs[j].WaitKV(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := cycle(); err != nil { // warm up: lazy client, route table, future pool
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += burst {
+		if err := cycle(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDelegationInvokeObserved is the same round trip with an
 // Observer attached at default sampling — the overhead budget for the
 // introspection layer (DESIGN.md §9) is ≤5% over BenchmarkDelegationInvoke.

@@ -323,6 +323,10 @@ func (d *Domain) Inbox() *delegation.Inbox { return d.inbox }
 
 // Runtime executes tasks under one configuration. Construct with Start.
 type Runtime struct {
+	// routeGen validates session route tables; Migrate bumps it under mu.
+	// It sits first, lines away from mu, so its per-op load stays shared.
+	routeGen atomic.Uint64
+
 	cfg     Config
 	domains []*Domain
 	faults  *metrics.FaultCounters
@@ -630,15 +634,22 @@ func (rt *Runtime) Reconfigure(cfg Config) (*Runtime, error) {
 // experiments). A Session is not safe for concurrent use — it models a
 // single client thread.
 //
-// Every submission method is a thin wrapper over one path, submit: note →
-// route → client → reserve → fill the slot's argument block → post. The
-// synchronous methods await the posted handle directly; the pipelined ones
-// queue a pooled AsyncFuture for it; Submit posts a detached future.
+// Every submission method is a thin wrapper over one path, submit: look the
+// name up in the route table → note → kernel check → reserve → fill the
+// slot's argument block → post. The synchronous methods await the posted
+// handle directly; the pipelined ones queue a pooled AsyncFuture for it;
+// Submit posts a detached future.
 type Session struct {
 	rt        *Runtime
 	cpu       int
 	burst     int
 	perDomain map[*Domain]*sessionClient
+
+	// Route table, valid for routing generation gen: nRoutes entries filled,
+	// and once all are, misses share the last one.
+	routes  [8]sessionRoute
+	nRoutes int
+	gen     uint64
 
 	// Read-bypass state (readpolicy.go): session-local adaptive observation
 	// mirrors for the most recently touched adaptive structure, and the
@@ -647,6 +658,46 @@ type Session struct {
 	rsReads, rsWrites uint64
 	rsSince           uint64
 	readShards        map[*Domain]*obs.ClientShard
+}
+
+// sessionRoute is what routing a name yields, plus the domain's client.
+type sessionRoute struct {
+	name string
+	d    *Domain
+	ds   any
+	kern delegation.BatchKernel // nil when ds has no batch kernel
+	rs   *readState
+	sc   *sessionClient
+}
+
+// lookup returns the route for structure from the table, resolving and
+// caching it under the runtime lock on a miss, so a steady-state op takes no
+// lock and does no map lookup. A cached dead domain fails as route would.
+func (s *Session) lookup(structure string) (*sessionRoute, error) {
+	if g := s.rt.routeGen.Load(); g != s.gen {
+		s.routes, s.nRoutes, s.gen = [len(s.routes)]sessionRoute{}, 0, g
+	}
+	for i := 0; i < s.nRoutes; i++ {
+		if r := &s.routes[i]; r.name == structure {
+			if r.d.dead.Load() {
+				return nil, fmt.Errorf("core: structure %q: %w", structure, ErrDomainDead)
+			}
+			return r, nil
+		}
+	}
+	d, ds, _, err := s.rt.route(structure, nil)
+	if err != nil {
+		return nil, err
+	}
+	sc, err := s.client(d)
+	if err != nil {
+		return nil, err
+	}
+	kern, _ := ds.(delegation.BatchKernel)
+	r := &s.routes[min(s.nRoutes, len(s.routes)-1)]
+	*r = sessionRoute{name: structure, d: d, ds: ds, kern: kern, rs: s.rt.readStates[structure], sc: sc}
+	s.nRoutes = min(s.nRoutes+1, len(s.routes))
+	return r, nil
 }
 
 // sessionClient is a domain's delegation client plus the session state that
@@ -859,43 +910,39 @@ func (s *Session) client(d *Domain) (*sessionClient, error) {
 
 // submit is the session's one submission path (DESIGN.md §10). op is the
 // delegation descriptor: a typed op (c nil) arrives with Kind, Key and Val
-// set, a closure op with at most Read. submit notes the op against an
-// adaptive read policy, routes it to the owning domain, sets a typed op's
-// kernel, takes the domain's client, reserves a slot — resolving the oldest
-// pipelined statement when every slot is held by one — parks a closure op in
-// the slot's argument block, and posts: through Delegate when detached (the
-// returned future is the caller's), otherwise through Post (the caller must
-// await the returned handle).
+// set, a closure op with at most Read. submit looks the structure up in the
+// session's route table, notes the op against an adaptive read policy, sets
+// a typed op's kernel, reserves a slot of the domain's client — resolving the
+// oldest pipelined statement when every slot is held by one — parks a
+// closure op in the slot's argument block, and posts: through Delegate when
+// detached (the returned future is the caller's), otherwise through Post (the
+// caller must await the returned handle).
 func (s *Session) submit(structure string, op *delegation.Op, c *closure, detached bool) (*sessionClient, delegation.InvokeHandle, *delegation.Future, error) {
 	var h delegation.InvokeHandle
-	if rs := s.rt.readStates[structure]; rs != nil {
-		s.note(rs, op.Read || c == nil && op.Kind == delegation.KVGet)
-	}
-	d, ds, _, err := s.rt.route(structure, nil)
+	r, err := s.lookup(structure)
 	if err != nil {
 		return nil, h, nil, err
+	}
+	if r.rs != nil {
+		s.note(r.rs, op.Read || c == nil && op.Kind == delegation.KVGet)
 	}
 	if c == nil {
-		kern, ok := ds.(delegation.BatchKernel)
-		if !ok {
+		if r.kern == nil {
 			return nil, h, nil, fmt.Errorf("core: structure %q has no batch kernel; submit a closure task", structure)
 		}
-		op.Kern = kern
+		op.Kern = r.kern
 	}
-	sc, err := s.client(d)
-	if err != nil {
-		return nil, h, nil, err
-	}
+	sc := r.sc
 	i, ok := sc.c.Reserve()
 	for !ok {
 		if !sc.resolveOldest() {
-			return nil, h, nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", d.spec.Name)
+			return nil, h, nil, fmt.Errorf("core: domain %q: no free slots and no outstanding statements", r.d.spec.Name)
 		}
 		i, ok = sc.c.Reserve()
 	}
 	if c != nil {
 		at := &sc.athunks[i]
-		at.ds, at.op, at.arg = ds, c.op, c.arg
+		at.ds, at.op, at.arg = r.ds, c.op, c.arg
 		op.Task = at.fn
 		if c.enc != nil {
 			at.name, at.enc, at.encArg = structure, c.enc, c.encArg
@@ -1135,5 +1182,6 @@ func (s *Session) Close() error {
 		}
 		delete(s.perDomain, d)
 	}
+	s.routes, s.nRoutes = [len(s.routes)]sessionRoute{}, 0
 	return firstErr
 }

@@ -16,8 +16,9 @@ import (
 // straggler task still executes in the old domain while new tasks already
 // run in the new one is correct, merely momentarily non-exclusive:
 //
-//  1. the assignment is swapped under the runtime lock, so every submission
-//     after Migrate returns routes to the new domain;
+//  1. the assignment is swapped, and the routing generation bumped, under the
+//     runtime lock, so every submission after Migrate returns routes to the
+//     new domain — sessions drop their cached routes on the bump;
 //  2. Migrate then waits until the old domain's inboxes hold no posted
 //     task, bounding the overlap window before it returns.
 
@@ -80,6 +81,7 @@ func (rt *Runtime) Migrate(structure string, toDomain int) error {
 	dst.structures[structure] = ds
 	delete(src.structures, structure)
 	rt.cfg.Assignment[structure] = toDomain
+	rt.routeGen.Add(1) // every session re-routes before its next op
 	rt.mu.Unlock()
 
 	// Quiesce: wait for the old domain's inboxes to drain so the

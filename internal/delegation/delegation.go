@@ -8,8 +8,9 @@
 //
 // The FFWD properties carried over:
 //
-//   - each slot is padded to 128 bytes so two slots never share (adjacent)
-//     cache lines and clients never contend with each other;
+//   - one op and its answer share one 64-byte line of their slot, and every
+//     slot is its own line-aligned object, so clients never contend with each
+//     other on a line and a typed op moves one line each way (see Slot);
 //   - a slot has a single versioned state word toggled between "free" (even)
 //     and "posted" (odd), advanced by exactly one client and claimed by the
 //     sweeping worker, so the steady-state protocol needs no contended
@@ -104,38 +105,34 @@ const (
 // embedded futures are recycled: the owning client bumps the generation on
 // every reuse (begin), and completion paths CAS against the exact pending
 // word they observed, so a straggling completer from an old generation can
-// never touch a newer one (no ABA).
+// never touch a newer one (no ABA). A typed op's value/found pair lives in
+// its slot, not here (see Slot).
 type Future struct {
 	word atomic.Uint64 // gen<<2 | futPending/futValue/futError
 	val  any
 	err  error
 	span *obs.Span // lifecycle span on sampled posts; nil almost always
-
-	// Typed result channel for typed ops: written by the completer before
-	// the publishing CAS, read by AwaitKV after it, so a typed round trip
-	// never boxes a uint64 into val. Every completion path of a
-	// typed op either writes these or completes with futError, so no reset
-	// in begin is needed.
-	kvVal uint64
-	kvOK  bool
 }
 
 // begin recycles the future for its next generation and returns the pending
 // word completion paths must CAS against. Only the slot-owning client calls
 // it, and only while the slot is free — no completer can hold a reference to
-// the new generation yet, so plain stores suffice.
+// the new generation yet, so plain stores suffice. The result fields are
+// cleared only when set, so a typed round trip never writes their line.
 func (f *Future) begin() uint64 {
 	w := (f.word.Load()>>futGenShift + 1) << futGenShift
-	f.val, f.err, f.span = nil, nil, nil
+	if f.val != nil || f.err != nil || f.span != nil {
+		f.val, f.err, f.span = nil, nil, nil
+	}
 	f.word.Store(w)
 	return w
 }
 
 // await blocks until the generation identified by tok completes and returns
 // its typed error, nil for a value result; the caller then reads the value
-// channel the op used (val, or kvVal/kvOK). Only the slot-owning client calls
-// it (the embedded future is never handed out), so the word cannot move past
-// tok's completion while we wait.
+// channel the op used (val, or the slot's outV/outOK). Only the slot-owning
+// client calls it (the embedded future is never handed out), so the word
+// cannot move past tok's completion while we wait.
 func (f *Future) await(tok uint64) error {
 	w := f.word.Load()
 	if w == tok {
@@ -329,26 +326,35 @@ func (f *Future) TryGet() (any, bool) {
 // observed. A claim that loses the CAS walks away, so a task is executed by
 // exactly one sweeper and a stale free from an old generation can never
 // clobber a newer post.
+//
+// Layout (DESIGN.md §10, pinned by TestSlotLayout): the first 64 bytes hold
+// all a typed op and its answer touch — state, the typed op, its result and
+// the embedded future's word. NewBuffer allocates each slot as its own
+// slotBytes object, a line multiple of at most 512 B, which the allocator
+// places line-aligned with no malloc header. The rest is cold: post writes it
+// only when it changes (a func whenever the op carries one: funcs do not
+// compare), so a slot keeps its last closure until a later post replaces it.
 type Slot struct {
-	_     [128]byte // padding: no false sharing with the previous slot
 	state atomic.Uint64
-	task  Task
-	fut   *Future
-	fut0  Future // recycled future of every Post through this slot
-	owner int32  // client id for diagnostics; -1 = unowned
-	ro    bool   // op is read-only: the sweep must not count it as a mutating batch
-	enc   func(dst []byte) []byte
-	buf   *Buffer
+	kern  BatchKernel // typed op's kernel; nil for closure ops
+	key   uint64
+	val   uint64
+	outV  uint64 // typed result, written by the completer before its CAS
+	kind  uint8
+	ro    bool // op is read-only: the sweep must not count it as a mutating batch
+	outOK bool
+	fut0  Future // recycled future of every Post; its word ends the hot line
 
-	// Typed ops: the op encoded as plain words instead of a closure, so the
-	// sweep can group same-kernel ops into one interleaved ExecBatch call and
-	// the result travels back through the future's typed fields — no boxing
-	// anywhere. kern is nil for closure ops.
-	kern BatchKernel
-	kind uint8
-	key  uint64
-	val  uint64
+	task  Task
+	enc   func(dst []byte) []byte
+	fut   *Future
+	buf   *Buffer
+	owner int32                 // client id for diagnostics; -1 = unowned
+	_     [slotBytes - 140]byte // 140: the end of owner
 }
+
+// slotBytes pads a Slot to a 128-byte line pair of its own.
+const slotBytes = 256
 
 // posted reports whether the slot currently holds an unclaimed task.
 func (s *Slot) posted() bool { return s.state.Load()&1 == 1 }
@@ -403,7 +409,7 @@ const statFlushEvery = 64
 // Buffer is the contiguous message buffer of one worker.
 type Buffer struct {
 	worker int // worker id within the domain (index into the inbox)
-	slots  []Slot
+	slots  []*Slot
 
 	// Lifecycle. sealed flips once, on shutdown or restart-budget
 	// exhaustion; sealMu serialises every operation that may complete
@@ -480,10 +486,9 @@ func NewBuffer(worker, n int) (*Buffer, error) {
 	if n < 1 || n > SlotsPerBuffer {
 		return nil, fmt.Errorf("delegation: %d slots per buffer out of range [1,%d]", n, SlotsPerBuffer)
 	}
-	b := &Buffer{worker: worker, slots: make([]Slot, n)}
+	b := &Buffer{worker: worker, slots: make([]*Slot, n)}
 	for i := range b.slots {
-		b.slots[i].owner = -1
-		b.slots[i].buf = b
+		b.slots[i] = &Slot{owner: -1, buf: b} // one object each: see Slot
 	}
 	return b, nil
 }
@@ -615,8 +620,8 @@ func (b *Buffer) MutEnter() uint64 { return b.mutEnter.Load() }
 // instead.
 func (b *Buffer) Pending() int {
 	n := 0
-	for i := range b.slots {
-		if b.slots[i].posted() {
+	for _, s := range b.slots {
+		if s.posted() {
 			n++
 		}
 	}
@@ -759,8 +764,7 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 	}
 	nc := 0
 	anyMut := false
-	for i := range b.slots {
-		s := &b.slots[i]
+	for _, s := range b.slots {
 		v := s.state.Load() // acquire: sees the op fields when posted
 		if v&1 == 0 {
 			continue
@@ -838,11 +842,8 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 			// Opaque closure task: executes in place.
 			f := s.fut
 			w := st.w[done]
-			task := s.task
 			ro := s.ro
 			enc := s.enc
-			s.task = nil
-			s.enc = nil
 			sp := f.span // nil unless this task's post was trace-sampled
 			sp.MarkSwept(b.worker)
 			var tt int64
@@ -850,7 +851,7 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 				tt = probe.TaskBegin()
 			}
 			sp.MarkExecStart()
-			res := runTask(task, hook, b.worker)
+			res := runTask(s.task, hook, b.worker)
 			sp.MarkExecEnd()
 			if probe != nil {
 				probe.TaskEnd(tt)
@@ -901,7 +902,8 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 			probe.TaskEnd(tt)
 		}
 		for g := done; g < j; g++ {
-			f := st.slot[g].fut
+			sg := st.slot[g]
+			f := sg.fut
 			w := st.w[g]
 			sp := f.span
 			sp.MarkExecEnd()
@@ -911,7 +913,7 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 				f.word.CompareAndSwap(w, w|futError)
 				b.Failed.Add(1)
 			} else {
-				f.kvVal, f.kvOK = st.outV[g], st.outOK[g]
+				sg.outV, sg.outOK = st.outV[g], st.outOK[g]
 				f.word.CompareAndSwap(w, w|futValue)
 			}
 			st.slot[g] = nil
@@ -1004,8 +1006,7 @@ func (b *Buffer) FailPending(err error) int {
 	// for good — a respawned worker never re-arms it.
 	b.mutEnter.Add(1)
 	n := 0
-	for i := range b.slots {
-		s := &b.slots[i]
+	for _, s := range b.slots {
 		v := s.state.Load()
 		if v&1 == 0 {
 			continue
@@ -1018,7 +1019,6 @@ func (b *Buffer) FailPending(err error) int {
 		if !s.state.CompareAndSwap(v, v+1) {
 			continue // a racing sweep owns it; that sweep answers the future
 		}
-		s.task = nil
 		f.err = err
 		f.span.MarkResponded()
 		if f.word.CompareAndSwap(w, w|futError) {
@@ -1048,7 +1048,6 @@ func (b *Buffer) rescue(s *Slot) {
 	if !s.state.CompareAndSwap(v, v+1) {
 		return // a straggling unsealed sweep claimed it; it will answer
 	}
-	s.task = nil
 	f.err = ErrWorkerStopped
 	f.span.MarkResponded()
 	if f.word.CompareAndSwap(w, w|futError) {
@@ -1122,14 +1121,13 @@ func (in *Inbox) AcquireSlots(n int, rank func(worker int) int) ([]*Slot, error)
 	in.nextOwner++
 	var out []*Slot
 	for _, bi := range order {
-		b := in.buffers[bi]
-		for i := range b.slots {
+		for _, s := range in.buffers[bi].slots {
 			if len(out) == n {
 				break
 			}
-			if b.slots[i].owner == -1 {
-				b.slots[i].owner = owner
-				out = append(out, &b.slots[i])
+			if s.owner == -1 {
+				s.owner = owner
+				out = append(out, s)
 			}
 		}
 		if len(out) == n {
@@ -1273,8 +1271,9 @@ func (c *Client) PostReservedKV(i int32, kern BatchKernel, kind uint8, key, val 
 // future: heap-allocated, generation 0, so the caller may hold it for as long
 // as it likes, independent of slot reuse. The slot returns to the free stack
 // when a later Reserve or Drain retires the delegation. The future carries a
-// closure op's value; a typed op's value/found pair comes back only through
-// Post and AwaitKV.
+// closure op's value; a typed op completes it with a nil value, because its
+// value/found pair lives in the slot and comes back only through Post and
+// AwaitKV.
 func (c *Client) Delegate(i int32, op *Op) *Future {
 	f := &Future{}
 	c.post(i, op, f)
@@ -1291,7 +1290,8 @@ func (c *Client) Delegate(i int32, op *Op) *Future {
 // and its future into slot i and advances the slot's state word to posted.
 // The slot must be owned and free. f is a fresh detached future (Delegate),
 // or nil to post through the slot's embedded future, whose next generation
-// post begins and whose pending token it returns (Post).
+// post begins and whose pending token it returns (Post). Hot-line fields are
+// always written, cold ones only when they change (see Slot).
 //
 // The sealed check after the posted store closes the stop/post race: both
 // sides use sequentially consistent atomics, so either the worker's final
@@ -1317,13 +1317,14 @@ func (c *Client) post(i int32, op *Op, f *Future) (tok uint64) {
 		}
 		if detached {
 			f.span = p.Post()
-		} else {
-			f.span = p.PostRecycled()
+		} else if sp := p.PostRecycled(); sp != nil {
+			f.span = sp
 		}
 	}
-	s.task, s.enc, s.ro = op.Task, op.Log, ro
-	s.kern, s.kind, s.key, s.val = op.Kern, op.Kind, op.Key, op.Val
-	s.fut = f
+	s.kern, s.kind, s.key, s.val, s.ro = op.Kern, op.Kind, op.Key, op.Val, ro
+	if op.Task != nil || op.Log != nil || s.task != nil || s.enc != nil || s.fut != f {
+		s.task, s.enc, s.fut = op.Task, op.Log, f
+	}
 	s.state.Store(s.state.Load() + 1) // release: publishes the op to the worker
 	if s.buf.sealed.Load() {
 		s.buf.rescue(s)
@@ -1349,13 +1350,13 @@ func (c *Client) Await(h InvokeHandle) (any, error) {
 // AwaitKV is Await for a typed op: it returns the kernel's value/found pair
 // without boxing.
 func (c *Client) AwaitKV(h InvokeHandle) (uint64, bool, error) {
-	f := &c.slots[h.slot].fut0
-	err := f.await(h.tok)
+	s := c.slots[h.slot]
+	err := s.fut0.await(h.tok)
 	c.free = append(c.free, h.slot)
 	if err != nil {
 		return 0, false, err
 	}
-	return f.kvVal, f.kvOK, nil
+	return s.outV, s.outOK, nil
 }
 
 // HandleDone reports, without blocking or freeing the slot, whether the

@@ -2,7 +2,8 @@
 # alloc-smoke: cheap allocation gate on the delegation hot path.
 #
 # Runs the unobserved AND observed invoke benchmarks, the typed (KV)
-# pipeline benchmark, and the bypass-read benchmark with -benchmem and fails
+# pipeline benchmark, the two-name session SubmitKV benchmark (route table),
+# and the bypass-read benchmark with -benchmem and fails
 # if any reports more than 0 allocs/op — the tentpole property of the
 # zero-allocation hot path (DESIGN.md §10), which span recycling extends to
 # the observed path and publication-word validation to the bypass read path
@@ -21,10 +22,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 WARM_BENCHTIME="${WARM_BENCHTIME:-20000x}"
-OUT="$(go test -run NONE -bench 'BenchmarkDelegationInvoke(Observed|KV)?$|BenchmarkDelegationReadBypass$' -benchtime "$WARM_BENCHTIME" -benchmem .)"
+OUT="$(go test -run NONE -bench 'BenchmarkDelegationInvoke(Observed|KV)?$|BenchmarkSessionSubmitKV$|BenchmarkDelegationReadBypass$' -benchtime "$WARM_BENCHTIME" -benchmem .)"
 echo "$OUT"
 
-for BENCH in BenchmarkDelegationInvoke BenchmarkDelegationInvokeObserved BenchmarkDelegationInvokeKV BenchmarkDelegationReadBypass; do
+for BENCH in BenchmarkDelegationInvoke BenchmarkDelegationInvokeObserved BenchmarkDelegationInvokeKV BenchmarkSessionSubmitKV BenchmarkDelegationReadBypass; do
 	LINE=$(echo "$OUT" | awk -v b="$BENCH" '$1 ~ "^"b"(-[0-9]+)?$" { print }')
 	if [ -z "$LINE" ]; then
 		echo "alloc-smoke: $BENCH produced no output" >&2
