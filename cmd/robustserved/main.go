@@ -45,7 +45,6 @@ func main() {
 	sessions := flag.Int("sessions", 0, "session pool size (0 = derive from slot capacity)")
 	burst := flag.Int("burst", robustconf.PaperBurstSize, "per-session burst window")
 	pipeline := flag.Int("pipeline", server.DefaultMaxPipeline, "max requests decoded into one batch per connection")
-	stripe := flag.Int("stripe", 1, "max pooled sessions one batch widens across (1 = single sliding window)")
 	acquireTimeout := flag.Duration("acquire-timeout", server.DefaultAcquireTimeout, "session-lease deadline before BUSY")
 	writeTimeout := flag.Duration("write-timeout", server.DefaultWriteTimeout, "per-response-run write deadline (slow readers are dropped)")
 	tenantOps := flag.Int("tenant-ops", 0, "per-tenant in-flight op quota (0 = unlimited)")
@@ -160,7 +159,6 @@ func main() {
 		Sessions:       nSessions,
 		Burst:          *burst,
 		MaxPipeline:    *pipeline,
-		Stripe:         *stripe,
 		AcquireTimeout: *acquireTimeout,
 		WriteTimeout:   *writeTimeout,
 		TenantOps:      *tenantOps,

@@ -578,7 +578,6 @@ func Materialise(plan *Plan, m *topology.Machine) (core.Config, error) {
 			Name:      name,
 			CPUs:      cpus,
 			Placement: core.PlacePinned,
-			Memory:    core.MemLocal,
 		})
 		for _, inst := range d.Instances {
 			cfg.Assignment[inst] = i

@@ -43,16 +43,6 @@ const (
 	PlaceMigratable
 )
 
-// MemoryPolicy controls where a domain's allocations are homed.
-type MemoryPolicy int
-
-const (
-	// MemLocal homes memory on each worker's own socket.
-	MemLocal MemoryPolicy = iota
-	// MemInterleaved spreads memory across the sockets the domain spans.
-	MemInterleaved
-)
-
 // DefaultRestartBudget is the number of worker respawns a domain is granted
 // after crashes when its spec does not set one.
 const DefaultRestartBudget = 8
@@ -62,7 +52,6 @@ type DomainSpec struct {
 	Name      string
 	CPUs      topology.CPUSet
 	Placement PlacementPolicy
-	Memory    MemoryPolicy
 
 	// RestartBudget bounds how many times the domain respawns crashed
 	// workers (shared across the domain's workers). 0 means

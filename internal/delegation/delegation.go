@@ -30,10 +30,10 @@
 // and is O(1) per operation. The embedded Future's completion word carries a
 // monotonically increasing generation (gen<<2 | state), so a slot reuses it
 // across operations without ABA: every completion path — worker sweep, seal
-// rescue, crash fail-over — first claims the slot with a CAS on its versioned
-// state word and then publishes the result with a CAS on the future's
-// generation word, making both execution and completion exactly once per
-// generation. Clients track free slots and outstanding delegations in
+// rescue, crash fail-over — first claims the slot (claim: a CAS on its
+// versioned state word) and then publishes the result (answer: a CAS on the
+// future's generation word), making both execution and completion exactly
+// once per generation. Clients track free slots and outstanding delegations in
 // fixed-capacity index rings, so posting never scans and never grows.
 //
 // NUMA-aware slot assignment — giving a client slots in the buffer of the
@@ -136,7 +136,7 @@ func (f *Future) begin() uint64 {
 func (f *Future) await(tok uint64) error {
 	w := f.word.Load()
 	if w == tok {
-		w = f.settle(tok)
+		w = f.settle(tok, time.Time{}, nil)
 	}
 	failed := w&futStateMask == futError
 	f.span.Resolve(failed)
@@ -144,32 +144,6 @@ func (f *Future) await(tok uint64) error {
 		return f.err
 	}
 	return nil
-}
-
-// complete publishes a value result for the current generation; used by
-// tests and benchmarks that drive futures directly (the worker's sweep
-// claims the slot first and CASes the word inline).
-func (f *Future) complete(v any) {
-	w := f.word.Load()
-	if w&futStateMask != futPending {
-		return
-	}
-	f.val = v
-	f.span.MarkResponded()
-	f.word.CompareAndSwap(w, w|futValue)
-}
-
-// completeErr publishes an error result. The generation CAS means lifecycle
-// paths that fail futures (seal rescue, crash fail-over) can never clobber a
-// result the worker already published, nor touch a later generation.
-func (f *Future) completeErr(err error) bool {
-	w := f.word.Load()
-	if w&futStateMask != futPending {
-		return false
-	}
-	f.err = err
-	f.span.MarkResponded()
-	return f.word.CompareAndSwap(w, w|futError)
 }
 
 // observeResolved finalises the future's lifecycle span the first time a
@@ -190,65 +164,79 @@ func (f *Future) Err() error {
 	return nil
 }
 
-// Idle-wait backoff: spin (yielding) this many times, then sleep with
-// exponential backoff between polls. Bursting clients normally see their
-// oldest future complete within the spin phase; the sleep phase only
-// engages on genuinely idle waits, where burning a core on Gosched would
-// starve co-scheduled workers.
+// idlePolicy is the one backoff of both waiting sides — a client polling a
+// future and a worker finding its buffer empty: yield spins times, so a
+// result or post that is about to land costs no sleep, then sleep with
+// exponential backoff from idleSleepMin to idleSleepMax, so a genuinely idle
+// wait costs sleeps instead of a burning core. Bursting clients normally see
+// their oldest future complete within the spin phase. The zero sleep field
+// means no sleep taken yet; a fresh value restarts the policy.
+type idlePolicy struct {
+	spins int           // yields before the first sleep
+	n     int           // pauses taken
+	sleep time.Duration // last sleep, 0 before the first
+}
+
+// Spin budgets of the two waiting sides, and the sleep range they share.
 const (
-	waitSpins    = 256
-	waitSleepMin = time.Microsecond
-	waitSleepMax = 100 * time.Microsecond
+	waitSpins    = 256 // future polls: yields before the first sleep
+	idleSpins    = 128 // worker empty sweeps: yields before the first sleep
+	idleSleepMin = time.Microsecond
+	idleSleepMax = 100 * time.Microsecond
 )
 
-// settle blocks until the future's word moves off tok — the pending word of
-// the generation being waited on — spinning first and then sleeping with
-// exponential backoff, and returns the word it moved to.
-func (f *Future) settle(tok uint64) uint64 {
-	w := f.word.Load()
-	for i := 0; w == tok && i < waitSpins; i++ {
+// pause takes the policy's next step: a yield within the spin budget, a
+// doubling sleep after it.
+func (p *idlePolicy) pause() {
+	if p.n < p.spins {
+		p.n++
 		runtime.Gosched()
-		w = f.word.Load()
+		return
 	}
-	d := waitSleepMin
-	for w == tok {
-		time.Sleep(d)
-		if d < waitSleepMax {
-			d *= 2
+	if p.sleep == 0 {
+		p.sleep = idleSleepMin
+	} else if p.sleep < idleSleepMax {
+		p.sleep *= 2
+	}
+	time.Sleep(p.sleep)
+}
+
+// settle is the one wait: it blocks until the future's word moves off tok —
+// the pending word of the generation being waited on — pausing under the
+// idle policy between polls, and returns the word it moved to. A non-zero
+// deadline or a non-nil done channel bounds the wait; when either ends it
+// first, settle returns tok itself and the future stays valid to wait on
+// again.
+func (f *Future) settle(tok uint64, deadline time.Time, done <-chan struct{}) uint64 {
+	p := idlePolicy{spins: waitSpins}
+	for {
+		if w := f.word.Load(); w != tok {
+			return w
 		}
-		w = f.word.Load()
+		if done != nil {
+			select {
+			case <-done:
+				return tok
+			default:
+			}
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return tok
+		}
+		p.pause()
 	}
-	return w
 }
 
-// block waits until the future's current generation completes.
-func (f *Future) block() { f.settle(f.word.Load() &^ futStateMask) }
-
-// result returns the completed future's result in Wait's historical shape:
-// the value, or the error as the value (a PanicError came back through Wait
-// as a plain value before futures grew an error channel).
-func (f *Future) result() any {
-	f.observeResolved()
-	if f.word.Load()&futStateMask == futError {
-		return f.err
-	}
-	return f.val
+// block waits, as settle does, for the future's current generation and
+// reports whether it completed.
+func (f *Future) block(deadline time.Time, done <-chan struct{}) bool {
+	tok := f.word.Load() &^ futStateMask
+	return f.settle(tok, deadline, done) != tok
 }
 
-// Wait blocks until the result is available. An error-completed future
-// yields its error as the returned value (use Result or Err for a typed
-// error). Waiting spins briefly and then backs off to sleeping, so an idle
-// wait does not burn a core.
-func (f *Future) Wait() any {
-	f.block()
-	return f.result()
-}
-
-// Result blocks like Wait but separates the two completion channels: the
-// task's value, or the typed error (PanicError, ErrWorkerStopped) when the
-// task panicked or never ran.
-func (f *Future) Result() (any, error) {
-	f.block()
+// outcome returns the completed future's value or typed error and finalises
+// its lifecycle span.
+func (f *Future) outcome() (any, error) {
 	f.observeResolved()
 	if f.word.Load()&futStateMask == futError {
 		return nil, f.err
@@ -256,54 +244,52 @@ func (f *Future) Result() (any, error) {
 	return f.val, nil
 }
 
+// result is outcome in Wait's historical shape: the value, or the error as
+// the value (a PanicError came back through Wait as a plain value before
+// futures grew an error channel).
+func (f *Future) result() any {
+	v, err := f.outcome()
+	if err != nil {
+		return err
+	}
+	return v
+}
+
+// Wait blocks until the result is available. An error-completed future
+// yields its error as the returned value (use Result or Err for a typed
+// error). Waiting spins briefly and then backs off to sleeping, so an idle
+// wait does not burn a core.
+func (f *Future) Wait() any {
+	f.block(time.Time{}, nil)
+	return f.result()
+}
+
+// Result blocks like Wait but separates the two completion channels: the
+// task's value, or the typed error (PanicError, ErrWorkerStopped) when the
+// task panicked or never ran.
+func (f *Future) Result() (any, error) {
+	f.block(time.Time{}, nil)
+	return f.outcome()
+}
+
 // WaitTimeout waits up to d for the result. It returns ErrWaitTimeout when
 // the deadline expires first; the future remains valid and may still
 // complete afterwards.
 func (f *Future) WaitTimeout(d time.Duration) (any, error) {
-	deadline := time.Now().Add(d)
-	for i := 0; i < waitSpins; i++ {
-		if f.Done() {
-			return f.Result()
-		}
-		runtime.Gosched()
+	if !f.block(time.Now().Add(d), nil) {
+		return nil, ErrWaitTimeout
 	}
-	sleep := waitSleepMin
-	for !f.Done() {
-		if time.Now().After(deadline) {
-			return nil, ErrWaitTimeout
-		}
-		time.Sleep(sleep)
-		if sleep < waitSleepMax {
-			sleep *= 2
-		}
-	}
-	return f.Result()
+	return f.outcome()
 }
 
 // WaitCtx waits until the result is available or the context is cancelled,
 // returning the context's error in the latter case. The future remains
 // valid after cancellation.
 func (f *Future) WaitCtx(ctx context.Context) (any, error) {
-	for i := 0; i < waitSpins; i++ {
-		if f.Done() {
-			return f.Result()
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		runtime.Gosched()
+	if !f.block(time.Time{}, ctx.Done()) {
+		return nil, ctx.Err()
 	}
-	sleep := waitSleepMin
-	for !f.Done() {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		time.Sleep(sleep)
-		if sleep < waitSleepMax {
-			sleep *= 2
-		}
-	}
-	return f.Result()
+	return f.outcome()
 }
 
 // TryGet returns the result if available (an error-completed future yields
@@ -358,6 +344,43 @@ const slotBytes = 256
 
 // posted reports whether the slot currently holds an unclaimed task.
 func (s *Slot) posted() bool { return s.state.Load()&1 == 1 }
+
+// claim is the one posted→free step every consumer takes before it answers a
+// slot's op: it skips a free slot and an already-answered future, then CASes
+// the state word off the exact posted value it observed. It returns the
+// future's pending word to answer against and whether the claim won; a loser
+// walks away, because the winner — a racing sweep or rescue — answers.
+func claim(s *Slot) (uint64, bool) {
+	v := s.state.Load() // acquire: sees the op fields when posted
+	if v&1 == 0 {
+		return 0, false
+	}
+	w := s.fut.word.Load()
+	return w, w&futStateMask == futPending && s.state.CompareAndSwap(v, v+1)
+}
+
+// answer is the one completion step: it stores a typed error or a non-nil
+// value, stamps the span's response, and CASes f's word from the pending
+// word w to its completed state, counting a won error answer in Failed. It
+// reports whether the CAS won. A typed op's value travels in its slot, so it
+// answers with (nil, nil) and never writes the future's cold line.
+func (b *Buffer) answer(f *Future, w uint64, v any, err error) bool {
+	state := futValue
+	if err != nil {
+		f.err = err
+		state = futError
+	} else if v != nil {
+		f.val = v
+	}
+	f.span.MarkResponded()
+	if !f.word.CompareAndSwap(w, w|state) {
+		return false
+	}
+	if err != nil {
+		b.Failed.Add(1)
+	}
+	return true
+}
 
 // Op is the one descriptor of a delegated operation: a closure Task, or a
 // typed key/value op (Kern, Kind, Key, Val) that the sweep batches with
@@ -730,24 +753,23 @@ func (b *Buffer) runKernel(st *sweepStage, kern BatchKernel, i, j int, hook Faul
 // touch neither the arena (Reset is owner-only) nor the worker-local stat
 // mirrors — they may run on foreign goroutines. A pass has three phases:
 //
-//  1. Claim: every posted slot is claimed by reading its future's pending
-//     word and CASing its state; a loser walks away. Slot fields stay
-//     readable after the claim — the owning client never reposts before
-//     observing its completion.
+//  1. Claim: every posted slot is claimed (claim); a loser walks away. Slot
+//     fields stay readable after the claim — the owning client never
+//     reposts before observing its completion.
 //  2. Execute: claimed slots run in slot order. Each maximal run of typed
 //     slots sharing a kernel executes through one ExecBatch call, which
 //     interleaves their traversal stages around software prefetches so the
 //     run's cache misses overlap. Opaque closure tasks execute in place, so
 //     a mixed pass preserves slot order end to end.
-//  3. Answer: results publish with a CAS on the future word. With a WAL sink
-//     installed, the first claimed slot opens the log batch — Begin takes
-//     the domain quiescence gate's read side for every execution in the
-//     pass, logged or not, so recovery's in-place restore quiesces behind
-//     all of them. Logged closure mutations stage their records in
-//     execution order and park in the stash until the end-of-pass group
-//     commit: a client observes success only once its record is durable
-//     (DESIGN.md §13). Reads, typed ops (never logged), unlogged tasks and
-//     failed ops answer inline.
+//  3. Answer: results publish through answer. With a WAL sink installed,
+//     the first claimed slot opens the log batch — Begin takes the domain
+//     quiescence gate's read side for every execution in the pass, logged
+//     or not, so recovery's in-place restore quiesces behind all of them.
+//     Logged closure mutations stage their records in execution order and
+//     park in the stash until the end-of-pass group commit: a client
+//     observes success (and the span its response) only once its record
+//     is durable (DESIGN.md §13). Reads, typed ops (never logged), unlogged
+//     tasks and failed ops answer inline.
 //
 // The mutating window opens once, before anything executes, when any
 // claimed op is non-read, so a concurrent bypass reader cannot validate over
@@ -765,17 +787,9 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 	nc := 0
 	anyMut := false
 	for _, s := range b.slots {
-		v := s.state.Load() // acquire: sees the op fields when posted
-		if v&1 == 0 {
+		w, ok := claim(s)
+		if !ok {
 			continue
-		}
-		f := s.fut
-		w := f.word.Load()
-		if w&futStateMask != futPending {
-			continue // answered by a racing completer this very moment
-		}
-		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a racing sweep or rescue claimed it first
 		}
 		if !s.ro {
 			anyMut = true
@@ -804,28 +818,16 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 		}
 		for i := 0; i < ns; i++ {
 			sh := &st.stash[i]
-			sh.f.err = PanicError{Value: r}
-			sh.f.span.MarkResponded()
-			if sh.f.word.CompareAndSwap(sh.w, sh.w|futError) {
-				b.Failed.Add(1)
-			}
+			b.answer(sh.f, sh.w, nil, PanicError{Value: r})
 			*sh = walStash{}
 		}
 		// Claimed-but-unanswered slots (nil entries are ops a partially
-		// answered run already published; their completion CAS makes the
-		// overlap with the stash loop idempotent).
+		// answered run already published).
 		for g := done; g < nc; g++ {
-			s := st.slot[g]
-			if s == nil {
-				continue
+			if s := st.slot[g]; s != nil {
+				b.answer(s.fut, st.w[g], nil, PanicError{Value: r})
+				st.slot[g] = nil
 			}
-			f := s.fut
-			f.err = PanicError{Value: r}
-			f.span.MarkResponded()
-			if f.word.CompareAndSwap(st.w[g], st.w[g]|futError) {
-				b.Failed.Add(1)
-			}
-			st.slot[g] = nil
 		}
 		panic(r)
 	}()
@@ -856,18 +858,14 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 			if probe != nil {
 				probe.TaskEnd(tt)
 			}
-			sp.MarkResponded()
 			if pe, ok := res.(PanicError); ok {
-				f.err = pe
-				f.word.CompareAndSwap(w, w|futError)
-				b.Failed.Add(1)
+				b.answer(f, w, nil, pe)
 			} else if logging && enc != nil && !ro {
 				b.wal.StageRecord(enc)
 				st.stash[ns] = walStash{f: f, w: w, res: res}
 				ns++
 			} else {
-				f.val = res
-				f.word.CompareAndSwap(w, w|futValue)
+				b.answer(f, w, res, nil)
 			}
 			st.slot[done] = nil
 			done++
@@ -903,19 +901,11 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 		}
 		for g := done; g < j; g++ {
 			sg := st.slot[g]
-			f := sg.fut
-			w := st.w[g]
-			sp := f.span
-			sp.MarkExecEnd()
-			sp.MarkResponded()
-			if kerr != nil {
-				f.err = kerr
-				f.word.CompareAndSwap(w, w|futError)
-				b.Failed.Add(1)
-			} else {
+			sg.fut.span.MarkExecEnd()
+			if kerr == nil {
 				sg.outV, sg.outOK = st.outV[g], st.outOK[g]
-				f.word.CompareAndSwap(w, w|futValue)
 			}
+			b.answer(sg.fut, st.w[g], nil, kerr)
 			st.slot[g] = nil
 			n++
 		}
@@ -931,13 +921,9 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 		for i := 0; i < ns; i++ {
 			sh := &st.stash[i]
 			if err != nil {
-				sh.f.err = PanicError{Value: err}
-				if sh.f.word.CompareAndSwap(sh.w, sh.w|futError) {
-					b.Failed.Add(1)
-				}
+				b.answer(sh.f, sh.w, nil, PanicError{Value: err})
 			} else {
-				sh.f.val = sh.res
-				sh.f.word.CompareAndSwap(sh.w, sh.w|futValue)
+				b.answer(sh.f, sh.w, sh.res, nil)
 			}
 			*sh = walStash{}
 		}
@@ -1007,22 +993,7 @@ func (b *Buffer) FailPending(err error) int {
 	b.mutEnter.Add(1)
 	n := 0
 	for _, s := range b.slots {
-		v := s.state.Load()
-		if v&1 == 0 {
-			continue
-		}
-		f := s.fut
-		w := f.word.Load()
-		if w&futStateMask != futPending {
-			continue
-		}
-		if !s.state.CompareAndSwap(v, v+1) {
-			continue // a racing sweep owns it; that sweep answers the future
-		}
-		f.err = err
-		f.span.MarkResponded()
-		if f.word.CompareAndSwap(w, w|futError) {
-			b.Failed.Add(1)
+		if w, ok := claim(s); ok && b.answer(s.fut, w, nil, err) {
 			n++
 		}
 	}
@@ -1036,22 +1007,7 @@ func (b *Buffer) FailPending(err error) int {
 func (b *Buffer) rescue(s *Slot) {
 	b.sealMu.Lock()
 	defer b.sealMu.Unlock()
-	v := s.state.Load()
-	if v&1 == 0 {
-		return
-	}
-	f := s.fut
-	w := f.word.Load()
-	if w&futStateMask != futPending {
-		return
-	}
-	if !s.state.CompareAndSwap(v, v+1) {
-		return // a straggling unsealed sweep claimed it; it will answer
-	}
-	f.err = ErrWorkerStopped
-	f.span.MarkResponded()
-	if f.word.CompareAndSwap(w, w|futError) {
-		b.Failed.Add(1)
+	if w, ok := claim(s); ok && b.answer(s.fut, w, nil, ErrWorkerStopped) {
 		b.Rescued.Add(1)
 	}
 }
@@ -1210,7 +1166,7 @@ func (c *Client) SetProbe(p *obs.ClientShard) { c.probe = p }
 func (c *Client) harvestOldest() *Future {
 	op := &c.ring[c.head]
 	f := op.fut
-	f.block()
+	f.block(time.Time{}, nil)
 	c.free = append(c.free, op.slot)
 	op.fut = nil
 	c.head++
@@ -1397,22 +1353,15 @@ type Worker struct {
 // NewWorker wraps a buffer into a pollable worker.
 func NewWorker(buf *Buffer) *Worker { return &Worker{buf: buf} }
 
-// Adaptive idle policy: after idleSpinSweeps consecutive empty sweeps the
-// worker stops yield-spinning and parks in short sleeps with exponential
-// backoff, capped at idleSleepMax — so an idle domain costs sleeps instead
-// of a burning core. The first non-empty sweep resets the policy, which
-// bounds the requickening latency of a post into an idle buffer by one
-// sleep period (≤ idleSleepMax).
-const (
-	idleSpinSweeps = 128
-	idleSleepMin   = time.Microsecond
-	idleSleepMax   = 100 * time.Microsecond
-)
-
-// Run polls the buffer until stop is closed or the worker crashes. Empty
-// sweeps first yield to the scheduler (so co-scheduled goroutines make
-// progress on small machines) and then back off to parked sleeps under the
-// adaptive idle policy, publishing stats before the first park.
+// Run polls the buffer until stop is closed or the worker crashes. Each
+// empty sweep pauses under the idle policy with the worker's budget of
+// idleSpins yields — so co-scheduled goroutines make progress on small
+// machines and an idle domain costs sleeps instead of a burning core — and
+// stats publish before the first sleep. The first non-empty sweep restarts
+// the policy, which bounds the requickening latency of a post into an idle
+// buffer by one sleep period. Run looks at stop after every empty sweep and,
+// under sustained load, on the stat-flush cadence (every statFlushEvery
+// sweeps), so a stop is seen even while every sweep finds work.
 //
 // On a clean stop Run seals the buffer — the seal's final sweep answers
 // every task posted before the seal, and a task racing past it is rescued
@@ -1439,31 +1388,24 @@ func (w *Worker) Run(stop <-chan struct{}) (crash error) {
 			crash = err
 		}
 	}()
-	idle := 0
-	sleep := idleSleepMin
+	idle := idlePolicy{spins: idleSpins}
 	for {
-		if n := w.buf.Sweep(); n > 0 {
-			idle, sleep = 0, idleSleepMin
-			continue
-		}
-		select {
-		case <-stop:
-			w.buf.Seal()
-			return nil
-		default:
-		}
-		idle++
-		switch {
-		case idle < idleSpinSweeps:
-			runtime.Gosched()
-		case idle == idleSpinSweeps:
-			w.buf.SyncStats() // publish before parking; flushes stall while asleep
-			time.Sleep(sleep)
-		default:
-			time.Sleep(sleep)
-			if sleep < idleSleepMax {
-				sleep *= 2
+		n := w.buf.Sweep()
+		if n == 0 || w.buf.sinceFlush == 0 {
+			select {
+			case <-stop:
+				w.buf.Seal()
+				return nil
+			default:
 			}
 		}
+		if n > 0 {
+			idle = idlePolicy{spins: idleSpins}
+			continue
+		}
+		if idle.n == idle.spins {
+			w.buf.SyncStats() // the next pause sleeps, and flushes stall while asleep
+		}
+		idle.pause()
 	}
 }

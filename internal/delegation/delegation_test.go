@@ -40,6 +40,23 @@ func invoke(c *Client, op *Op) (any, error) { return c.Await(c.Post(reserve(c), 
 // delegate posts task with a detached, ring-tracked future.
 func delegate(c *Client, task Task) *Future { return c.Delegate(reserve(c), &Op{Task: task}) }
 
+// looseFutures is the buffer whose Failed counter the answers of complete and
+// completeErr land in: the futures they drive belong to no worker buffer.
+var looseFutures Buffer
+
+// complete answers f's current generation with v through the one answer
+// step, as a worker would; it reports false when f already completed.
+func (f *Future) complete(v any) bool {
+	w := f.word.Load()
+	return w&futStateMask == futPending && looseFutures.answer(f, w, v, nil)
+}
+
+// completeErr is complete with a typed error.
+func (f *Future) completeErr(err error) bool {
+	w := f.word.Load()
+	return w&futStateMask == futPending && looseFutures.answer(f, w, nil, err)
+}
+
 func newInboxT(t *testing.T, workers, slotsPer int) *Inbox {
 	t.Helper()
 	var bufs []*Buffer

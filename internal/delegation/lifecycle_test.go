@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -75,16 +76,79 @@ func TestStopPostRaceHammer(t *testing.T) {
 			close(stopCh)
 		}
 		wg.Wait()
+		failed := uint64(0)
 		for i, f := range futs {
-			if _, err := f.WaitTimeout(5 * time.Second); errors.Is(err, ErrWaitTimeout) {
+			_, err := f.WaitTimeout(5 * time.Second)
+			if errors.Is(err, ErrWaitTimeout) {
 				t.Fatalf("round %d: future %d hung", round, i)
 			}
+			if err != nil {
+				failed++
+			}
 		}
+		// Every error answer is counted once, by the path that won it; a
+		// rescue is one kind of error answer.
+		b := in.Buffers()[0]
+		if got := b.Failed.Load(); got != failed {
+			t.Fatalf("round %d: Failed = %d, futures with an error = %d", round, got, failed)
+		}
+		if r, f := b.Rescued.Load(), b.Failed.Load(); r > f {
+			t.Fatalf("round %d: Rescued = %d > Failed = %d", round, r, f)
+		}
+	}
+}
+
+// busyHook keeps its worker's buffer busy: before every sweep it posts one
+// no-op through its own client, so every sweep finds work, until quit is set.
+type busyHook struct {
+	c    *Client
+	quit atomic.Bool
+}
+
+func (h *busyHook) BeforeSweep(int) {
+	if !h.quit.Load() {
+		delegate(h.c, func() any { return nil }) // Reserve retires the last one
+	}
+}
+
+func (*busyHook) BeforeTask(int) {}
+
+// TestStopSeenUnderSustainedLoad is the stop-under-load regression test: a
+// worker used to look at its stop channel only after an empty sweep, so
+// while clients kept posting, Runtime.Stop waited as long as they did. The
+// stop must now land within the bound while every sweep still finds work.
+func TestStopSeenUnderSustainedLoad(t *testing.T) {
+	in := newInboxT(t, 1, 2)
+	slots, _ := in.AcquireSlots(1, nil)
+	c, _ := NewClient(slots)
+	b := in.Buffers()[0]
+	hook := &busyHook{c: c}
+	b.SetFaultHook(hook)
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	close(stop) // the hook posts before the first sweep: no sweep is empty
+	go func() { done <- NewWorker(b).Run(stop) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("worker crashed: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		hook.quit.Store(true) // let the worker go idle and see the stop
+		<-done
+		t.Fatalf("stop unseen for 2 s while every sweep found work (%d tasks ran)", b.Executed.Load())
+	}
+	if !b.Sealed() {
+		t.Error("stopped worker did not seal its buffer")
 	}
 }
 
 func TestWaitTimeoutAndCtx(t *testing.T) {
 	var f Future
+	if _, err := f.WaitTimeout(0); !errors.Is(err, ErrWaitTimeout) {
+		t.Errorf("pending WaitTimeout(0) err = %v", err)
+	}
 	if _, err := f.WaitTimeout(5 * time.Millisecond); !errors.Is(err, ErrWaitTimeout) {
 		t.Errorf("pending WaitTimeout err = %v", err)
 	}
@@ -97,6 +161,9 @@ func TestWaitTimeoutAndCtx(t *testing.T) {
 	f.complete(9)
 	if v, err := f.WaitTimeout(time.Second); err != nil || v != 9 {
 		t.Errorf("completed WaitTimeout = %v, %v", v, err)
+	}
+	if v, err := f.WaitTimeout(0); err != nil || v != 9 {
+		t.Errorf("completed WaitTimeout(0) = %v, %v", v, err)
 	}
 	if v, err := f.WaitCtx(context.Background()); err != nil || v != 9 {
 		t.Errorf("completed WaitCtx = %v, %v", v, err)

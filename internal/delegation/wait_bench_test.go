@@ -49,6 +49,36 @@ func BenchmarkIdleWait(b *testing.B) {
 	b.ReportMetric(float64(cpu)/float64(b.N), "cpu-ns/op")
 }
 
+// BenchmarkIdleWorker measures what an idle worker costs: one worker polls a
+// buffer nobody posts to while the benchmark sleeps b.N wall milliseconds.
+// cpu-ns/wall-ms is the process's CPU time per wall millisecond — the
+// worker's idle policy (yields, then sleeps up to ~100µs) plus the runtime's
+// own background work; a worker that never slept would read ~1e6.
+func BenchmarkIdleWorker(b *testing.B) {
+	buf, err := NewBuffer(0, SlotsPerBuffer)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewWorker(buf).Run(stop)
+	}()
+	time.Sleep(10 * time.Millisecond) // past the spin phase
+
+	b.ResetTimer()
+	start, startCPU := time.Now(), cpuNs(b)
+	for i := 0; i < b.N; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	cpu, wall := cpuNs(b)-startCPU, time.Since(start)
+	b.StopTimer()
+	close(stop)
+	<-done
+	b.ReportMetric(float64(cpu)/(float64(wall)/float64(time.Millisecond)), "cpu-ns/wall-ms")
+}
+
 // BenchmarkBusyWait is the contrast case: the future completes almost
 // immediately, so waits resolve inside the spin phase and the backoff adds
 // no latency — delegation throughput (see BenchmarkDelegationInvoke at the

@@ -97,19 +97,6 @@ func (p *sessionPool) acquire(timeout time.Duration) *core.Session {
 	}
 }
 
-// tryAcquire is the opportunistic variant used to widen a batch across
-// idle sessions. It never blocks and never touches the wait/timeout
-// telemetry — failing to widen is not backpressure, the batch just rides
-// its first session's sliding window instead.
-func (p *sessionPool) tryAcquire() *core.Session {
-	select {
-	case <-p.toks:
-		return p.pop()
-	default:
-		return nil
-	}
-}
-
 // release returns a leased session to the top of the stack. After Close
 // the session is dropped on the floor (Close already tore every session
 // down).

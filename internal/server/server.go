@@ -65,13 +65,6 @@ type Config struct {
 	// MaxPipeline caps ops decoded into one batch (default
 	// DefaultMaxPipeline).
 	MaxPipeline int
-	// Stripe caps how many pooled sessions one batch may widen across
-	// (default 1: a batch rides a single session's sliding burst window).
-	// Each extra session adds a burst of in-flight slots, which helps when
-	// domains span enough cores that extra workers sweep in parallel, and
-	// hurts on small machines where every widened session drags another
-	// worker into the scheduler mix.
-	Stripe int
 	// AcquireTimeout bounds how long a batch blocks waiting for a pooled
 	// session before its KV ops are answered BUSY (default
 	// DefaultAcquireTimeout; negative = fail fast).
@@ -109,12 +102,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.MaxPipeline < 1 {
 		return fmt.Errorf("server: max pipeline %d < 1", c.MaxPipeline)
-	}
-	if c.Stripe == 0 {
-		c.Stripe = 1
-	}
-	if c.Stripe < 1 {
-		return fmt.Errorf("server: stripe %d < 1", c.Stripe)
 	}
 	if c.AcquireTimeout == 0 {
 		c.AcquireTimeout = DefaultAcquireTimeout
@@ -363,9 +350,8 @@ type conn struct {
 	r, w int
 	wbuf []byte // response scratch, reused every batch
 
-	ops  []batchOp       // len MaxPipeline, reused
-	sess []*core.Session // per-batch session stripe, reused
-	req  proto.Request
+	ops []batchOp // len MaxPipeline, reused
+	req proto.Request
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -491,29 +477,9 @@ func (c *conn) runBatch(n int) error {
 					}
 				}
 			} else {
-				// Widen the batch across idle sessions: each extra session
-				// adds a burst window of slots, so a deep pipeline batch
-				// can be fully in flight before the first await instead of
-				// sliding through one 14-slot window. Only the first
-				// acquire blocks — widening is strictly opportunistic.
-				sessions := append(c.sess[:0], sess)
-				need := (kv + s.cfg.Burst - 1) / s.cfg.Burst
-				if need > s.cfg.Stripe {
-					need = s.cfg.Stripe
-				}
-				for len(sessions) < need {
-					extra := s.pool.tryAcquire()
-					if extra == nil {
-						break
-					}
-					sessions = append(sessions, extra)
-				}
-				c.sess = sessions
-				c.submitKV(sessions, ops)
-				c.awaitKV(sessions, ops)
-				for _, sx := range sessions {
-					s.pool.release(sx)
-				}
+				c.submitKV(sess, ops)
+				c.awaitKV(sess, ops)
+				s.pool.release(sess)
 			}
 			s.quotas.releaseOps(c.tenant, kv)
 		}
@@ -533,15 +499,11 @@ func isKV(op uint8) bool {
 	return op == proto.OpGet || op == proto.OpPut || op == proto.OpDelete
 }
 
-// submitKV posts every KV op of the batch through the leased sessions —
+// submitKV posts every KV op of the batch through the leased session —
 // back-to-back SubmitKV calls so the ops land as adjacent typed slots in
-// the owning workers' next sweep pass. Ops are striped across sessions in
-// burst-sized chunks (chunk k rides sessions[k%len]): with enough sessions
-// the whole batch is in flight at once; with one session the chunks slide
-// through its window sequentially. awaitKV recomputes the same mapping.
-func (c *conn) submitKV(sessions []*core.Session, ops []batchOp) {
-	burst := c.srv.cfg.Burst
-	kvIdx := 0
+// the owning workers' next sweep pass; a batch deeper than the burst
+// slides through the session's window.
+func (c *conn) submitKV(sess *core.Session, ops []batchOp) {
 	for i := range ops {
 		op := &ops[i]
 		var kind uint8
@@ -558,8 +520,6 @@ func (c *conn) submitKV(sessions []*core.Session, ops []batchOp) {
 		default:
 			continue
 		}
-		sess := sessions[(kvIdx/burst)%len(sessions)]
-		kvIdx++
 		f, err := sess.SubmitKV(c.srv.router.Lookup(op.key), kind, op.key, op.val)
 		if err != nil {
 			op.err = err
@@ -572,17 +532,10 @@ func (c *conn) submitKV(sessions []*core.Session, ops []batchOp) {
 // awaitKV resolves the batch's futures in posting order and fills each
 // op's reply state. PUT misses run their insert fallback here, bounded
 // against insert/update races with concurrent sessions.
-func (c *conn) awaitKV(sessions []*core.Session, ops []batchOp) {
-	burst := c.srv.cfg.Burst
-	kvIdx := 0
+func (c *conn) awaitKV(sess *core.Session, ops []batchOp) {
 	for i := range ops {
 		op := &ops[i]
-		if !isKV(op.op) {
-			continue
-		}
-		sess := sessions[(kvIdx/burst)%len(sessions)]
-		kvIdx++
-		if op.fut == nil {
+		if !isKV(op.op) || op.fut == nil {
 			continue
 		}
 		v, ok, err := op.fut.WaitKV()

@@ -79,12 +79,10 @@ type (
 	Topology = topology.Machine
 )
 
-// Placement and memory policies for domains.
+// Placement policies for domains.
 const (
 	PlacePinned     = core.PlacePinned
 	PlaceMigratable = core.PlaceMigratable
-	MemLocal        = core.MemLocal
-	MemInterleaved  = core.MemInterleaved
 )
 
 // ReadPolicy is the per-structure read-path policy (Config.ReadPolicies):
