@@ -51,14 +51,17 @@ net-smoke:
 	./scripts/net-smoke.sh
 
 # Ten seconds of native fuzzing on each differential target: the B-Tree
-# batch kernel (ExecBatch vs the public methods in index order) and the
+# batch kernel (ExecBatch vs the public methods in index order), the
 # four indexes against a map oracle (point ops plus early-stopping scans
-# over a key space wide enough to split and drain leaves). Each mutates
+# over a key space wide enough to split and drain leaves), and WAL
+# recovery over corrupted segment and checkpoint bytes against a
+# reference scan. Each mutates
 # from its checked-in corpus under the package's testdata/fuzz; a failing
 # input is written there — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecBatchVsSerial$$' -fuzztime 10s ./internal/index/btree
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexAgainstOracle$$' -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 10s ./internal/wal
 
 # The full-size chaos fault-injection suite on its own — both the WAL-off
 # schedules (crash-with-data-loss envelope) and the TestChaosWAL* suite

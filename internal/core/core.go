@@ -13,6 +13,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime/pprof"
@@ -234,6 +235,11 @@ type Domain struct {
 	// legal there.
 	wal       *wal.DomainLog
 	recoverFn func(worker int)
+
+	// Checkpoint scratch retained across checkpoints, guarded by rt.walMu:
+	// the sorted Durable set and the per-structure snapshot buffer.
+	ckptSet []namedDurable
+	ckptBuf bytes.Buffer
 
 	// arenas holds worker i's batch arena (nil slice when Config.Arena is
 	// off). Per-worker, not per-domain: AcquireSlots may spread one

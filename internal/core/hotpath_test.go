@@ -130,6 +130,52 @@ func (c *cells) WALApply(rec []byte) error {
 	return nil
 }
 
+// blob is a Durable whose snapshot is its retained bytes, so a checkpoint's
+// allocations are the runtime's and the log's own.
+type blob struct{ b []byte }
+
+func (x *blob) WALSnapshot(w io.Writer) error { _, err := w.Write(x.b); return err }
+func (x *blob) WALRestore(r io.Reader) error  { _, err := io.ReadFull(r, x.b); return err }
+func (x *blob) WALApply([]byte) error         { return nil }
+
+// TestCheckpointAllocsConstant pins a steady-state checkpoint of unchanged
+// structures at a few allocations that do not grow with their size: the
+// checkpoint set, the snapshot buffer and the slot writer are retained.
+func TestCheckpointAllocsConstant(t *testing.T) {
+	m, err := topology.Restricted(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := map[int]float64{}
+	for _, size := range []int{4 << 10, 1 << 20} {
+		cfg := Config{
+			Machine:    m,
+			Domains:    []DomainSpec{{Name: "d", CPUs: topology.Range(0, 1)}},
+			Assignment: map[string]int{"a": 0, "b": 0},
+			WAL:        WALConfig{Dir: t.TempDir(), Fsync: wal.FsyncNone, CheckpointEvery: time.Hour},
+		}
+		rt, err := Start(cfg, map[string]any{"a": &blob{make([]byte, size)}, "b": &blob{make([]byte, size)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := rt.Domains()[0]
+		for i := 0; i < 3; i++ { // both slots grown, buffers at size
+			if err := rt.checkpointDomain(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs[size] = testing.AllocsPerRun(20, func() {
+			if err := rt.checkpointDomain(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		rt.Stop()
+	}
+	if allocs[4<<10] != allocs[1<<20] || allocs[1<<20] > 8 {
+		t.Fatalf("checkpoint allocations by structure size: %v, want the same few at both sizes", allocs)
+	}
+}
+
 // TestLoggedInvokeZeroAlloc pins the logged synchronous round trip over a
 // WAL-enabled runtime at zero allocations per call: the record stages into
 // the worker's reused buffers and the group commit completes the slot's

@@ -34,6 +34,7 @@ import (
 type Warehouse struct {
 	tables   map[tpcc.Table]index.Index
 	newIndex func() index.Index // retained for WALRestore rebuilds
+	snap     []byte             // WALSnapshot's frame buffer, retained
 }
 
 // NewWarehouse builds the composite structure with one index per table.

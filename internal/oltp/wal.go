@@ -88,22 +88,22 @@ func (w *Warehouse) WALApply(rec []byte) error {
 // requires a Ranger index (every tree qualifies; the hash map does not and
 // fails here at the initial checkpoint, i.e. at startup, not mid-run).
 func (w *Warehouse) WALSnapshot(dst io.Writer) error {
-	var buf []byte
+	// One frame buffer retained across checkpoints (w.snap): snapshots run
+	// one at a time, under the domain's quiescence gate.
 	for _, t := range tpcc.Tables {
 		tb := w.tables[t]
 		r, ok := tb.(index.Ranger)
 		if !ok {
 			return fmt.Errorf("oltp: WAL checkpoint needs an ordered index, table %s is a %s", t, tb.Name())
 		}
-		buf = buf[:0]
-		buf = append(buf, byte(t))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(tb.Len()))
+		w.snap = append(w.snap[:0], byte(t))
+		w.snap = binary.LittleEndian.AppendUint64(w.snap, uint64(tb.Len()))
 		r.Scan(0, ^uint64(0), func(k, v uint64) bool {
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-			buf = binary.LittleEndian.AppendUint64(buf, v)
+			w.snap = binary.LittleEndian.AppendUint64(w.snap, k)
+			w.snap = binary.LittleEndian.AppendUint64(w.snap, v)
 			return true
 		}, nil)
-		if err := wal.WriteFrame(dst, buf); err != nil {
+		if err := wal.WriteFrame(dst, w.snap); err != nil {
 			return err
 		}
 	}
