@@ -42,7 +42,7 @@ const (
 	WALKillCommit
 	// WALTornTail writes a truncated final frame to the segment and then
 	// kills the worker, simulating a crash mid-append: replay must detect
-	// the torn frame, drop it, and truncate the segment there.
+	// the torn frame, drop it, and zero the segment from there.
 	WALTornTail
 	numKinds
 )

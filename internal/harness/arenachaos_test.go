@@ -63,7 +63,7 @@ func TestChaosWALArenaGoldenEquality(t *testing.T) {
 }
 
 // TestChaosWALArenaResetVsBypassReads races every arena lifecycle edge —
-// sweep-boundary recycling, checkpoint truncation under the gate, crash
+// sweep-boundary recycling, checkpoint segment reset under the gate, crash
 // discard-and-replay — against validated bypass reads on a Bw-Tree-backed
 // durable structure. Arena memory only ever backs WAL staging, never the
 // structure itself, so a bypass read must either validate against live
