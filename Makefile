@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke
+.PHONY: build test verify fmt-check chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -52,8 +52,9 @@ net-smoke:
 
 # Ten seconds of native fuzzing on each differential target: the B-Tree
 # batch kernel (ExecBatch vs the public methods in index order), the
-# four indexes against a map oracle (point ops plus early-stopping scans
-# over a key space wide enough to split and drain leaves), and WAL
+# four indexes against a map oracle (point ops, batch groups through each
+# structure's ExecBatch kernel, and early-stopping scans over a key space
+# wide enough to split and drain leaves), and WAL
 # recovery over corrupted segment and checkpoint bytes against a
 # reference scan. Each mutates
 # from its checked-in corpus under the package's testdata/fuzz; a failing
@@ -82,3 +83,7 @@ bench-compare:
 # Every benchmark in the repo, including the paper-artefact regenerations.
 bench-full:
 	$(GO) test -run xxx -bench . -benchmem ./...
+
+# Non-test Go lines under internal/ — the size metric ROADMAP aim 2 tracks.
+loc:
+	@find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l

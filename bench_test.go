@@ -575,9 +575,9 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 
 // benchReadPolicy drives one seeded YCSB stream through a single session
 // with reads classified at submit time, under the given read policy — the
-// real-work version of the read-path comparison (ISSUE 5 acceptance: bypass
-// must at least double delegated YCSB-C throughput and come within 1.5× of
-// the direct baseline; adaptive must not regress YCSB-A).
+// real-work version of the read-path comparison (bypass should at least
+// double delegated YCSB-C throughput and come within 1.5× of the direct
+// baseline).
 func benchReadPolicy(b *testing.B, mix workload.Mix, policy robustconf.ReadPolicy) {
 	const preload = 100_000
 	idx := hashmap.New()
@@ -640,9 +640,9 @@ func benchReadPolicy(b *testing.B, mix workload.Mix, policy robustconf.ReadPolic
 }
 
 // BenchmarkReadBypass compares the read-path policies on the Hash Map:
-// YCSB-C delegated vs bypass vs the undelgated direct bound, and YCSB-A
-// delegated vs adaptive (which must detect the 50% write fraction and stay
-// at delegation cost). Tracked in BENCH_delegation.json.
+// YCSB-C delegated vs bypass vs the undelegated direct bound, and YCSB-A
+// delegated vs bypass (validation under a 50% write fraction). Tracked in
+// BENCH_delegation.json.
 func BenchmarkReadBypass(b *testing.B) {
 	b.Run("ycsb-c/delegated", func(b *testing.B) { benchReadPolicy(b, workload.C, robustconf.ReadDelegate) })
 	b.Run("ycsb-c/bypass", func(b *testing.B) { benchReadPolicy(b, workload.C, robustconf.ReadBypass) })
@@ -664,7 +664,7 @@ func BenchmarkReadBypass(b *testing.B) {
 		}
 	})
 	b.Run("ycsb-a/delegated", func(b *testing.B) { benchReadPolicy(b, workload.A, robustconf.ReadDelegate) })
-	b.Run("ycsb-a/adaptive", func(b *testing.B) { benchReadPolicy(b, workload.A, robustconf.ReadAdaptive) })
+	b.Run("ycsb-a/bypass", func(b *testing.B) { benchReadPolicy(b, workload.A, robustconf.ReadBypass) })
 }
 
 // BenchmarkAblationBurstSize sweeps the burst size (the paper fixes 14):
@@ -1041,11 +1041,11 @@ func benchTPCCParallel(b *testing.B, walDir string) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		g := int(gid.Add(1))
-		// Whole-txn mode needs one slot at a time; a small burst packs
+		// A whole-transaction task needs one slot at a time; a small burst packs
 		// several terminals into each worker's buffer, so one sweep batch —
 		// and in the WAL run one group commit — carries several terminals'
 		// transactions. That sharing is what amortises the fsync.
-		s, err := engine.NewStoreMode(g%machine.LogicalCPUs(), 2, oltp.ModeWholeTxn)
+		s, err := engine.NewStore(g%machine.LogicalCPUs(), 2)
 		if err != nil {
 			b.Error(err)
 			return
@@ -1076,46 +1076,6 @@ func BenchmarkTPCCDelegatedFullMixPar(b *testing.B) { benchTPCCParallel(b, "") }
 // group commit degenerates to one fsync per transaction, so the absolute
 // ratio tracks the disk, not the log.
 func BenchmarkTPCCDelegatedFullMixWAL(b *testing.B) { benchTPCCParallel(b, b.TempDir()) }
-
-// BenchmarkAblationTxnMode isolates the contribution of each statement→task
-// mapping on the delegated engine under the full TPC-C mix: per-statement
-// pipelining (async statement futures), same-domain fusion (one multi-op
-// task per dependency wave), and whole-transaction delegation (one task per
-// single-warehouse transaction, pipelined fallback across warehouses).
-func BenchmarkAblationTxnMode(b *testing.B) {
-	for _, mode := range []oltp.ExecMode{oltp.ModePerStatement, oltp.ModeFused, oltp.ModeWholeTxn} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cfg := tpcc.Config{Warehouses: 2, Customers: 100, Items: 300}
-			loader, err := tpcc.NewLoader(cfg, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine, err := oltp.NewEngine(cfg, func() index.Index { return fptree.New() }, robustconf.Machine(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer engine.Stop()
-			s, err := engine.NewStoreMode(0, robustconf.PaperBurstSize, mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			if err := loader.Load(s); err != nil {
-				b.Fatal(err)
-			}
-			term, err := tpcc.NewTerminal(cfg, s, 1, 0.05, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := term.NextFullMix(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkServerPipelined measures the network front end end to end on
 // loopback: a client pipelines GET windows of the given depth over the

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	robustbench                 # run every experiment
-//	robustbench -exp fig7       # one experiment (fig1, table2, fig6..fig13, ablations, txn-modes)
+//	robustbench -exp fig7       # one experiment (fig1, table2, fig6..fig13, ablations, read-policy)
 //	robustbench -exp fig7 -format csv   # machine-readable series for plotting
 //	robustbench -exp chaos      # fault-injection schedules on the real runtime
 //	robustbench -exp skew-shift # windowed health detection on the real runtime

@@ -159,7 +159,7 @@ func runPlan(plan *config.Plan, instances []config.Instance, ops int, records ui
 				var err error
 				if op.Type == workload.OpRead {
 					// Reads are classified at submit time so the plan's
-					// calibrated read policy takes effect (bypass/adaptive
+					// calibrated read policy takes effect (bypass
 					// instances serve these locally when validation holds).
 					_, err = session.SubmitRead(core.Task{Structure: inst.Name, Op: func(ds any) any {
 						v, _ := ds.(index.Index).Get(op.Key, nil)

@@ -6,12 +6,10 @@
 //
 // Usage:
 //
-//	robusttpcc -engine delegated -mode whole-txn -warehouses 4 -terminals 4 -txns 2000
+//	robusttpcc -engine delegated -warehouses 4 -terminals 4 -txns 2000
 //
-// The -mode flag selects the delegated engine's statement→task mapping:
-// per-statement (pipelined statement futures), fused (same-domain multi-op
-// tasks) or whole-txn (single-warehouse transactions as one task, the
-// default).
+// The delegated engine ships each single-warehouse transaction into its
+// domain as one task and pipelines the statements of cross-warehouse ones.
 //
 // -wal DIR turns on per-domain write-ahead logging with periodic
 // checkpoints (delegated engine only); -fsync picks the flush discipline
@@ -41,7 +39,6 @@ import (
 
 func main() {
 	engine := flag.String("engine", "delegated", "engine: delegated or direct")
-	mode := flag.String("mode", "whole-txn", "delegated statement→task mapping: per-statement, fused or whole-txn")
 	tree := flag.String("tree", "fptree", "index structure: fptree or bwtree")
 	warehouses := flag.Int("warehouses", 4, "TPC-C warehouses")
 	customers := flag.Int("customers", 300, "customers per district (scaled down)")
@@ -111,10 +108,6 @@ func main() {
 		}
 	case "delegated":
 		delegated = true
-		execMode, err := oltp.ParseMode(*mode)
-		if err != nil {
-			fatal(err)
-		}
 		m, err := topology.Restricted(1)
 		if err != nil {
 			fatal(err)
@@ -149,7 +142,7 @@ func main() {
 			fatal(err)
 		}
 		openStore = func(id int) (tpcc.Store, func() error, error) {
-			s, err := e.NewStoreMode(id%m.LogicalCPUs(), 14, execMode)
+			s, err := e.NewStore(id%m.LogicalCPUs(), 14)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -197,12 +190,8 @@ func main() {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
-	label := *engine
-	if delegated {
-		label += " mode=" + *mode
-	}
 	fmt.Printf("engine=%s tree=%s warehouses=%d terminals=%d remote=%.0f%%\n",
-		label, *tree, *warehouses, *terminals, *remote*100)
+		*engine, *tree, *warehouses, *terminals, *remote*100)
 	fmt.Printf("measured: %d txns in %v → %.0f txn/s on this host\n",
 		done.Load(), elapsed.Round(time.Millisecond), float64(done.Load())/elapsed.Seconds())
 	fmt.Printf("txn latency ns: %s\n", latency.String())

@@ -47,7 +47,7 @@ func main() {
 	records := flag.Uint64("records", 100_000, "pre-loaded records")
 	ops := flag.Int("ops", 50_000, "operations per client")
 	burst := flag.Int("burst", robustconf.PaperBurstSize, "burst size (outstanding tasks per client)")
-	readPolicy := flag.String("readpolicy", "delegate", "read path: delegate, bypass, adaptive")
+	readPolicy := flag.String("readpolicy", "delegate", "read path: delegate or bypass")
 	tracePath := flag.String("trace", "", "optional: write the generated op trace to this file first, then replay it")
 	obsAddr := flag.String("obs", "", "serve the observability endpoint on this address during the run (e.g. :6060)")
 	obsTrace := flag.Int("obs-trace", 0, "commit every Nth sampled task span to the trace ring (0 = off)")
@@ -249,7 +249,7 @@ func main() {
 					}})
 				case op.Type == workload.OpRead:
 					// Classified at submit time so the -readpolicy axis takes
-					// effect: bypass/adaptive attempt the validated local read
+					// effect: bypass attempts the validated local read
 					// and fall back to delegation when validation fails.
 					_, err = session.SubmitRead(robustconf.Task{Structure: "ycsb", Op: func(ds any) any {
 						v, _ := ds.(index.Index).Get(op.Key, nil)

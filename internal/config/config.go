@@ -142,21 +142,16 @@ type Instance struct {
 
 // RecommendReadPolicy derives an instance's read-path policy from its
 // workload mix, making the read policy a calibrated configuration axis
-// alongside domain size: purely read-only mixes always bypass, read-mostly
-// mixes bypass adaptively (so a drifting write fraction self-corrects at
-// runtime), and write-heavy mixes keep every read delegated — bypass
-// validation would mostly fail under them and each miss costs wasted
-// attempts. The 15% threshold mirrors core's adaptive cutoff: YCSB-C (0%)
-// bypasses, YCSB-D (5% inserts) adapts, YCSB-A (50% updates) delegates.
+// alongside domain size: read-only and read-mostly mixes bypass, and
+// write-heavy mixes keep every read delegated — bypass validation would
+// mostly fail under them and each miss costs wasted attempts. At the 15%
+// threshold YCSB-C (0%) and YCSB-D (5% inserts) bypass and YCSB-A (50%
+// updates) delegates.
 func RecommendReadPolicy(mix workload.Mix) core.ReadPolicy {
-	switch wf := mix.WriteFraction(); {
-	case wf == 0:
+	if mix.WriteFraction() <= 0.15 {
 		return core.ReadBypass
-	case wf <= 0.15:
-		return core.ReadAdaptive
-	default:
-		return core.ReadDelegate
 	}
+	return core.ReadDelegate
 }
 
 // Durability is the composed durability configuration: the WAL fsync

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"robustconf/internal/core"
 	"robustconf/internal/sim"
 	"robustconf/internal/topology"
 	"robustconf/internal/workload"
@@ -336,6 +337,17 @@ func TestPlanString(t *testing.T) {
 	for _, want := range []string{"isolated", "hot", "cold", "domain"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Plan.String missing %q:\n%s", want, s)
+		}
+	}
+}
+
+func TestRecommendReadPolicy(t *testing.T) {
+	for _, c := range []struct {
+		mix  workload.Mix
+		want core.ReadPolicy
+	}{{workload.C, core.ReadBypass}, {workload.D, core.ReadBypass}, {workload.A, core.ReadDelegate}} {
+		if got := RecommendReadPolicy(c.mix); got != c.want {
+			t.Errorf("RecommendReadPolicy(%s) = %v, want %v", c.mix.Name, got, c.want)
 		}
 	}
 }

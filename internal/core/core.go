@@ -189,7 +189,7 @@ func (c *Config) Validate() error {
 		if _, ok := c.Assignment[s]; !ok {
 			return fmt.Errorf("core: read policy for unassigned structure %q", s)
 		}
-		if p < ReadDelegate || p > ReadAdaptive {
+		if p != ReadDelegate && p != ReadBypass {
 			return fmt.Errorf("core: structure %q has invalid read policy %d", s, int(p))
 		}
 	}
@@ -630,7 +630,7 @@ func (rt *Runtime) Reconfigure(cfg Config) (*Runtime, error) {
 // single client thread.
 //
 // Every submission method is a thin wrapper over one path, submit: look the
-// name up in the route table → note → kernel check → reserve → fill the
+// name up in the route table → kernel check → reserve → fill the
 // slot's argument block → post. The synchronous methods await the posted
 // handle directly; the pipelined ones queue a pooled AsyncFuture for it;
 // Submit posts a detached future.
@@ -646,13 +646,9 @@ type Session struct {
 	nRoutes int
 	gen     uint64
 
-	// Read-bypass state (readpolicy.go): session-local adaptive observation
-	// mirrors for the most recently touched adaptive structure, and the
-	// per-domain telemetry shards bypass outcomes report to.
-	rsLast            *readState
-	rsReads, rsWrites uint64
-	rsSince           uint64
-	readShards        map[*Domain]*obs.ClientShard
+	// Per-domain telemetry shards bypass read outcomes report to
+	// (readpolicy.go).
+	readShards map[*Domain]*obs.ClientShard
 }
 
 // sessionRoute is what routing a name yields, plus the domain's client.
@@ -661,7 +657,6 @@ type sessionRoute struct {
 	d    *Domain
 	ds   any
 	kern delegation.BatchKernel // nil when ds has no batch kernel
-	rs   *readState
 	sc   *sessionClient
 }
 
@@ -690,7 +685,7 @@ func (s *Session) lookup(structure string) (*sessionRoute, error) {
 	}
 	kern, _ := ds.(delegation.BatchKernel)
 	r := &s.routes[min(s.nRoutes, len(s.routes)-1)]
-	*r = sessionRoute{name: structure, d: d, ds: ds, kern: kern, rs: s.rt.readStates[structure], sc: sc}
+	*r = sessionRoute{name: structure, d: d, ds: ds, kern: kern, sc: sc}
 	s.nRoutes = min(s.nRoutes+1, len(s.routes))
 	return r, nil
 }
@@ -906,20 +901,17 @@ func (s *Session) client(d *Domain) (*sessionClient, error) {
 // submit is the session's one submission path (DESIGN.md §10). op is the
 // delegation descriptor: a typed op (c nil) arrives with Kind, Key and Val
 // set, a closure op with at most Read. submit looks the structure up in the
-// session's route table, notes the op against an adaptive read policy, sets
-// a typed op's kernel, reserves a slot of the domain's client — resolving the
-// oldest pipelined statement when every slot is held by one — parks a
-// closure op in the slot's argument block, and posts: through Delegate when
-// detached (the returned future is the caller's), otherwise through Post (the
-// caller must await the returned handle).
+// session's route table, sets a typed op's kernel, reserves a slot of the
+// domain's client — resolving the oldest pipelined statement when every slot
+// is held by one — parks a closure op in the slot's argument block, and
+// posts: through Delegate when detached (the returned future is the
+// caller's), otherwise through Post (the caller must await the returned
+// handle).
 func (s *Session) submit(structure string, op *delegation.Op, c *closure, detached bool) (*sessionClient, delegation.InvokeHandle, *delegation.Future, error) {
 	var h delegation.InvokeHandle
 	r, err := s.lookup(structure)
 	if err != nil {
 		return nil, h, nil, err
-	}
-	if r.rs != nil {
-		s.note(r.rs, op.Read || c == nil && op.Kind == delegation.KVGet)
 	}
 	if c == nil {
 		if r.kern == nil {
@@ -1153,7 +1145,6 @@ func (s *Session) SubmitBulk(structure string, ops []func(ds any) any) ([]any, e
 // crashed worker) or slot-release inconsistency; the session is torn down
 // either way.
 func (s *Session) Close() error {
-	s.flushReadStats()
 	for _, sh := range s.readShards {
 		sh.Flush()
 	}

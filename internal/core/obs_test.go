@@ -126,14 +126,11 @@ func TestDefaultFaultsIsGlobal(t *testing.T) {
 
 // TestTypedGetsCountAsReads pins read accounting on the typed pipelined
 // path: a pure-GET SubmitKV stream must read as write fraction 0 in the
-// sampler's signals, exactly like the same GETs through InvokeKV, and must
-// count as reads — not writes — in an adaptive read policy's observations,
-// so read traffic never pushes the structure toward delegate mode.
+// sampler's signals, exactly like the same GETs through InvokeKV.
 func TestTypedGetsCountAsReads(t *testing.T) {
 	cfg, structures := twoDomainConfig(t)
 	o := obs.New(obs.Options{})
 	cfg.Obs = o
-	cfg.ReadPolicies = map[string]ReadPolicy{"map": ReadAdaptive}
 	rt, err := Start(cfg, structures)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +159,7 @@ func TestTypedGetsCountAsReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil { // flushes the client shard and read stats
+	if err := s.Close(); err != nil { // flushes the client shard
 		t.Fatal(err)
 	}
 	time.Sleep(time.Millisecond)
@@ -183,12 +180,5 @@ func TestTypedGetsCountAsReads(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no signals for domain d1")
-	}
-	rs := rt.readStates["map"]
-	if r, w := rs.reads.Load(), rs.writes.Load(); r != 2000*14+200 || w != 0 {
-		t.Errorf("adaptive observations reads=%d writes=%d, want %d and 0", r, w, 2000*14+200)
-	}
-	if rs.delegateMode.Load() {
-		t.Error("pure read traffic switched the adaptive policy to delegate mode")
 	}
 }

@@ -38,11 +38,6 @@ const (
 	// ReadBypass always attempts the validated local read first and falls
 	// back to delegation when validation fails. Best for read-mostly mixes.
 	ReadBypass
-	// ReadAdaptive bypasses while the observed write fraction stays below
-	// adaptiveWriteMax (mirroring workload.Mix.WriteFraction) and reverts to
-	// delegation under write-heavy traffic, where validation would mostly
-	// fail and every miss costs wasted attempts.
-	ReadAdaptive
 )
 
 // String renders the policy the way the cmd flags spell it.
@@ -52,8 +47,6 @@ func (p ReadPolicy) String() string {
 		return "delegate"
 	case ReadBypass:
 		return "bypass"
-	case ReadAdaptive:
-		return "adaptive"
 	default:
 		return fmt.Sprintf("ReadPolicy(%d)", int(p))
 	}
@@ -66,95 +59,53 @@ func ParseReadPolicy(s string) (ReadPolicy, error) {
 		return ReadDelegate, nil
 	case "bypass":
 		return ReadBypass, nil
-	case "adaptive":
-		return ReadAdaptive, nil
 	default:
-		return ReadDelegate, fmt.Errorf("core: unknown read policy %q (delegate, bypass, adaptive)", s)
+		return ReadDelegate, fmt.Errorf("core: unknown read policy %q (delegate, bypass)", s)
 	}
 }
 
-const (
-	// bypassAttempts bounds how many times a read re-validates before
-	// falling back to delegation. Low on purpose: an unstable window means a
-	// mutating batch is in flight right now, and the delegated fallback
-	// queues behind it anyway.
-	bypassAttempts = 4
-	// readStatsFlushEvery is the session-local cadence for publishing
-	// adaptive read/write observations (same discipline as the obs client
-	// shards: plain local counters, one atomic publish per cadence).
-	readStatsFlushEvery = 64
-	// adaptiveMinOps is the minimum observed operation count before
-	// ReadAdaptive trusts the write fraction; below it the policy stays in
-	// bypass mode (reads-first optimism, corrected within one flush).
-	adaptiveMinOps = 64
-	// adaptiveWriteMax is the write fraction above which ReadAdaptive
-	// reverts to delegation. Mirrors workload.Mix.WriteFraction: YCSB-C (0)
-	// and YCSB-D (0.05) bypass, YCSB-A (0.5) delegates.
-	adaptiveWriteMax = 0.15
-)
+// bypassAttempts bounds how many times a read re-validates before falling
+// back to delegation. Low on purpose: an unstable window means a mutating
+// batch is in flight right now, and the delegated fallback queues behind it
+// anyway.
+const bypassAttempts = 4
 
 // concurrentReadSafe is the structural marker a registered structure must
-// implement (and answer true) before any non-delegate read policy takes
-// effect; internal/index documents which substrates qualify and why.
+// implement (and answer true) before ReadBypass takes effect;
+// internal/index documents which substrates qualify and why.
 type concurrentReadSafe interface{ ConcurrentReadSafe() bool }
 
-// readState is the per-structure runtime state of a non-delegate read
-// policy. Built once in Start (the map it lives in is read-only afterwards)
-// and owned by the structure name, not the domain — it survives migrations.
+// readState is the per-structure runtime state of the bypass read policy.
+// Built once in Start (the map it lives in is read-only afterwards) and
+// owned by the structure name, not the domain — it survives migrations.
 type readState struct {
-	policy ReadPolicy
-
 	// migrations counts Migrate calls for this structure. Bumped under the
 	// runtime lock *before* the assignment swap, and loaded by readers in the
 	// same critical section as their route: a reader that observes a
 	// post-migration mutation through the structure therefore observes the
 	// bump on its second load and discards the read.
 	migrations atomic.Uint64
-
-	// Adaptive observations, published on the readStatsFlushEvery cadence by
-	// sessions; delegateMode caches the decision so the per-read check is one
-	// atomic load.
-	reads        atomic.Uint64
-	writes       atomic.Uint64
-	delegateMode atomic.Bool
-}
-
-// bypassNow reports whether the next read should attempt the fast path.
-func (rs *readState) bypassNow() bool {
-	return rs.policy == ReadBypass || !rs.delegateMode.Load()
-}
-
-// publish folds a session's local observations in and refreshes the
-// adaptive decision.
-func (rs *readState) publish(reads, writes uint64) {
-	r := rs.reads.Add(reads)
-	w := rs.writes.Add(writes)
-	if rs.policy != ReadAdaptive {
-		return
-	}
-	tot := r + w
-	rs.delegateMode.Store(tot >= adaptiveMinOps && float64(w) > adaptiveWriteMax*float64(tot))
 }
 
 // buildReadStates gates the configured policies against the registered
-// structures: a non-delegate policy only takes effect when the structure
-// vouches for its own concurrent-reader safety, otherwise it silently
-// degrades to delegation (correct, just slower — the same contract as the
-// bypass fallback itself).
+// structures: ReadBypass only takes effect when the structure vouches for
+// its own concurrent-reader safety, otherwise it silently degrades to
+// delegation (correct, just slower — the same contract as the bypass
+// fallback itself).
 func buildReadStates(policies map[string]ReadPolicy, structures map[string]any) map[string]*readState {
 	if len(policies) == 0 {
 		return nil
 	}
 	states := make(map[string]*readState, len(policies))
 	for name, p := range policies {
-		if p == ReadDelegate {
+		if p != ReadBypass {
 			continue
 		}
 		crs, ok := structures[name].(concurrentReadSafe)
 		if !ok || !crs.ConcurrentReadSafe() {
 			continue
 		}
-		states[name] = &readState{policy: p}
+		states[name] = &readState{}
 	}
 	return states
 }
@@ -163,43 +114,10 @@ func buildReadStates(policies map[string]ReadPolicy, structures map[string]any) 
 // structure: the configured one, unless the structure could not vouch for
 // concurrent-reader safety, in which case it degraded to ReadDelegate.
 func (rt *Runtime) EffectiveReadPolicy(structure string) ReadPolicy {
-	if rs := rt.readStates[structure]; rs != nil {
-		return rs.policy
+	if rt.readStates[structure] != nil {
+		return ReadBypass
 	}
 	return ReadDelegate
-}
-
-// note records one submission — a read or a mutation — against the
-// adaptive observations of the structure whose read state is rs (no-op for
-// non-adaptive policies). Session-local plain counters, published on the
-// readStatsFlushEvery cadence.
-func (s *Session) note(rs *readState, read bool) {
-	if rs.policy != ReadAdaptive {
-		return
-	}
-	if s.rsLast != rs {
-		s.flushReadStats()
-		s.rsLast = rs
-	}
-	if read {
-		s.rsReads++
-	} else {
-		s.rsWrites++
-	}
-	s.rsSince++
-	if s.rsSince >= readStatsFlushEvery {
-		s.flushReadStats()
-		s.rsLast = rs
-	}
-}
-
-// flushReadStats publishes the session-local adaptive observations.
-func (s *Session) flushReadStats() {
-	if s.rsLast != nil && s.rsReads+s.rsWrites > 0 {
-		s.rsLast.publish(s.rsReads, s.rsWrites)
-	}
-	s.rsLast = nil
-	s.rsReads, s.rsWrites, s.rsSince = 0, 0, 0
 }
 
 // countBypass reports a fast-path outcome to the domain's telemetry, when
@@ -222,7 +140,7 @@ func (s *Session) countBypass(d *Domain, hit bool, retries uint64) {
 }
 
 // SubmitRead executes a task the caller guarantees is read-only: Op must not
-// mutate the structure. Under a non-delegate effective policy it first
+// mutate the structure. Under an effective ReadBypass it first
 // attempts the validated local read described above; on validation failure —
 // a mutating batch in flight, a sealed or crashed worker's poisoned buffer,
 // a concurrent migration — it falls back to a delegated read, which
@@ -232,7 +150,7 @@ func (s *Session) countBypass(d *Domain, hit bool, retries uint64) {
 // other sessions' bypass reads.
 func (s *Session) SubmitRead(task Task) (any, error) {
 	rs := s.rt.readStates[task.Structure] // read-only map after Start
-	if rs != nil && rs.bypassNow() {
+	if rs != nil {
 		var d *Domain
 		for attempt := uint64(0); attempt < bypassAttempts; attempt++ {
 			var ds any
@@ -270,7 +188,6 @@ func (s *Session) SubmitRead(task Task) (any, error) {
 				n2 += b.MutEnter()
 			}
 			if n2 == n1 && rs.migrations.Load() == m1 {
-				s.note(rs, true)
 				s.countBypass(d, true, attempt)
 				if perr != nil {
 					// The read was stable, so the panic is the op's own

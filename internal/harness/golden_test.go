@@ -21,9 +21,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // Experiments that measure real execution on the host rather than the
 // deterministic simulator; their output carries wall-clock timings and
 // cannot be pinned byte-for-byte. Covered by their own tests instead
-// (txn-modes: internal/oltp/modes_test.go + BenchmarkAblationTxnMode;
-// read-policy: internal/core read-path tests + BenchmarkReadBypass).
-var measured = map[string]bool{"txn-modes": true, "read-policy": true}
+// (read-policy: internal/core read-path tests + BenchmarkReadBypass).
+var measured = map[string]bool{"read-policy": true}
 
 func TestGoldenExperiments(t *testing.T) {
 	for _, name := range Experiments {

@@ -14,12 +14,10 @@ import (
 
 // ReadPolicyAblation is the real-execution ablation of the read-path policy
 // axis (DESIGN.md §12): the same seeded YCSB streams run against a Hash Map
-// under each Session.SubmitRead policy — always-delegate, validated local
-// bypass, and the adaptive mode that watches the observed write fraction —
-// plus an undelgated direct baseline. Each row reports measured per-op
-// latency on this host; the factor columns show what the bypass recovers of
-// the delegation round-trip on read-dominated mixes and that adaptive mode
-// backs off to delegation on the write-heavy mix.
+// under each Session.SubmitRead policy — always-delegate and validated local
+// bypass — plus an undelegated direct baseline. Each row reports measured
+// per-op latency on this host; the factor column shows what the bypass
+// recovers of the delegation round-trip.
 func ReadPolicyAblation() (string, error) {
 	const records = 50_000
 	const ops = 40_000
@@ -122,15 +120,13 @@ func ReadPolicyAblation() (string, error) {
 			fmt.Fprintf(&b, "%-24s %12.0f %12.0f %11.2fx\n",
 				mix.Name+" "+label, ns, float64(ops)/dur.Seconds(), delNs/ns)
 		}
+		byDur, err := runPolicy(mix, core.ReadBypass)
+		if err != nil {
+			return "", fmt.Errorf("%s bypass: %w", mix.Name, err)
+		}
 		row("direct", dDur)
 		row("delegate", delDur)
-		for _, p := range []core.ReadPolicy{core.ReadBypass, core.ReadAdaptive} {
-			dur, err := runPolicy(mix, p)
-			if err != nil {
-				return "", fmt.Errorf("%s %s: %w", mix.Name, p, err)
-			}
-			row(p.String(), dur)
-		}
+		row("bypass", byDur)
 		b.WriteByte('\n')
 	}
 	b.WriteString("(vs delegate > 1 means faster than always-delegating; direct is the no-runtime bound)\n")

@@ -21,14 +21,25 @@ const fuzzKeyBits = 10
 // with a map oracle. op%5 picks Insert, Update, Delete, Get or Scan; the key
 // is the low fuzzKeyBits of a<<8|b. A Scan covers [key, key+33*(op>>3)] and
 // stops after b%8 records (0: no limit); the three Rangers must yield
-// exactly the oracle's first records of that range. Structures with a
-// CheckInvariants method are checked at the end. Run with
+// exactly the oracle's first records of that range. A Get whose op byte has
+// the high bit set is a batch group instead: the next 1+(op>>3)%16 triples
+// are point ops (kind BatchGet+op%4) run through each structure's
+// index.BatchKernel in one ExecBatch call, checked op by op against the
+// oracle applied in index order (checkBatch). At the end every structure's
+// Len and the value of every key in the space must match the oracle, and
+// structures with a CheckInvariants method are checked. Run with
 // `go test -fuzz=FuzzIndexAgainstOracle ./internal/index`; the seed corpus
 // (f.Add plus testdata/fuzz) also executes under plain `go test`.
 func FuzzIndexAgainstOracle(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 1, 2, 0, 2, 3, 0, 3, 0, 0, 0})
 	f.Add([]byte{0, 0, 10, 2, 0, 10, 1, 0, 10, 3, 0, 10, 0, 0, 10, 4, 0, 0})
 	f.Add([]byte{255, 254, 253, 252, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4, 3, 2})
+	// Batch groups: a 16-op group inserting, re-reading and deleting
+	// colliding keys, then a 3-op group over keys the first one left.
+	f.Add([]byte{0, 0, 7, 248, 0, 0,
+		1, 0, 1, 1, 0, 2, 0, 0, 1, 0, 0, 3, 0, 0, 3, 2, 0, 1, 0, 0, 1, 1, 0, 3,
+		3, 0, 1, 2, 0, 7, 1, 0, 7, 0, 0, 7, 0, 0, 7, 3, 0, 7, 2, 0, 2, 0, 0, 3,
+		148, 0, 0, 0, 0, 3, 0, 0, 9, 3, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 3072 {
 			return
@@ -47,6 +58,16 @@ func FuzzIndexAgainstOracle(f *testing.F) {
 			_, exists := oracle[k]
 			if op == 4 {
 				checkScan(t, structures, oracle, k, k+33*uint64(data[i]>>3), int(data[i+2]%8))
+				continue
+			}
+			if op == 3 && data[i] >= 128 {
+				width := 1 + int(data[i]>>3)%16
+				group := data[i+3:]
+				if width > len(group)/3 {
+					width = len(group) / 3
+				}
+				checkBatch(t, structures, oracle, group[:3*width], i+3)
+				i += 3 * width
 				continue
 			}
 			for name, idx := range structures {
@@ -87,6 +108,12 @@ func FuzzIndexAgainstOracle(f *testing.F) {
 		for name, idx := range structures {
 			if idx.Len() != len(oracle) {
 				t.Fatalf("%s: Len = %d, oracle %d", name, idx.Len(), len(oracle))
+			}
+			for k := uint64(0); k < 1<<fuzzKeyBits; k++ {
+				got, ok := idx.Get(k, nil)
+				if want, wok := oracle[k]; ok != wok || got != want {
+					t.Fatalf("%s: final Get(%d) = %d,%v, oracle %d,%v", name, k, got, ok, want, wok)
+				}
 			}
 			if c, ok := idx.(interface{ CheckInvariants() error }); ok {
 				if err := c.CheckInvariants(); err != nil {
@@ -129,6 +156,64 @@ func checkScan(t *testing.T, structures map[string]index.Index, oracle map[uint6
 		if len(got) != len(want) || n != len(got) {
 			t.Fatalf("%s: Scan(%d, %d) limit %d yielded %d and returned %d, oracle %d",
 				name, lo, hi, limit, len(got), n, len(want))
+		}
+	}
+}
+
+// checkBatch decodes group as 3-byte point ops [kind, a, b] — kind
+// BatchGet+kind%4, key as in the point stream, value offset+position —
+// runs them through every structure's ExecBatch in one call, and checks each
+// op's result against the oracle applied in index order: a Get returns the
+// oracle's value, a mutation reports whether it applied and stores 0 in
+// outVals. The oracle then takes the group's effects.
+func checkBatch(t *testing.T, structures map[string]index.Index, oracle map[uint64]uint64, group []byte, offset int) {
+	t.Helper()
+	n := len(group) / 3
+	kinds := make([]uint8, n)
+	keys := make([]uint64, n)
+	vals := make([]uint64, n)
+	wantV := make([]uint64, n)
+	wantOK := make([]bool, n)
+	for j := 0; j < n; j++ {
+		op := group[3*j:]
+		kinds[j] = index.BatchGet + op[0]%4
+		keys[j] = (uint64(op[1])<<8 | uint64(op[2])) & (1<<fuzzKeyBits - 1)
+		vals[j] = uint64(offset + 3*j)
+	}
+	for j, k := range keys {
+		old, exists := oracle[k]
+		switch kinds[j] {
+		case index.BatchGet:
+			wantV[j], wantOK[j] = old, exists
+		case index.BatchInsert:
+			if wantOK[j] = !exists; wantOK[j] {
+				oracle[k] = vals[j]
+			}
+		case index.BatchUpdate:
+			if wantOK[j] = exists; exists {
+				oracle[k] = vals[j]
+			}
+		case index.BatchDelete:
+			wantOK[j] = exists
+			delete(oracle, k)
+		}
+	}
+	for name, idx := range structures {
+		kern, ok := idx.(index.BatchKernel)
+		if !ok {
+			t.Fatalf("%s: no batch kernel", name)
+		}
+		outV := make([]uint64, n)
+		outOK := make([]bool, n)
+		for j := range outV {
+			outV[j] = ^uint64(0) // a kernel must overwrite every result
+		}
+		kern.ExecBatch(kinds, keys, vals, outV, outOK)
+		for j := range keys {
+			if outV[j] != wantV[j] || outOK[j] != wantOK[j] {
+				t.Fatalf("%s: ExecBatch op %d/%d (kind %d, key %d) = %d,%v, oracle in index order %d,%v",
+					name, j, n, kinds[j], keys[j], outV[j], outOK[j], wantV[j], wantOK[j])
+			}
 		}
 	}
 }

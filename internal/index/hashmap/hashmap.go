@@ -243,8 +243,7 @@ func (m *Map) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bo
 		}
 		// A group of one has nothing to overlap with — the optimistic walk
 		// would only replay the chain chase it cannot hide — so it skips
-		// straight to execution. This is the degraded path workers take
-		// when interleaving is off.
+		// straight to execution.
 		if n > 1 {
 			// Stage 1: hash every key and prefetch its bucket header (lock
 			// word, chain head and size share the line).

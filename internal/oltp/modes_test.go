@@ -7,13 +7,12 @@ import (
 	"robustconf/internal/tpcc"
 )
 
-// Execution-mode correctness: every SessionStore mode must leave the exact
-// same database state as the direct baseline when driven by the same
+// SessionStore correctness: whole-transaction delegation must leave the
+// exact same database state as the direct baseline when driven by the same
 // deterministic terminal stream — including cross-warehouse transactions
-// (remote Payment, remote-item New-Order), which the whole-transaction mode
-// must fall back to pipelined statements for. Exact equality holds because
-// every conflicting write is expressed as a commutative RMW, so pipelined
-// reordering cannot diverge.
+// (remote Payment, remote-item New-Order), which fall back to pipelined
+// statements. Exact equality holds because every conflicting write is
+// expressed as a commutative RMW, so pipelined reordering cannot diverge.
 
 // tableChecksum order-insensitively folds a table's contents (FNV over
 // key/value pairs, combined by addition so scan order is irrelevant).
@@ -82,8 +81,8 @@ func runDirectTrace(t *testing.T, remote float64, seed int64, txns int, fullMix 
 	return snapshotState(t, e.warehouses), term
 }
 
-// runModeTrace drives the delegated engine in one execution mode.
-func runModeTrace(t *testing.T, mode ExecMode, remote float64, seed int64, txns int, fullMix bool) (engineState, *tpcc.Terminal) {
+// runStoreTrace drives the delegated engine through one SessionStore.
+func runStoreTrace(t *testing.T, remote float64, seed int64, txns int, fullMix bool) (engineState, *tpcc.Terminal) {
 	t.Helper()
 	m, _ := topology.Restricted(1)
 	e, err := NewEngine(smallCfg, newFPTree, m)
@@ -92,7 +91,7 @@ func runModeTrace(t *testing.T, mode ExecMode, remote float64, seed int64, txns 
 	}
 	defer e.Stop()
 	loader, _ := tpcc.NewLoader(smallCfg, 1)
-	store, err := e.NewStoreMode(0, 14, mode)
+	store, err := e.NewStore(0, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func runModeTrace(t *testing.T, mode ExecMode, remote float64, seed int64, txns 
 			err = term.NextTransaction()
 		}
 		if err != nil {
-			t.Fatalf("%s txn %d: %v", mode, i, err)
+			t.Fatalf("delegated txn %d: %v", i, err)
 		}
 	}
 	if err := store.Close(); err != nil {
@@ -123,7 +122,7 @@ func runModeTrace(t *testing.T, mode ExecMode, remote float64, seed int64, txns 
 func TestModesCrossWarehouseAgainstDirect(t *testing.T) {
 	// Remote fraction 0.4 over 250 New-Order/Payment transactions forces
 	// plenty of remote Payments (customer in the other warehouse) and
-	// remote-item New-Orders through every mode's cross-warehouse path.
+	// remote-item New-Orders through the pipelined cross-warehouse path.
 	const remote, seed, txns = 0.4, int64(99), 250
 	want, dTerm := runDirectTrace(t, remote, seed, txns, false)
 
@@ -142,42 +141,26 @@ func TestModesCrossWarehouseAgainstDirect(t *testing.T) {
 		t.Fatal("trace never ran a remote Payment; raise the remote fraction")
 	}
 
-	for _, mode := range []ExecMode{ModePerStatement, ModeFused, ModeWholeTxn} {
-		got, gTerm := runModeTrace(t, mode, remote, seed, txns, false)
-		if dTerm.NewOrders != gTerm.NewOrders || dTerm.Payments != gTerm.Payments {
-			t.Errorf("%s: mix diverged: NO=%d/%d P=%d/%d", mode,
-				dTerm.NewOrders, gTerm.NewOrders, dTerm.Payments, gTerm.Payments)
-		}
-		diffStates(t, mode.String(), want, got)
+	got, gTerm := runStoreTrace(t, remote, seed, txns, false)
+	if dTerm.NewOrders != gTerm.NewOrders || dTerm.Payments != gTerm.Payments {
+		t.Errorf("mix diverged: NO=%d/%d P=%d/%d",
+			dTerm.NewOrders, gTerm.NewOrders, dTerm.Payments, gTerm.Payments)
 	}
+	diffStates(t, "delegated", want, got)
 }
 
 func TestModesFullMixAgainstDirect(t *testing.T) {
 	// The full five-transaction mix (Delivery's consume/credit, the
-	// read-only scans) with cross-warehouse traffic, through every mode.
+	// read-only scans) with cross-warehouse traffic.
 	const remote, seed, txns = 0.3, int64(31), 300
 	want, dTerm := runDirectTrace(t, remote, seed, txns, true)
 	if dTerm.Deliveries == 0 || dTerm.OrderStatuses == 0 || dTerm.StockLevels == 0 {
 		t.Fatalf("trace incomplete: %+v", dTerm)
 	}
-	for _, mode := range []ExecMode{ModePerStatement, ModeFused, ModeWholeTxn} {
-		got, gTerm := runModeTrace(t, mode, remote, seed, txns, true)
-		if dTerm.NewOrders != gTerm.NewOrders || dTerm.Deliveries != gTerm.Deliveries ||
-			dTerm.OrderStatuses != gTerm.OrderStatuses || dTerm.StockLevels != gTerm.StockLevels {
-			t.Errorf("%s: mix diverged: direct %+v vs %+v", mode, dTerm, gTerm)
-		}
-		diffStates(t, mode.String(), want, got)
+	got, gTerm := runStoreTrace(t, remote, seed, txns, true)
+	if dTerm.NewOrders != gTerm.NewOrders || dTerm.Deliveries != gTerm.Deliveries ||
+		dTerm.OrderStatuses != gTerm.OrderStatuses || dTerm.StockLevels != gTerm.StockLevels {
+		t.Errorf("mix diverged: direct %+v vs %+v", dTerm, gTerm)
 	}
-}
-
-func TestParseMode(t *testing.T) {
-	for _, mode := range []ExecMode{ModePerStatement, ModeFused, ModeWholeTxn} {
-		got, err := ParseMode(mode.String())
-		if err != nil || got != mode {
-			t.Errorf("ParseMode(%q) = %v, %v", mode.String(), got, err)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("bogus mode accepted")
-	}
+	diffStates(t, "delegated", want, got)
 }

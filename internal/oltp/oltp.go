@@ -16,6 +16,7 @@
 package oltp
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"robustconf/internal/config"
@@ -33,17 +34,27 @@ import (
 // wal.go), so a WAL-enabled runtime checkpoints and replays it.
 type Warehouse struct {
 	tables   map[tpcc.Table]index.Index
-	newIndex func() index.Index // retained for WALRestore rebuilds
-	snap     []byte             // WALSnapshot's frame buffer, retained
+	newIndex func() index.Index     // retained for WALRestore rebuilds
+	snap     []byte                 // WALSnapshot's frame buffer, retained
+	snapKV   func(k, v uint64) bool // appendSnap, bound once so snapshots allocate nothing
 }
 
 // NewWarehouse builds the composite structure with one index per table.
 func NewWarehouse(newIndex func() index.Index) *Warehouse {
 	w := &Warehouse{tables: map[tpcc.Table]index.Index{}, newIndex: newIndex}
+	w.snapKV = w.appendSnap
 	for _, t := range tpcc.Tables {
 		w.tables[t] = newIndex()
 	}
 	return w
+}
+
+// appendSnap is WALSnapshot's scan collector: it appends one record to
+// the frame buffer.
+func (w *Warehouse) appendSnap(k, v uint64) bool {
+	w.snap = binary.LittleEndian.AppendUint64(w.snap, k)
+	w.snap = binary.LittleEndian.AppendUint64(w.snap, v)
+	return true
 }
 
 // Table returns the index backing one table.
@@ -272,74 +283,27 @@ func (e *Engine) Warehouse(w int) *Warehouse { return e.warehouses[w-1] }
 // Stop drains and stops the runtime.
 func (e *Engine) Stop() { e.rt.Stop() }
 
-// ExecMode selects how a SessionStore maps transaction statements onto
-// delegated tasks (DESIGN.md §11).
+// ExecMode once selected how a SessionStore mapped statements onto
+// delegated tasks.
+//
+// Deprecated: whole-transaction delegation is the only mapping; ExecMode is
+// kept so existing callers of NewStoreMode still compile.
 type ExecMode int
 
-const (
-	// ModePerStatement pipelines every statement as its own asynchronous
-	// data-aware task: independent statements of one transaction fly
-	// concurrently on the session's burst slots and synchronise only at
-	// dependency barriers.
-	ModePerStatement ExecMode = iota
-	// ModeFused buffers statements bound for the same warehouse and flushes
-	// them as one multi-op task executed in a single worker sweep; a
-	// statement's Value (or any sync operation) forces the flush.
-	ModeFused
-	// ModeWholeTxn ships entire single-warehouse transactions into the
-	// owning domain as one task (RunTxn) and falls back to pipelined
-	// statements for cross-warehouse transactions.
-	ModeWholeTxn
-)
+// ModeWholeTxn is the one execution mode.
+//
+// Deprecated: see ExecMode.
+const ModeWholeTxn ExecMode = 2
 
-// String names the mode as accepted by ParseMode.
-func (m ExecMode) String() string {
-	switch m {
-	case ModePerStatement:
-		return "per-statement"
-	case ModeFused:
-		return "fused"
-	case ModeWholeTxn:
-		return "whole-txn"
-	}
-	return fmt.Sprintf("ExecMode(%d)", int(m))
-}
-
-// ParseMode parses a mode name (the robusttpcc -mode flag).
-func ParseMode(s string) (ExecMode, error) {
-	switch s {
-	case "per-statement":
-		return ModePerStatement, nil
-	case "fused":
-		return ModeFused, nil
-	case "whole-txn":
-		return ModeWholeTxn, nil
-	}
-	return 0, fmt.Errorf("oltp: unknown execution mode %q (want per-statement, fused or whole-txn)", s)
-}
-
-// fusedBatchCap bounds one fused task's statement count so a single sweep
-// never monopolises the worker (New-Order's widest wave is 62 statements).
-const fusedBatchCap = 64
-
-// NewStore opens a session-backed store for one terminal goroutine in the
-// default whole-transaction mode. The returned store is not safe for
-// concurrent use (one per terminal, as one client thread); close it when the
-// terminal finishes.
+// NewStore opens a session-backed store for one terminal goroutine. The
+// returned store is not safe for concurrent use (one per terminal, as one
+// client thread); close it when the terminal finishes.
 func (e *Engine) NewStore(cpu, burst int) (*SessionStore, error) {
-	return e.NewStoreMode(cpu, burst, ModeWholeTxn)
-}
-
-// NewStoreMode opens a session-backed store with an explicit execution mode.
-func (e *Engine) NewStoreMode(cpu, burst int, mode ExecMode) (*SessionStore, error) {
 	sess, err := e.rt.NewSession(cpu, burst)
 	if err != nil {
 		return nil, err
 	}
-	s := &SessionStore{engine: e, session: sess, mode: mode}
-	if mode == ModeFused {
-		s.batches = make([]*stmtBatch, e.cfg.Warehouses)
-	}
+	s := &SessionStore{engine: e, session: sess}
 	// Prebuilt in-domain closures: one scan collector and one
 	// whole-transaction trampoline per store lifetime, so the hot paths
 	// allocate nothing per call.
@@ -375,17 +339,23 @@ func (e *Engine) NewStoreMode(cpu, burst int, mode ExecMode) (*SessionStore, err
 	return s, nil
 }
 
-// SessionStore adapts one runtime session to the tpcc statement interfaces.
-// It implements tpcc.Store (synchronous statements), tpcc.AsyncStore
-// (pipelined statement futures) and tpcc.TxnRunner (whole-transaction
-// delegation); the ExecMode decides which machinery each statement rides.
+// NewStoreMode opens a store exactly like NewStore; mode is ignored.
+//
+// Deprecated: use NewStore.
+func (e *Engine) NewStoreMode(cpu, burst int, _ ExecMode) (*SessionStore, error) {
+	return e.NewStore(cpu, burst)
+}
+
+// SessionStore adapts one runtime session to the tpcc statement interfaces
+// (DESIGN.md §11). It implements tpcc.TxnRunner: a single-warehouse
+// transaction ships into the owning domain as one task. A cross-warehouse
+// transaction falls back to tpcc.AsyncStore's pipelined statement futures
+// (and tpcc.Store's synchronous statements).
 type SessionStore struct {
 	engine  *Engine
 	session *core.Session
-	mode    ExecMode
 
-	pool    *stmtFuture  // recycled statement futures
-	batches []*stmtBatch // fused mode: one pending batch per warehouse
+	pool *stmtFuture // recycled statement futures
 
 	// Scan scratch: the in-domain collector appends into scanBuf, the
 	// client replays it; both sides reuse the buffer across calls.
@@ -400,8 +370,8 @@ type SessionStore struct {
 	txnOp func(ds any) any
 	local domainStore
 
-	// Logged-path scratch: fused batches and whole transactions accumulate
-	// their effect records here (worker side, inside the task), and logEnc
+	// Logged-path scratch: whole transactions accumulate their effect
+	// records here (worker side, inside the task), and logEnc
 	// copies them into the WAL staging buffer (worker side, same sweep).
 	effects []byte
 	logEnc  func(dst []byte) []byte
@@ -426,8 +396,7 @@ const (
 // Value recycles it into the store's pool (consume-once).
 type stmtFuture struct {
 	store *SessionStore
-	af    *core.AsyncFuture // pipelined path (nil once consumed)
-	batch *stmtBatch        // fused path (nil once flushed)
+	af    *core.AsyncFuture // nil once consumed
 	kind  stmtKind
 	table tpcc.Table
 	key   uint64
@@ -478,28 +447,19 @@ func (s *SessionStore) getStmt() *stmtFuture {
 	} else {
 		s.pool = f.next
 	}
-	f.af, f.batch, f.next = nil, nil, nil
+	f.af, f.next = nil, nil
 	f.val, f.ok, f.err = 0, false, nil
 	return f
 }
 
-// issue routes one statement according to the store's mode and returns its
-// future. Routing errors are carried in the future (Value surfaces them), so
+// issue posts one statement as a pipelined task and returns its future.
+// Routing errors are carried in the future (Value surfaces them), so
 // transaction code consumes every future uniformly.
 func (s *SessionStore) issue(w int, kind stmtKind, t tpcc.Table, key, arg uint64, rmw tpcc.RMWKind) *stmtFuture {
 	f := s.getStmt()
 	f.kind, f.table, f.key, f.arg, f.rmw = kind, t, key, arg, rmw
 	if w < 1 || w > s.engine.cfg.Warehouses {
 		f.err = fmt.Errorf("oltp: warehouse %d out of range", w)
-		return f
-	}
-	if s.mode == ModeFused {
-		b := s.batch(w)
-		f.batch = b
-		b.stmts = append(b.stmts, f)
-		if len(b.stmts) >= fusedBatchCap {
-			b.flush() // lifecycle errors land in every member's err
-		}
 		return f
 	}
 	var af *core.AsyncFuture
@@ -519,8 +479,8 @@ func (s *SessionStore) issue(w int, kind stmtKind, t tpcc.Table, key, arg uint64
 	return f
 }
 
-// Value implements tpcc.StmtFuture: it waits for the statement (flushing its
-// fused batch if still pending), returns the result and recycles the handle.
+// Value implements tpcc.StmtFuture: it waits for the statement, returns the
+// result and recycles the handle.
 func (f *stmtFuture) Value() (uint64, bool, error) {
 	s := f.store
 	if f.af != nil {
@@ -528,8 +488,6 @@ func (f *stmtFuture) Value() (uint64, bool, error) {
 			f.err = err
 		}
 		f.af = nil
-	} else if f.batch != nil {
-		f.batch.flush()
 	}
 	v, ok, err := f.val, f.ok, f.err
 	f.next = s.pool
@@ -537,73 +495,9 @@ func (f *stmtFuture) Value() (uint64, bool, error) {
 	return v, ok, err
 }
 
-// stmtBatch accumulates same-warehouse statements in fused mode and flushes
-// them as one multi-op task the worker executes in a single sweep.
-type stmtBatch struct {
-	store *SessionStore
-	w     int
-	stmts []*stmtFuture
-	op    func(ds any) any
-}
-
-// batch returns (building lazily) the pending batch of a warehouse.
-func (s *SessionStore) batch(w int) *stmtBatch {
-	b := s.batches[w-1]
-	if b == nil {
-		b = &stmtBatch{store: s, w: w}
-		b.op = func(ds any) any {
-			wh := ds.(*Warehouse)
-			logged := s.engine.logged
-			if logged {
-				s.effects = s.effects[:0]
-			}
-			for _, f := range b.stmts {
-				f.exec(wh)
-				if logged {
-					s.effects = f.appendEffect(s.effects)
-				}
-			}
-			return nil
-		}
-		s.batches[w-1] = b
-	}
-	return b
-}
-
-// flush executes the pending statements as one task. A lifecycle error (the
-// task never ran, or a statement panicked) is recorded into every member so
-// each Value reports it.
-func (b *stmtBatch) flush() error {
-	if len(b.stmts) == 0 {
-		return nil
-	}
-	task := core.Task{Structure: b.store.engine.name(b.w), Op: b.op}
-	if b.store.engine.logged {
-		for _, f := range b.stmts {
-			if f.kind != stGet {
-				task.Log = b.store.logEnc // at least one mutation: log the batch
-				break
-			}
-		}
-	}
-	_, err := b.store.session.Invoke(task)
-	for i, f := range b.stmts {
-		f.batch = nil
-		if err != nil && f.err == nil {
-			f.err = err
-		}
-		b.stmts[i] = nil
-	}
-	b.stmts = b.stmts[:0]
-	return err
-}
-
 // syncWrites makes every already-issued write for a warehouse visible before
 // an operation that must observe it (Scan, RunTxn).
 func (s *SessionStore) syncWrites(w int) error {
-	if s.mode == ModeFused {
-		return s.batch(w).flush()
-	}
 	return s.session.Barrier(s.engine.name(w))
 }
 
@@ -694,9 +588,9 @@ func (s *SessionStore) Scan(w int, t tpcc.Table, lo, hi uint64, fn func(k, v uin
 }
 
 // RunsWhole implements tpcc.TxnRunner: whole-transaction delegation applies
-// only in ModeWholeTxn and only for warehouses this engine owns.
+// to every warehouse this engine owns.
 func (s *SessionStore) RunsWhole(w int) bool {
-	return s.mode == ModeWholeTxn && w >= 1 && w <= s.engine.cfg.Warehouses
+	return w >= 1 && w <= s.engine.cfg.Warehouses
 }
 
 // RunTxn implements tpcc.TxnRunner: the whole transaction closure ships into
@@ -821,19 +715,5 @@ func (d *domainStore) RMW(w int, t tpcc.Table, key uint64, kind tpcc.RMWKind, de
 	return nv, true, nil
 }
 
-// Close flushes any pending fused batches, drains the session and releases
-// its slots.
-func (s *SessionStore) Close() error {
-	var firstErr error
-	for _, b := range s.batches {
-		if b != nil {
-			if err := b.flush(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if err := s.session.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
+// Close drains the session and releases its slots.
+func (s *SessionStore) Close() error { return s.session.Close() }

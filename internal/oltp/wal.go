@@ -6,9 +6,9 @@
 // (a batch may commit an instant before its crash is detected) converges to
 // the same state, and they are insensitive to the non-determinism of
 // re-executing reads. One WAL record carries every effect of one task: a
-// single statement on the pipelined path, a whole statement batch in fused
-// mode, a whole transaction in whole-txn mode — so a record is also the
-// atomic unit of replay for that task's writes.
+// whole single-warehouse transaction, or one statement of a cross-warehouse
+// transaction's pipelined fallback — so a record is also the atomic unit of
+// replay for that task's writes.
 package oltp
 
 import (
@@ -88,8 +88,9 @@ func (w *Warehouse) WALApply(rec []byte) error {
 // requires a Ranger index (every tree qualifies; the hash map does not and
 // fails here at the initial checkpoint, i.e. at startup, not mid-run).
 func (w *Warehouse) WALSnapshot(dst io.Writer) error {
-	// One frame buffer retained across checkpoints (w.snap): snapshots run
-	// one at a time, under the domain's quiescence gate.
+	// One frame buffer (w.snap) and its scan collector (w.snapKV) retained
+	// across checkpoints: snapshots run one at a time, under the domain's
+	// quiescence gate.
 	for _, t := range tpcc.Tables {
 		tb := w.tables[t]
 		r, ok := tb.(index.Ranger)
@@ -98,11 +99,7 @@ func (w *Warehouse) WALSnapshot(dst io.Writer) error {
 		}
 		w.snap = append(w.snap[:0], byte(t))
 		w.snap = binary.LittleEndian.AppendUint64(w.snap, uint64(tb.Len()))
-		r.Scan(0, ^uint64(0), func(k, v uint64) bool {
-			w.snap = binary.LittleEndian.AppendUint64(w.snap, k)
-			w.snap = binary.LittleEndian.AppendUint64(w.snap, v)
-			return true
-		}, nil)
+		r.Scan(0, ^uint64(0), w.snapKV, nil)
 		if err := wal.WriteFrame(dst, w.snap); err != nil {
 			return err
 		}
@@ -155,11 +152,13 @@ func (w *Warehouse) WALRestore(src io.Reader) error {
 	return nil
 }
 
-// appendEffect appends the statement's logical effect to dst — the
-// per-statement WAL encoder, called on the worker after exec so the effect
-// reflects the result (RMW logs its computed post-value; a failed statement
-// logs nothing). Reads log nothing.
-func (f *stmtFuture) appendEffect(dst []byte) []byte {
+// encStmtEffect is the one shared WAL encoder of the pipelined path,
+// mirroring execStmt: the statement future travels as the argument, so a
+// logged SubmitAsync allocates nothing extra. It runs on the worker after
+// exec, so the effect reflects the result: RMW logs its computed post-value,
+// a failed statement and a read log nothing.
+func encStmtEffect(dst []byte, arg any) []byte {
+	f := arg.(*stmtFuture)
 	if !f.ok {
 		return dst
 	}
@@ -172,11 +171,4 @@ func (f *stmtFuture) appendEffect(dst []byte) []byte {
 		return appendEffDelete(dst, f.table, f.key)
 	}
 	return dst
-}
-
-// encStmtEffect is the one shared WAL encoder of the pipelined path,
-// mirroring execStmt: the statement future travels as the argument, so a
-// logged SubmitAsync allocates nothing extra.
-func encStmtEffect(dst []byte, arg any) []byte {
-	return arg.(*stmtFuture).appendEffect(dst)
 }

@@ -107,49 +107,48 @@ func newWALEngine(t *testing.T, dir string, hook delegation.FaultHook) *Engine {
 }
 
 // TestEngineWALModesMatchDirect asserts WAL-enabled execution is
-// behaviour-preserving: in every execution mode the same deterministic
-// terminal stream leaves the same district sequences as the direct engine,
-// and the WAL actually saw the mutations.
+// behaviour-preserving: the same deterministic terminal stream, with
+// cross-warehouse transactions on the pipelined fallback, leaves the same
+// district sequences as the direct engine, and the WAL actually saw the
+// mutations.
 func TestEngineWALModesMatchDirect(t *testing.T) {
-	for _, mode := range []ExecMode{ModePerStatement, ModeFused, ModeWholeTxn} {
-		direct := loadDirect(t, newFPTree)
-		dTerm, _ := tpcc.NewTerminal(smallCfg, direct, 1, 0.2, 99)
+	direct := loadDirect(t, newFPTree)
+	dTerm, _ := tpcc.NewTerminal(smallCfg, direct, 1, 0.2, 99)
 
-		e := newWALEngine(t, t.TempDir(), nil)
-		loader, _ := tpcc.NewLoader(smallCfg, 1)
-		store, err := e.NewStoreMode(0, 14, mode)
-		if err != nil {
+	e := newWALEngine(t, t.TempDir(), nil)
+	loader, _ := tpcc.NewLoader(smallCfg, 1)
+	store, err := e.NewStore(0, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loader.Load(store); err != nil {
+		t.Fatal(err)
+	}
+	gTerm, _ := tpcc.NewTerminal(smallCfg, store, 1, 0.2, 99)
+
+	for i := 0; i < 120; i++ {
+		if err := dTerm.NextTransaction(); err != nil {
 			t.Fatal(err)
 		}
-		if err := loader.Load(store); err != nil {
+		if err := gTerm.NextTransaction(); err != nil {
 			t.Fatal(err)
 		}
-		gTerm, _ := tpcc.NewTerminal(smallCfg, store, 1, 0.2, 99)
-
-		for i := 0; i < 120; i++ {
-			if err := dTerm.NextTransaction(); err != nil {
-				t.Fatal(err)
-			}
-			if err := gTerm.NextTransaction(); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for d := 1; d <= tpcc.DistrictsPerWarehouse; d++ {
+		dv, _, _ := direct.Get(1, tpcc.DistrictNextOID, tpcc.DistrictKey(d))
+		gv, _, _ := store.Get(1, tpcc.DistrictNextOID, tpcc.DistrictKey(d))
+		if dv != gv {
+			t.Errorf("district %d sequence differs: direct %d vs WAL-enabled %d", d, dv, gv)
 		}
-		for d := 1; d <= tpcc.DistrictsPerWarehouse; d++ {
-			dv, _, _ := direct.Get(1, tpcc.DistrictNextOID, tpcc.DistrictKey(d))
-			gv, _, _ := store.Get(1, tpcc.DistrictNextOID, tpcc.DistrictKey(d))
-			if dv != gv {
-				t.Errorf("%v: district %d sequence differs: direct %d vs WAL-enabled %d", mode, d, dv, gv)
-			}
-		}
-		store.Close()
-		var committed uint64
-		for _, d := range e.Runtime().Domains() {
-			committed += d.WALStats().Committed
-		}
-		e.Stop()
-		if committed == 0 {
-			t.Errorf("%v: no WAL record was ever committed", mode)
-		}
+	}
+	store.Close()
+	var committed uint64
+	for _, d := range e.Runtime().Domains() {
+		committed += d.WALStats().Committed
+	}
+	e.Stop()
+	if committed == 0 {
+		t.Error("no WAL record was ever committed")
 	}
 }
 

@@ -121,12 +121,21 @@ const frameHeader = 8
 const maxFramePayload = 1 << 26 // 64 MiB
 
 // WriteFrame appends one framed payload to w. Checkpoint writers use it so
-// checkpoint bodies share the segment frame format.
+// checkpoint bodies share the segment frame format. The header is built in
+// scratch the writer already owns — the checkpoint slot writer's, or a
+// bytes.Buffer's free capacity — so writing a frame to either allocates
+// nothing.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	switch b := w.(type) {
+	case *slotWriter:
+		hdr = b.hdr[:0]
+	case *bytes.Buffer:
+		hdr = b.AvailableBuffer()
+	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -214,7 +223,8 @@ type DomainLog struct {
 
 	slots [2]zfile // checkpoint state, touched only under the gate's write side
 	epoch uint64
-	cbuf  []byte // retained recovery read buffer for the slot body
+	cbuf  []byte     // retained recovery read buffer for the slot body
+	ckptW slotWriter // retained checkpoint body writer
 
 	// lsn numbers group commits domain-wide: each committed batch frame
 	// carries the next value, and replay merges batches from all worker
@@ -425,8 +435,9 @@ func (d *DomainLog) Checkpoint(write func(w io.Writer) error) error {
 func (d *DomainLog) checkpointLocked(write func(w io.Writer) error) error {
 	epoch := d.epoch + 1
 	slot := &d.slots[epoch%2]
-	w := slotWriter{slot: slot, off: slotHeader}
-	if err := write(&w); err != nil {
+	w := &d.ckptW
+	w.slot, w.off, w.crc = slot, slotHeader, 0
+	if err := write(w); err != nil {
 		return err
 	}
 	var hdr [slotHeader]byte
@@ -458,6 +469,7 @@ type slotWriter struct {
 	slot *zfile
 	off  int64
 	crc  uint32
+	hdr  [frameHeader]byte // WriteFrame's header scratch
 }
 
 // Write implements io.Writer.
