@@ -9,7 +9,7 @@
 //	robusttpcc -engine delegated -warehouses 4 -terminals 4 -txns 2000
 //
 // The delegated engine ships each single-warehouse transaction into its
-// domain as one task and pipelines the statements of cross-warehouse ones.
+// domain as one task, and a cross-warehouse one as one task per warehouse.
 //
 // -wal DIR turns on per-domain write-ahead logging with periodic
 // checkpoints (delegated engine only); -fsync picks the flush discipline

@@ -769,7 +769,12 @@ func (b *Buffer) runKernel(st *sweepStage, kern BatchKernel, i, j int, hook Faul
 //     park in the stash until the end-of-pass group commit: a client
 //     observes success (and the span its response) only once its record
 //     is durable (DESIGN.md §13). Reads, typed ops (never logged), unlogged
-//     tasks and failed ops answer inline.
+//     tasks and failed ops answer inline. A pass that has staged a record
+//     claims again before it commits, and executes what it finds, so a
+//     post that landed while the pass ran shares its flush instead of
+//     waiting out a flush of its own. It repeats while a claim finds
+//     something, up to SlotsPerBuffer claims per pass: a client re-posting
+//     inline-answered ops cannot hold the commit back beyond that.
 //
 // The mutating window opens once, before anything executes, when any
 // claimed op is non-read, so a concurrent bypass reader cannot validate over
@@ -838,7 +843,28 @@ func (b *Buffer) sweep(hook FaultHook, probe *obs.WorkerShard, local bool) (n in
 	if anyMut {
 		b.mutEnter.Add(1)
 	}
-	for done < nc {
+	for {
+		if done == nc {
+			if ns == 0 {
+				break
+			}
+			// Late posts join the flush. A staged record means a non-read
+			// op was claimed, so the mutating window is already open for
+			// whatever this claim adds.
+			for _, s := range b.slots {
+				if nc == len(st.slot) {
+					break
+				}
+				if w, ok := claim(s); ok {
+					st.slot[nc] = s
+					st.w[nc] = w
+					nc++
+				}
+			}
+			if done == nc {
+				break
+			}
+		}
 		s := st.slot[done]
 		if s.kern == nil {
 			// Opaque closure task: executes in place.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -12,12 +13,17 @@ import (
 	"robustconf/internal/workload"
 )
 
+// policyReps is how many times ReadPolicyAblation times each cell: one
+// timing of a cell swings 2x between runs on a shared host.
+const policyReps = 5
+
 // ReadPolicyAblation is the real-execution ablation of the read-path policy
 // axis (DESIGN.md §12): the same seeded YCSB streams run against a Hash Map
 // under each Session.SubmitRead policy — always-delegate and validated local
 // bypass — plus an undelegated direct baseline. Each row reports measured
-// per-op latency on this host; the factor column shows what the bypass
-// recovers of the delegation round-trip.
+// per-op latency on this host as the median of policyReps runs, each from a
+// fresh structure and runtime, with the runs' spread beside it; the factor
+// column shows what the bypass recovers of the delegation round-trip.
 func ReadPolicyAblation() (string, error) {
 	const records = 50_000
 	const ops = 40_000
@@ -103,32 +109,38 @@ func ReadPolicyAblation() (string, error) {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Read-policy ablation: Hash Map, %d records, %d ops, one client, 4-worker domain\n", records, ops)
-	fmt.Fprintf(&b, "%-24s %12s %12s %12s\n", "mix / read path", "ns/op", "ops/s", "vs delegate")
+	fmt.Fprintf(&b, "# Read-policy ablation: Hash Map, %d records, %d ops, one client, 4-worker domain, median of %d runs\n", records, ops, policyReps)
+	fmt.Fprintf(&b, "%-28s %12s %8s %12s %12s\n", "mix / read path", "ns/op", "spread", "ops/s", "vs delegate")
 	for _, mix := range []workload.Mix{workload.C, workload.D, workload.A} {
-		dDur, err := runDirect(mix)
-		if err != nil {
-			return "", fmt.Errorf("%s direct: %w", mix.Name, err)
+		cells := [3]struct {
+			label      string
+			run        func() (time.Duration, error)
+			ns, spread float64 // median run, (max-min)/median
+		}{
+			{label: "direct", run: func() (time.Duration, error) { return runDirect(mix) }},
+			{label: "delegate", run: func() (time.Duration, error) { return runPolicy(mix, core.ReadDelegate) }},
+			{label: "bypass", run: func() (time.Duration, error) { return runPolicy(mix, core.ReadBypass) }},
 		}
-		delDur, err := runPolicy(mix, core.ReadDelegate)
-		if err != nil {
-			return "", fmt.Errorf("%s delegate: %w", mix.Name, err)
+		for i := range cells {
+			c := &cells[i]
+			var runs [policyReps]float64
+			for r := range runs {
+				dur, err := c.run()
+				if err != nil {
+					return "", fmt.Errorf("%s %s: %w", mix.Name, c.label, err)
+				}
+				runs[r] = float64(dur.Nanoseconds()) / ops
+			}
+			slices.Sort(runs[:])
+			c.ns = runs[policyReps/2]
+			c.spread = (runs[policyReps-1] - runs[0]) / c.ns
 		}
-		delNs := float64(delDur.Nanoseconds()) / ops
-		row := func(label string, dur time.Duration) {
-			ns := float64(dur.Nanoseconds()) / ops
-			fmt.Fprintf(&b, "%-24s %12.0f %12.0f %11.2fx\n",
-				mix.Name+" "+label, ns, float64(ops)/dur.Seconds(), delNs/ns)
+		for _, c := range cells {
+			fmt.Fprintf(&b, "%-28s %12.0f %7.0f%% %12.0f %11.2fx\n",
+				mix.Name+" "+c.label, c.ns, 100*c.spread, 1e9/c.ns, cells[1].ns/c.ns)
 		}
-		byDur, err := runPolicy(mix, core.ReadBypass)
-		if err != nil {
-			return "", fmt.Errorf("%s bypass: %w", mix.Name, err)
-		}
-		row("direct", dDur)
-		row("delegate", delDur)
-		row("bypass", byDur)
 		b.WriteByte('\n')
 	}
-	b.WriteString("(vs delegate > 1 means faster than always-delegating; direct is the no-runtime bound)\n")
+	b.WriteString("(ns/op is the median run; spread is (max-min)/median over the runs; vs delegate > 1 means faster than always-delegating; direct is the no-runtime bound)\n")
 	return b.String(), nil
 }

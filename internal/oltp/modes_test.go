@@ -10,9 +10,10 @@ import (
 // SessionStore correctness: whole-transaction delegation must leave the
 // exact same database state as the direct baseline when driven by the same
 // deterministic terminal stream — including cross-warehouse transactions
-// (remote Payment, remote-item New-Order), which fall back to pipelined
-// statements. Exact equality holds because every conflicting write is
-// expressed as a commutative RMW, so pipelined reordering cannot diverge.
+// (remote Payment, remote-item New-Order), which run as one task per
+// warehouse. Exact equality holds because every conflicting write is
+// expressed as a commutative RMW, so the parts' interleaving with other
+// tasks cannot diverge.
 
 // tableChecksum order-insensitively folds a table's contents (FNV over
 // key/value pairs, combined by addition so scan order is irrelevant).
@@ -122,7 +123,7 @@ func runStoreTrace(t *testing.T, remote float64, seed int64, txns int, fullMix b
 func TestModesCrossWarehouseAgainstDirect(t *testing.T) {
 	// Remote fraction 0.4 over 250 New-Order/Payment transactions forces
 	// plenty of remote Payments (customer in the other warehouse) and
-	// remote-item New-Orders through the pipelined cross-warehouse path.
+	// remote-item New-Orders through the one-task-per-warehouse split.
 	const remote, seed, txns = 0.4, int64(99), 250
 	want, dTerm := runDirectTrace(t, remote, seed, txns, false)
 

@@ -304,9 +304,9 @@ func (e *Engine) NewStore(cpu, burst int) (*SessionStore, error) {
 		return nil, err
 	}
 	s := &SessionStore{engine: e, session: sess}
-	// Prebuilt in-domain closures: one scan collector and one
-	// whole-transaction trampoline per store lifetime, so the hot paths
-	// allocate nothing per call.
+	// Prebuilt in-domain scan closures, one pair per store lifetime, so
+	// the hot paths allocate nothing per call (whole-transaction tasks
+	// need none: runPart takes its part as the task argument).
 	s.scanCB = func(k, v uint64) bool {
 		s.scanBuf = append(s.scanBuf, kvPair{k, v})
 		return true
@@ -319,23 +319,12 @@ func (e *Engine) NewStore(cpu, burst int) (*SessionStore, error) {
 		}
 		return nil
 	}
-	s.txnOp = func(ds any) any {
-		s.local.wh = ds.(*Warehouse)
-		if e.logged {
-			// The closure's writes accumulate effects; the task's WAL
-			// encoder (logEnc) reads them after the closure returns, on the
-			// same worker within the same sweep.
-			s.effects = s.effects[:0]
-			s.local.eff = &s.effects
-		}
-		err := s.txnFn(&s.local)
-		s.local.wh, s.local.eff = nil, nil
-		if err != nil {
-			return err
-		}
-		return nil
+	if e.logged {
+		// A part's writes accumulate effects; encPart reads them after the
+		// part returns, on the same worker within the same sweep.
+		s.home.local.eff = &s.home.effects
+		s.remote.local.eff = &s.remote.effects
 	}
-	s.logEnc = func(dst []byte) []byte { return append(dst, s.effects...) }
 	return s, nil
 }
 
@@ -348,9 +337,9 @@ func (e *Engine) NewStoreMode(cpu, burst int, _ ExecMode) (*SessionStore, error)
 
 // SessionStore adapts one runtime session to the tpcc statement interfaces
 // (DESIGN.md §11). It implements tpcc.TxnRunner: a single-warehouse
-// transaction ships into the owning domain as one task. A cross-warehouse
-// transaction falls back to tpcc.AsyncStore's pipelined statement futures
-// (and tpcc.Store's synchronous statements).
+// transaction ships into the owning domain as one task, a cross-warehouse
+// one as one task per warehouse (RunSplit). Its tpcc.AsyncStore statements
+// serve callers outside transactions, such as a pipelined bulk load.
 type SessionStore struct {
 	engine  *Engine
 	session *core.Session
@@ -365,17 +354,35 @@ type SessionStore struct {
 	scanCB         func(k, v uint64) bool
 	scanOp         func(ds any) any
 
-	// Whole-transaction trampoline state (valid only during RunTxn).
-	txnFn func(local tpcc.Store) error
-	txnOp func(ds any) any
-	local domainStore
-
-	// Logged-path scratch: whole transactions accumulate their effect
-	// records here (worker side, inside the task), and logEnc
-	// copies them into the WAL staging buffer (worker side, same sweep).
-	effects []byte
-	logEnc  func(dst []byte) []byte
+	// Whole-transaction tasks: RunTxn posts home, RunSplit home and
+	// remote, which may then run concurrently on two domains' workers.
+	home, remote txnPart
 }
+
+// txnPart is one whole-transaction task's state, valid while the task is
+// in flight: the closure, the warehouse-local store it runs against and,
+// on a logged engine, the effect records its writes accumulate (worker
+// side, inside the task) for encPart to copy into the WAL staging buffer.
+type txnPart struct {
+	fn      func(local tpcc.Store) error
+	local   domainStore
+	effects []byte
+}
+
+// runPart is the one task op of whole-transaction delegation: the part
+// travels as the task argument, so posting allocates nothing.
+func runPart(ds, arg any) any {
+	p := arg.(*txnPart)
+	p.local.wh = ds.(*Warehouse)
+	p.effects = p.effects[:0]
+	err := p.fn(&p.local)
+	p.local.wh = nil
+	return err // a nil error converts to a nil any
+}
+
+// encPart is runPart's WAL encoder: one record carries every effect of the
+// part.
+func encPart(dst []byte, arg any) []byte { return append(dst, arg.(*txnPart).effects...) }
 
 // kvPair is one collected scan match.
 type kvPair struct{ k, v uint64 }
@@ -496,7 +503,7 @@ func (f *stmtFuture) Value() (uint64, bool, error) {
 }
 
 // syncWrites makes every already-issued write for a warehouse visible before
-// an operation that must observe it (Scan, RunTxn).
+// an operation that must observe it (Scan, a whole-transaction task).
 func (s *SessionStore) syncWrites(w int) error {
 	return s.session.Barrier(s.engine.name(w))
 }
@@ -596,31 +603,69 @@ func (s *SessionStore) RunsWhole(w int) bool {
 // RunTxn implements tpcc.TxnRunner: the whole transaction closure ships into
 // the warehouse's domain as one data-aware task and executes against a
 // warehouse-local store, cutting the per-transaction round trips to one.
-// Cross-warehouse transactions never reach here (callers gate on RunsWhole
-// and fall back to pipelined statements).
 func (s *SessionStore) RunTxn(w int, fn func(local tpcc.Store) error) error {
 	if !s.RunsWhole(w) {
 		return fn(s)
 	}
-	// Statements of earlier cross-warehouse transactions were consumed at
-	// their barriers; resolve any straggler so the closure observes them.
-	if err := s.syncWrites(w); err != nil {
-		return err
-	}
-	s.txnFn, s.local.w = fn, w
-	task := core.Task{Structure: s.engine.name(w), Op: s.txnOp}
-	if s.engine.logged {
-		task.Log = s.logEnc // one record carries the whole transaction's effects
-	}
-	out, err := s.session.Invoke(task)
-	s.txnFn = nil
+	f, err := s.post(w, &s.home, fn)
 	if err != nil {
 		return err
 	}
-	if out != nil {
-		return out.(error)
+	return wait(f, &s.home)
+}
+
+// RunSplit implements tpcc.TxnRunner: the home part ships into w's domain
+// and the remote part into rw's, each as one whole-transaction task, and
+// both are posted before either is awaited — so on a logged engine the two
+// records can share their domains' flushes with whatever else is ready.
+// Each part is atomic and durable in its own domain; neither waits for the
+// other. A plain store runs the same two parts one after the other.
+func (s *SessionStore) RunSplit(w int, fn func(local tpcc.Store) error, rw int, rfn func(local tpcc.Store) error) error {
+	if !s.RunsWhole(w) || !s.RunsWhole(rw) {
+		return firstErr(fn(s), rfn(s))
 	}
-	return nil
+	fh, err := s.post(w, &s.home, fn)
+	if err != nil {
+		return err
+	}
+	fr, err := s.post(rw, &s.remote, rfn)
+	if err == nil {
+		err = wait(fr, &s.remote)
+	}
+	return firstErr(wait(fh, &s.home), err)
+}
+
+// firstErr returns a if it is non-nil, else b.
+func firstErr(a, b error) error {
+	if a != nil {
+		return a
+	}
+	return b
+}
+
+// post submits fn as part p's task in warehouse w's domain without waiting.
+// Pipelined statements a caller left outstanding on w resolve first, so the
+// task observes them.
+func (s *SessionStore) post(w int, p *txnPart, fn func(local tpcc.Store) error) (*core.AsyncFuture, error) {
+	if err := s.syncWrites(w); err != nil {
+		return nil, err
+	}
+	name := s.engine.name(w)
+	p.fn, p.local.w = fn, w
+	if s.engine.logged {
+		return s.session.SubmitAsyncLogged(name, runPart, p, encPart)
+	}
+	return s.session.SubmitAsync(name, runPart, p)
+}
+
+// wait awaits part p's task and returns the transaction body's error.
+func wait(f *core.AsyncFuture, p *txnPart) error {
+	out, err := f.Wait()
+	p.fn = nil
+	if err == nil && out != nil {
+		err = out.(error)
+	}
+	return err
 }
 
 // domainStore is the warehouse-local tpcc.Store a whole-transaction closure

@@ -6,9 +6,9 @@
 // (a batch may commit an instant before its crash is detected) converges to
 // the same state, and they are insensitive to the non-determinism of
 // re-executing reads. One WAL record carries every effect of one task: a
-// whole single-warehouse transaction, or one statement of a cross-warehouse
-// transaction's pipelined fallback — so a record is also the atomic unit of
-// replay for that task's writes.
+// whole single-warehouse transaction, one warehouse's part of a
+// cross-warehouse transaction, or one pipelined statement — so a record is
+// also the atomic unit of replay for that task's writes.
 package oltp
 
 import (

@@ -108,7 +108,7 @@ func newWALEngine(t *testing.T, dir string, hook delegation.FaultHook) *Engine {
 
 // TestEngineWALModesMatchDirect asserts WAL-enabled execution is
 // behaviour-preserving: the same deterministic terminal stream, with
-// cross-warehouse transactions on the pipelined fallback, leaves the same
+// cross-warehouse transactions split one task per warehouse, leaves the same
 // district sequences as the direct engine, and the WAL actually saw the
 // mutations.
 func TestEngineWALModesMatchDirect(t *testing.T) {

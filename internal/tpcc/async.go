@@ -6,7 +6,8 @@ package tpcc
 // futures, so a transaction keeps its independent statements concurrently in
 // flight (riding the engine's burst slots) and synchronises once per
 // dependency barrier. A TxnRunner goes one step further and ships a whole
-// single-warehouse transaction closure into the owning domain as one task.
+// single-warehouse transaction closure into the owning domain as one task
+// (a cross-warehouse one as one task per warehouse).
 //
 // Engines that cannot pipeline still run the same transaction code:
 // AsyncView wraps any plain Store into an eager AsyncStore whose futures
@@ -42,11 +43,17 @@ type AsyncStore interface {
 // delegation). RunTxn must only be asked for transactions that touch
 // nothing but that warehouse; the closure receives a warehouse-local Store
 // and must not call back into the issuing engine (the closure runs on a
-// domain worker). RunsWhole reports whether the engine would actually
-// delegate a transaction on the given warehouse — callers skip building the
-// closure when it would fall back to statement execution anyway.
+// domain worker). RunSplit runs a cross-warehouse transaction as one such
+// task per warehouse: homeFn in home's domain and remoteFn in remote's,
+// both posted before either is awaited, so the two may run concurrently
+// and must share no mutable state. Each part is atomic and durable in its
+// own domain; RunSplit returns homeFn's error if there is one, else
+// remoteFn's. RunsWhole reports whether the engine would actually
+// delegate a transaction on the given warehouse — callers run the body
+// against the store themselves when it would not.
 type TxnRunner interface {
 	RunTxn(warehouse int, fn func(local Store) error) error
+	RunSplit(home int, homeFn func(local Store) error, remote int, remoteFn func(local Store) error) error
 	RunsWhole(warehouse int) bool
 }
 

@@ -19,10 +19,7 @@ const StockLevelThreshold = 15
 // (the minimum NewOrders entry), computes the order's amount from its lines
 // and credits the customer's balance.
 func (t *Terminal) Delivery() error {
-	if t.runner != nil && t.runner.RunsWhole(t.home) {
-		return t.runner.RunTxn(t.home, t.delFn)
-	}
-	return t.execDelivery(t.as)
+	return t.run(t.home, t.delFn)
 }
 
 // execDelivery is the Delivery statement body. Per district the NewOrders
@@ -118,10 +115,7 @@ func (t *Terminal) drawOrderStatus() {
 // supports it.
 func (t *Terminal) OrderStatus() error {
 	t.drawOrderStatus()
-	if t.runner != nil && t.runner.RunsWhole(t.home) {
-		return t.runner.RunTxn(t.home, t.osFn)
-	}
-	return t.execOrderStatus(t.store, &t.osp)
+	return t.run(t.home, t.osFn)
 }
 
 // execOrderStatus is the Order-Status body (synchronous: every statement
@@ -168,10 +162,7 @@ func (t *Terminal) execOrderStatus(s Store, p *osParams) error {
 // per-item stock reads are independent and pipeline as one flight.
 func (t *Terminal) StockLevel() error {
 	t.sld = 1 + t.rng.Intn(DistrictsPerWarehouse)
-	if t.runner != nil && t.runner.RunsWhole(t.home) {
-		return t.runner.RunTxn(t.home, t.slFn)
-	}
-	return t.execStockLevel(t.as, t.sld)
+	return t.run(t.home, t.slFn)
 }
 
 // execStockLevel is the Stock-Level body.

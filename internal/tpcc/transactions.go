@@ -9,16 +9,18 @@ import (
 // against a Store, as one client terminal. Terminals are single-goroutine;
 // run one per client thread.
 //
-// Transactions are structured for pipelined execution: each one first draws
-// every random parameter (the same rng stream as the historical interleaved
-// code — store calls never consume the rng), then executes its statements
-// against the store's AsyncStore view, keeping independent statements
-// concurrently in flight and synchronising once per dependency barrier.
-// When the parameters show the transaction touches a single warehouse and
-// the store can run whole transactions in the owning domain (TxnRunner),
-// the whole closure ships as one task instead; a cross-warehouse
-// transaction — remote Payment, remote-item New-Order — automatically falls
-// back to pipelined statements.
+// Each transaction first draws every random parameter (the same rng stream
+// as the historical interleaved code — store calls never consume the rng),
+// then runs its body. When the store can run whole transactions in the
+// owning domain (TxnRunner), a single-warehouse transaction ships there as
+// one task, and a cross-warehouse one — remote-customer Payment,
+// remote-supplier New-Order — as one task per warehouse: a home part and a
+// remote part, both posted before either is awaited (RunSplit). Any other
+// store runs the same bodies directly, the home part before the remote
+// part. The two parts of one transaction share the terminal, so they touch
+// disjoint scratch: neither takes the eager adapter (wrap, used by
+// Delivery and Stock-Level), only Payment's remote part uses the match
+// buffer, and the history sequence is taken before either runs.
 type Terminal struct {
 	cfg    Config
 	store  Store
@@ -34,13 +36,18 @@ type Terminal struct {
 
 	// Prebuilt whole-transaction closures (no per-transaction closure
 	// allocation) and the reusable adapter they aim at the domain-local
-	// store.
-	wrap  immediateAsync
-	noFn  func(local Store) error
-	payFn func(local Store) error
-	delFn func(local Store) error
-	osFn  func(local Store) error
-	slFn  func(local Store) error
+	// store. noFn and payHomeFn are the home parts of New-Order and
+	// Payment, noRemoteFn and payRemoteFn their remote parts; payFn is a
+	// home-customer Payment, both parts in one task.
+	wrap        immediateAsync
+	noFn        func(local Store) error
+	noRemoteFn  func(local Store) error
+	payFn       func(local Store) error
+	payHomeFn   func(local Store) error
+	payRemoteFn func(local Store) error
+	delFn       func(local Store) error
+	osFn        func(local Store) error
+	slFn        func(local Store) error
 
 	// Per-transaction parameter blocks and statement scratch, reused
 	// across transactions.
@@ -51,9 +58,6 @@ type Terminal struct {
 	matches  []int
 	lineBuf  [MaxItemsPerOrder]uint64
 	futA     [MaxItemsPerOrder]StmtFuture
-	futB     [MaxItemsPerOrder]StmtFuture
-	futC     [MaxItemsPerOrder]StmtFuture
-	futD     [MaxItemsPerOrder]StmtFuture
 	futExtra []StmtFuture
 
 	// Prebuilt scan callbacks and the scratch cells they write through,
@@ -123,8 +127,13 @@ func NewTerminal(cfg Config, store Store, home int, remoteFrac float64, seed int
 		home: home, id: uint64(seed) & 0xFFFF, RemoteFrac: remoteFrac,
 	}
 	t.runner, _ = store.(TxnRunner)
-	t.noFn = func(local Store) error { return t.execNewOrder(t.asyncOn(local), &t.no) }
-	t.payFn = func(local Store) error { return t.execPayment(t.asyncOn(local), &t.pay) }
+	t.noFn = func(local Store) error { return t.newOrderHome(local, &t.no) }
+	t.noRemoteFn = func(local Store) error { return newOrderRemote(local, &t.no) }
+	t.payHomeFn = func(local Store) error { return t.paymentHome(local, &t.pay) }
+	t.payRemoteFn = func(local Store) error { return t.paymentCustomer(local, &t.pay) }
+	t.payFn = func(local Store) error {
+		return firstErr(t.paymentHome(local, &t.pay), t.paymentCustomer(local, &t.pay))
+	}
 	t.delFn = func(local Store) error { return t.execDelivery(t.asyncOn(local)) }
 	t.osFn = func(local Store) error { return t.execOrderStatus(local, &t.osp) }
 	t.slFn = func(local Store) error { return t.execStockLevel(t.asyncOn(local), t.sld) }
@@ -163,8 +172,8 @@ func NewTerminal(cfg Config, store Store, home int, remoteFrac float64, seed int
 // run against: the terminal's own pipelined view for its engine store, the
 // native view for async-capable local stores, or the terminal's reusable
 // eager adapter for the plain warehouse-local store a whole-transaction
-// closure receives. Whole-transaction closures run one at a time (RunTxn is
-// synchronous), so reusing one adapter is safe.
+// closure receives. Only single-warehouse bodies take the adapter, and a
+// terminal runs one transaction at a time, so reusing one adapter is safe.
 func (t *Terminal) asyncOn(local Store) AsyncStore {
 	if local == t.store {
 		return t.as
@@ -219,31 +228,53 @@ func (t *Terminal) drawNewOrder() {
 
 // NewOrder executes the TPC-C New-Order transaction: reads warehouse and
 // district tax, assigns the order id, inserts the order and its lines, and
-// updates stock for each line — possibly against a remote warehouse. A
-// home-only order ships whole into the warehouse's domain when the engine
-// supports it; a remote-item order always runs as pipelined statements.
+// updates stock for each line — possibly at a remote supplier warehouse.
+// A remote-supplier order runs as a home part and a remote part (the
+// remote stock updates), one task per warehouse under a TxnRunner.
 func (t *Terminal) NewOrder() error {
 	t.drawNewOrder()
 	p := &t.no
-	if p.suppliers[0] == p.w && t.runner != nil && t.runner.RunsWhole(p.w) {
-		return t.runner.RunTxn(p.w, t.noFn)
+	var err error
+	if sup := p.suppliers[0]; sup != p.w {
+		err = t.runSplit(p.w, t.noFn, sup, t.noRemoteFn)
+	} else {
+		err = t.run(p.w, t.noFn)
 	}
-	return t.execNewOrder(t.as, p)
+	if err == nil {
+		t.NewOrders++
+	}
+	return err
 }
 
-// execNewOrder is the New-Order statement body. Two dependency barriers:
-// the order id RMW (with the tax reads riding along) must resolve before
-// the inserts that embed it; everything after is independent and stays in
-// flight until the final barrier. Every issued future is consumed even on
-// failure — statement futures are consume-once.
-func (t *Terminal) execNewOrder(as AsyncStore, p *noParams) error {
+// run executes a single-warehouse transaction body: as one task in the
+// warehouse's domain under a TxnRunner, directly against the store
+// otherwise.
+func (t *Terminal) run(w int, fn func(local Store) error) error {
+	if t.runner != nil && t.runner.RunsWhole(w) {
+		return t.runner.RunTxn(w, fn)
+	}
+	return fn(t.store)
+}
+
+// runSplit executes a cross-warehouse transaction as its home part on w and
+// its remote part on rw: one task per warehouse, both in flight at once,
+// under a TxnRunner; otherwise directly, the home part first. Both parts run
+// either way, and the home part's error wins.
+func (t *Terminal) runSplit(w int, home func(local Store) error, rw int, remote func(local Store) error) error {
+	if t.runner != nil && t.runner.RunsWhole(w) && t.runner.RunsWhole(rw) {
+		return t.runner.RunSplit(w, home, rw, remote)
+	}
+	return firstErr(home(t.store), remote(t.store))
+}
+
+// newOrderHome is New-Order's home part: everything but the stock updates
+// of remote-supplier lines. Every statement is issued even after a failure,
+// and the first failure in statement order is returned.
+func (t *Terminal) newOrderHome(s Store, p *noParams) error {
 	w, d := p.w, p.d
-	fw := as.GetAsync(w, WarehouseTax, uint64(w))
-	fd := as.GetAsync(w, DistrictTax, DistrictKey(d))
-	fo := as.RMWAsync(w, DistrictNextOID, DistrictKey(d), RMWAdd, 1)
-	_, okW, errW := fw.Value()
-	_, okD, errD := fd.Value()
-	noid, okO, errO := fo.Value()
+	_, okW, errW := s.Get(w, WarehouseTax, uint64(w))
+	_, okD, errD := s.Get(w, DistrictTax, DistrictKey(d))
+	noid, okO, errO := s.RMW(w, DistrictNextOID, DistrictKey(d), RMWAdd, 1)
 	if errW != nil || !okW {
 		return orFmt(errW, "new-order: warehouse %d tax missing", w)
 	}
@@ -255,49 +286,58 @@ func (t *Terminal) execNewOrder(as AsyncStore, p *noParams) error {
 	}
 	o := int(noid) - 1 // RMW returned the incremented id; this order gets the old one
 
-	fOrd := as.InsertAsync(w, Orders, OrderKey(d, o), uint64(p.c))
-	fNew := as.InsertAsync(w, NewOrders, OrderKey(d, o), 1)
-	for i := 0; i < p.lines; i++ {
-		item, qty, sup := p.items[i], p.qtys[i], p.suppliers[i]
-		t.futA[i] = as.GetAsync(w, ItemPrice, ItemKey(item))
-		t.futB[i] = as.RMWAsync(sup, StockQuantity, StockKey(item), RMWStockDecr, uint64(qty))
-		t.futC[i] = as.RMWAsync(sup, StockYTD, StockKey(item), RMWAdd, uint64(qty))
-		t.futD[i] = as.InsertAsync(w, OrderLines, OrderLineKey(d, o, i+1), PackLine(item, qty))
-	}
-	var err error
-	if _, _, e := fOrd.Value(); err == nil {
-		err = e
-	}
-	if _, _, e := fNew.Value(); err == nil {
+	_, err := s.Insert(w, Orders, OrderKey(d, o), uint64(p.c))
+	if _, e := s.Insert(w, NewOrders, OrderKey(d, o), 1); err == nil {
 		err = e
 	}
 	for i := 0; i < p.lines; i++ {
-		_, okP, eP := t.futA[i].Value()
-		_, okS, eS := t.futB[i].Value()
-		_, _, eY := t.futC[i].Value()
-		_, _, eL := t.futD[i].Value()
+		item := p.items[i]
+		_, okP, eP := s.Get(w, ItemPrice, ItemKey(item))
+		var eS error
+		if p.suppliers[i] == w {
+			eS = updateStock(s, p, i)
+		}
+		_, eL := s.Insert(w, OrderLines, OrderLineKey(d, o, i+1), PackLine(item, p.qtys[i]))
 		if err == nil {
 			switch {
 			case eP != nil:
 				err = eP
 			case !okP:
-				err = fmt.Errorf("new-order: item %d missing", p.items[i])
+				err = fmt.Errorf("new-order: item %d missing", item)
 			case eS != nil:
 				err = eS
-			case !okS:
-				err = fmt.Errorf("new-order: stock %d/%d missing", p.suppliers[i], p.items[i])
-			case eY != nil:
-				err = eY
 			case eL != nil:
 				err = eL
 			}
 		}
 	}
-	if err != nil {
-		return err
+	return err
+}
+
+// newOrderRemote is New-Order's remote part: the stock updates of the lines
+// a remote warehouse supplies (drawNewOrder gives them one supplier).
+func newOrderRemote(s Store, p *noParams) error {
+	var err error
+	for i := 0; i < p.lines; i++ {
+		if p.suppliers[i] != p.w {
+			if e := updateStock(s, p, i); err == nil {
+				err = e
+			}
+		}
 	}
-	t.NewOrders++
-	return nil
+	return err
+}
+
+// updateStock applies line i's two commutative stock updates at its
+// supplier: the quantity decrement and the year-to-date credit.
+func updateStock(s Store, p *noParams, i int) error {
+	sup, item, qty := p.suppliers[i], p.items[i], uint64(p.qtys[i])
+	_, ok, err := s.RMW(sup, StockQuantity, StockKey(item), RMWStockDecr, qty)
+	_, _, errY := s.RMW(sup, StockYTD, StockKey(item), RMWAdd, qty)
+	if err == nil && !ok {
+		err = fmt.Errorf("new-order: stock %d/%d missing", sup, item)
+	}
+	return firstErr(err, errY)
 }
 
 // drawPayment pre-draws one Payment's parameters in the historical rng
@@ -322,76 +362,75 @@ func (t *Terminal) drawPayment() {
 }
 
 // Payment executes the TPC-C Payment transaction: updates warehouse and
-// district YTD, resolves the customer (60% by last name via the secondary
-// index), updates the balance and appends a history row. The customer is
-// remote with the configured probability; a home-customer payment ships
-// whole into the warehouse's domain when the engine supports it.
+// district YTD, appends a history row, resolves the customer (60% by last
+// name via the secondary index) and debits the balance. The customer is
+// remote with the configured probability; a remote-customer payment runs
+// as a home part and a remote part (the customer), one task per warehouse
+// under a TxnRunner.
 func (t *Terminal) Payment() error {
 	t.drawPayment()
 	p := &t.pay
-	if p.cw == p.w && t.runner != nil && t.runner.RunsWhole(p.w) {
-		return t.runner.RunTxn(p.w, t.payFn)
+	t.seq++ // taken once, before either part runs
+	var err error
+	if p.cw != p.w {
+		err = t.runSplit(p.w, t.payHomeFn, p.cw, t.payRemoteFn)
+	} else {
+		err = t.run(p.w, t.payFn)
 	}
-	return t.execPayment(t.as, p)
+	if err == nil {
+		t.Payments++
+	}
+	return err
 }
 
-// execPayment is the Payment statement body: the two YTD credits fly while
-// the customer resolves (a synchronous scan in the by-name case), then the
-// balance debit and history append join them at the final barrier.
-func (t *Terminal) execPayment(as AsyncStore, p *payParams) error {
-	fw := as.RMWAsync(p.w, WarehouseYTD, uint64(p.w), RMWAdd, p.amount)
-	fd := as.RMWAsync(p.w, DistrictYTD, DistrictKey(p.d), RMWAdd, p.amount)
+// paymentHome is Payment's home part: the two YTD credits and the history
+// row.
+func (t *Terminal) paymentHome(s Store, p *payParams) error {
+	_, okW, errW := s.RMW(p.w, WarehouseYTD, uint64(p.w), RMWAdd, p.amount)
+	_, okD, errD := s.RMW(p.w, DistrictYTD, DistrictKey(p.d), RMWAdd, p.amount)
+	_, errH := s.Insert(p.w, History, HistoryKey(p.d, t.seq<<16|t.id), p.amount)
+	switch {
+	case errW != nil:
+		return errW
+	case !okW:
+		return fmt.Errorf("payment: warehouse %d ytd missing", p.w)
+	case errD != nil:
+		return errD
+	case !okD:
+		return fmt.Errorf("payment: district %d ytd missing", p.d)
+	}
+	return errH
+}
 
+// paymentCustomer is Payment's customer part: resolve the customer — by
+// last name, the middle match of the secondary index per the TPC-C
+// specification — and debit the balance.
+func (t *Terminal) paymentCustomer(s Store, p *payParams) error {
 	cu := p.cu
-	var scanErr error
 	if p.byName {
-		// By last name: scan the secondary index and take the middle
-		// match, per the TPC-C specification.
 		lo, hi := CustomerNameRange(p.cd, p.nameHash)
 		t.matches = t.matches[:0]
-		if _, err := as.Scan(p.cw, CustomerByName, lo, hi, t.matchCB); err != nil {
-			scanErr = err
-		} else if len(t.matches) == 0 {
-			scanErr = fmt.Errorf("payment: no customer named %s in %d/%d", p.name, p.cw, p.cd)
-		} else {
-			cu = t.matches[len(t.matches)/2]
+		if _, err := s.Scan(p.cw, CustomerByName, lo, hi, t.matchCB); err != nil {
+			return err
 		}
+		if len(t.matches) == 0 {
+			return fmt.Errorf("payment: no customer named %s in %d/%d", p.name, p.cw, p.cd)
+		}
+		cu = t.matches[len(t.matches)/2]
 	}
-	if scanErr != nil {
-		fw.Value()
-		fd.Value()
-		return scanErr
-	}
-	fb := as.RMWAsync(p.cw, CustomerBalance, CustomerKey(p.cd, cu), RMWAdd, uint64(-int64(p.amount)))
-	t.seq++
-	fh := as.InsertAsync(p.w, History, HistoryKey(p.d, t.seq<<16|t.id), p.amount)
-
-	_, okW, eW := fw.Value()
-	_, okD, eD := fd.Value()
-	_, okB, eB := fb.Value()
-	_, _, eH := fh.Value()
-	var err error
-	switch {
-	case eW != nil:
-		err = eW
-	case !okW:
-		err = fmt.Errorf("payment: warehouse %d ytd missing", p.w)
-	case eD != nil:
-		err = eD
-	case !okD:
-		err = fmt.Errorf("payment: district %d ytd missing", p.d)
-	case eB != nil:
-		err = eB
-	case !okB:
+	_, ok, err := s.RMW(p.cw, CustomerBalance, CustomerKey(p.cd, cu), RMWAdd, uint64(-int64(p.amount)))
+	if err == nil && !ok {
 		err = fmt.Errorf("payment: customer %d/%d/%d missing", p.cw, p.cd, cu)
-	case eH != nil:
-		err = eH
 	}
-	if err != nil {
-		return err
+	return err
+}
+
+// firstErr returns a if it is non-nil, else b.
+func firstErr(a, b error) error {
+	if a != nil {
+		return a
 	}
-	t.Payments++
-	return nil
+	return b
 }
 
 // orFmt wraps a store error or formats a missing-row failure.

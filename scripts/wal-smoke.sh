@@ -1,12 +1,16 @@
 #!/bin/sh
 # wal-smoke: cheap durability gate (DESIGN.md §13).
 #
-# Two checks:
+# Three checks:
 #  1. The shrunk WAL chaos suite under the race detector — seeded crash
 #     storms (worker kills, kills inside group commit, torn log tails,
 #     crash-during-migration) must recover to state byte-equal to the
 #     crash-free run of the same seed.
-#  2. The logged delegation round trip stays allocation-free: turning the
+#  2. A logged sweep pass claims again before its flush, under the race
+#     detector: a post that lands while the pass runs shares its one
+#     commit, and a client re-posting reads cannot hold the commit back
+#     beyond SlotsPerBuffer claims.
+#  3. The logged delegation round trip stays allocation-free: turning the
 #     WAL on must not put allocations on the hot path (staging reuses the
 #     per-worker buffers), so WAL-off costs nothing by construction. The
 #     exact per-call check is the testing.AllocsPerRun pin
@@ -19,6 +23,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 go test -race -short -run 'TestChaosWAL' ./internal/harness/
+go test -race -count=1 -run '^(TestLatePostJoinsFlush|TestLateClaimBounded)$' ./internal/delegation/
 go test -count=1 -run '^TestLoggedInvokeZeroAlloc$' ./internal/core/
 
 WARM_BENCHTIME="${WARM_BENCHTIME:-20000x}"
