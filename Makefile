@@ -54,15 +54,18 @@ net-smoke:
 # batch kernel (ExecBatch vs the public methods in index order), the
 # four indexes against a map oracle (point ops, batch groups through each
 # structure's ExecBatch kernel, and early-stopping scans over a key space
-# wide enough to split and drain leaves), and WAL
+# wide enough to split and drain leaves), WAL
 # recovery over corrupted segment and checkpoint bytes against a
-# reference scan. Each mutates
+# reference scan, and the wire protocol (request decode/encode round trips
+# and frame cutting over arbitrary bytes). Each mutates
 # from its checked-in corpus under the package's testdata/fuzz; a failing
 # input is written there — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecBatchVsSerial$$' -fuzztime 10s ./internal/index/btree
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexAgainstOracle$$' -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/server/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/server/proto
 
 # The full-size chaos fault-injection suite on its own — both the WAL-off
 # schedules (crash-with-data-loss envelope) and the TestChaosWAL* suite

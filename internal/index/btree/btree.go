@@ -22,9 +22,9 @@ import (
 )
 
 // Nodes are STX's 256-byte target made exact: 15 keys plus 16 children (or
-// 15 values and the chain link) plus the count fill the allocator's 256 B
-// size class, whose objects are 256-aligned — a node is four whole cache
-// lines, the count and keys on the first two.
+// 15 values and the chain link) plus the count fill 256 bytes, and newNode
+// hands out 256-aligned memory — a node is four whole cache lines, the count
+// and keys on the first two.
 const (
 	innerSlots = 15 // keys per inner node
 	leafSlots  = 15 // records per leaf
@@ -32,10 +32,13 @@ const (
 	nodeLines  = nodeBytes / 64
 )
 
+// leaf values are plain words: every access under the shared structural
+// lock is an atomic load or store (execOnLeaf, Scan), and the exclusive
+// holder (Insert, Delete, splits) writes them with plain stores and copies.
 type leaf struct {
 	num    int
 	keys   [leafSlots]uint64
-	values [leafSlots]atomic.Uint64
+	values [leafSlots]uint64
 	next   *leaf // leaf chaining for scans
 }
 
@@ -65,7 +68,7 @@ var (
 type Tree struct {
 	root   unsafe.Pointer // *inner when height > 0, else *leaf; nil when empty
 	height int            // number of inner levels above the leaves
-	count  atomic.Int64
+	count  int64          // written only under the exclusive structural lock
 	// structLock is the paper's "global lock": shared for traversals
 	// (Get/Update/Scan and ExecBatch's GET/UPDATE runs), exclusive for
 	// structural changes (Insert/Delete).
@@ -76,6 +79,12 @@ type Tree struct {
 	// rightmost edge regardless). Guarded by structLock.
 	maxKey uint64
 	hasMax bool
+	// tail is the leaf the last append wrote. Leaves are never unlinked, so
+	// while tail.next is nil it is still the rightmost leaf, and an append
+	// with room there writes it without walking the spine.
+	tail  *leaf
+	mem   nodeMem // where newNode takes node memory from
+	nodes int     // nodes allocated, for tests
 }
 
 // New returns an empty tree.
@@ -95,7 +104,12 @@ func (t *Tree) Scheme() index.Scheme { return index.SchemeAtomicRecord }
 func (t *Tree) ConcurrentReadSafe() bool { return false }
 
 // Len implements index.Index.
-func (t *Tree) Len() int { return int(t.count.Load()) }
+func (t *Tree) Len() int {
+	t.structLock.RLock()
+	n := t.count
+	t.structLock.RUnlock()
+	return int(n)
+}
 
 // findLeaf descends to the leaf that covers k, accounting each visited
 // node; nil on an empty tree.
@@ -150,10 +164,10 @@ func execOnLeaf(lf *leaf, kind uint8, k, v uint64) (uint64, bool) {
 		return 0, false
 	}
 	if kind == index.BatchUpdate {
-		lf.values[i].Store(v)
+		atomic.StoreUint64(&lf.values[i], v)
 		return 0, true
 	}
-	return lf.values[i].Load(), true
+	return atomic.LoadUint64(&lf.values[i]), true
 }
 
 // Get implements index.Index: a traversal under the shared structural lock;
@@ -188,53 +202,54 @@ func (t *Tree) Insert(k, v uint64, st *index.OpStats) bool {
 		st.LockAcquires++
 	}
 	t.structLock.Lock()
-	defer t.structLock.Unlock()
-
-	if t.root == nil {
-		lf := &leaf{num: 1}
-		lf.keys[0] = k
-		lf.values[0].Store(v)
-		t.root = unsafe.Pointer(lf)
-		t.maxKey, t.hasMax = k, true
-		t.count.Add(1)
-		st.Visit(1, index.CacheLines(leafBytes))
-		return true
-	}
-
-	// Sorted-append fast path: a key beyond the current maximum is new by
-	// construction and belongs at the rightmost edge. Appending there packs
-	// nodes full instead of median-splitting them, so a sorted load (the
-	// checkpoint-restore stream, a time-ordered key sequence) builds the
-	// tree with half the node allocations and full occupancy.
-	if t.hasMax && k > t.maxKey {
-		split := t.appendMax(k, v, st)
-		t.maxKey = k
-		if split && st != nil {
+	switch {
+	case t.hasMax && k > t.maxKey:
+		// Sorted-append fast path: a key beyond the current maximum is new
+		// by construction and belongs at the rightmost edge. Appending there
+		// packs nodes full instead of median-splitting them, so a sorted
+		// load (the checkpoint-restore stream, a time-ordered key sequence)
+		// builds the tree with half the nodes and full occupancy. While the
+		// tail leaf is still the rightmost and has room, the append is one
+		// slot write.
+		if lf := t.tail; lf != nil && lf.next == nil && lf.num < leafSlots {
+			st.Visit(1, index.CacheLines(leafBytes))
+			lf.keys[lf.num] = k
+			lf.values[lf.num] = v
+			lf.num++
+		} else if t.appendMax(k, v, st) && st != nil {
 			st.Splits++
 		}
-		t.count.Add(1)
-		return true
-	}
-
-	if searchRecords(t.findLeaf(k, st), k) >= 0 {
+		t.maxKey = k
+	case t.root == nil:
+		lf := newNode[leaf](t)
+		lf.num = 1
+		lf.keys[0] = k
+		lf.values[0] = v
+		t.root = unsafe.Pointer(lf)
+		t.tail = lf
+		t.maxKey, t.hasMax = k, true
+		st.Visit(1, index.CacheLines(leafBytes))
+	case searchRecords(t.findLeaf(k, st), k) >= 0:
+		t.structLock.Unlock()
 		return false
+	default:
+		if t.insertAt(k, v, st) && st != nil {
+			st.Splits++
+		}
 	}
-
-	split := t.insertAt(k, v, st)
-	if split && st != nil {
-		st.Splits++
-	}
-	t.count.Add(1)
+	t.count++
+	t.structLock.Unlock()
 	return true
 }
 
 // insertAt performs the recursive insert; reports whether any split occurred.
 func (t *Tree) insertAt(k, v uint64, st *index.OpStats) bool {
-	newChild, splitKey, grew := insertRec(t.root, t.height, k, v, st)
+	newChild, splitKey, grew := t.insertRec(t.root, t.height, k, v, st)
 	if !grew {
 		return false
 	}
-	r := &inner{num: 1}
+	r := newNode[inner](t)
+	r.num = 1
 	r.keys[0] = splitKey
 	r.children[0] = t.root
 	r.children[1] = newChild
@@ -248,8 +263,9 @@ func (t *Tree) insertAt(k, v uint64, st *index.OpStats) bool {
 // fresh single-record right sibling whose separator climbs the rightmost
 // inner spine — full spine nodes get a fresh single-child sibling too (no
 // keys yet: CheckInvariants accepts that shape on the rightmost spine only),
-// so a pure ascending load leaves every node fully packed. Runs under the
-// exclusive structural lock; reports whether the tree grew a node.
+// so a pure ascending load leaves every node fully packed. The leaf written
+// becomes the tail. Runs under the exclusive structural lock; reports
+// whether the tree grew a node.
 func (t *Tree) appendMax(k, v uint64, st *index.OpStats) bool {
 	var spine [32]*inner
 	p := t.root
@@ -263,14 +279,17 @@ func (t *Tree) appendMax(k, v uint64, st *index.OpStats) bool {
 	st.Visit(1, index.CacheLines(leafBytes))
 	if lf.num < leafSlots {
 		lf.keys[lf.num] = k
-		lf.values[lf.num].Store(v)
+		lf.values[lf.num] = v
 		lf.num++
+		t.tail = lf
 		return false
 	}
-	r := &leaf{num: 1}
+	r := newNode[leaf](t)
+	r.num = 1
 	r.keys[0] = k
-	r.values[0].Store(v)
+	r.values[0] = v
 	lf.next = r
+	t.tail = r
 	if st != nil {
 		st.BytesCopied += 16
 	}
@@ -286,12 +305,13 @@ func (t *Tree) appendMax(k, v uint64, st *index.OpStats) bool {
 			in.num++
 			return true
 		}
-		nr := &inner{}
+		nr := newNode[inner](t)
 		nr.children[0] = child
 		child = unsafe.Pointer(nr)
 	}
 	// Every spine node was full (or the root is a leaf): grow the root.
-	nr := &inner{num: 1}
+	nr := newNode[inner](t)
+	nr.num = 1
 	nr.keys[0] = k
 	nr.children[0] = t.root
 	nr.children[1] = child
@@ -303,13 +323,13 @@ func (t *Tree) appendMax(k, v uint64, st *index.OpStats) bool {
 // insertRec inserts into the subtree rooted at node, which sits level inner
 // levels above the leaves. When the child splits it returns the new right
 // sibling and its separator key with grew=true.
-func insertRec(node unsafe.Pointer, level int, k, v uint64, st *index.OpStats) (right unsafe.Pointer, splitKey uint64, grew bool) {
+func (t *Tree) insertRec(node unsafe.Pointer, level int, k, v uint64, st *index.OpStats) (right unsafe.Pointer, splitKey uint64, grew bool) {
 	if level == 0 {
-		return leafInsert((*leaf)(node), k, v, st)
+		return t.leafInsert((*leaf)(node), k, v, st)
 	}
 	n := (*inner)(node)
 	i := searchKeys(n.keys[:n.num], k)
-	r, sk, g := insertRec(n.children[i], level-1, k, v, st)
+	r, sk, g := t.insertRec(n.children[i], level-1, k, v, st)
 	if !g {
 		return nil, 0, false
 	}
@@ -322,28 +342,24 @@ func insertRec(node unsafe.Pointer, level int, k, v uint64, st *index.OpStats) (
 		return nil, 0, false
 	}
 	// Split the inner node around its median.
-	return innerSplit(n, i, sk, r, st)
+	return t.innerSplit(n, i, sk, r, st)
 }
 
-func leafInsert(lf *leaf, k, v uint64, st *index.OpStats) (unsafe.Pointer, uint64, bool) {
+func (t *Tree) leafInsert(lf *leaf, k, v uint64, st *index.OpStats) (unsafe.Pointer, uint64, bool) {
 	i := searchKeys(lf.keys[:lf.num], k)
 	if lf.num < leafSlots {
 		copy(lf.keys[i+1:lf.num+1], lf.keys[i:lf.num])
-		for j := lf.num; j > i; j-- {
-			lf.values[j].Store(lf.values[j-1].Load())
-		}
+		copy(lf.values[i+1:lf.num+1], lf.values[i:lf.num])
 		lf.keys[i] = k
-		lf.values[i].Store(v)
+		lf.values[i] = v
 		lf.num++
 		return nil, 0, false
 	}
 	// Split: left keeps the lower half, right takes the upper half.
 	mid := leafSlots / 2
-	r := &leaf{}
+	r := newNode[leaf](t)
 	copy(r.keys[:], lf.keys[mid:])
-	for j := mid; j < leafSlots; j++ {
-		r.values[j-mid].Store(lf.values[j].Load())
-	}
+	copy(r.values[:], lf.values[mid:])
 	r.num = leafSlots - mid
 	lf.num = mid
 	r.next = lf.next
@@ -357,11 +373,11 @@ func leafInsert(lf *leaf, k, v uint64, st *index.OpStats) (unsafe.Pointer, uint6
 	if k >= r.keys[0] {
 		target = r
 	}
-	leafInsert(target, k, v, nil)
+	t.leafInsert(target, k, v, nil)
 	return unsafe.Pointer(r), r.keys[0], true
 }
 
-func innerSplit(n *inner, i int, sk uint64, child unsafe.Pointer, st *index.OpStats) (unsafe.Pointer, uint64, bool) {
+func (t *Tree) innerSplit(n *inner, i int, sk uint64, child unsafe.Pointer, st *index.OpStats) (unsafe.Pointer, uint64, bool) {
 	// Merge the pending (sk, child) into a temporary ordered view, then cut.
 	var keys [innerSlots + 1]uint64
 	var children [innerSlots + 2]unsafe.Pointer
@@ -376,7 +392,8 @@ func innerSplit(n *inner, i int, sk uint64, child unsafe.Pointer, st *index.OpSt
 	mid := total / 2
 	up := keys[mid]
 
-	r := &inner{num: total - mid - 1}
+	r := newNode[inner](t)
+	r.num = total - mid - 1
 	copy(r.keys[:r.num], keys[mid+1:total])
 	copy(r.children[:r.num+1], children[mid+1:total+1])
 
@@ -411,11 +428,9 @@ func (t *Tree) Delete(k uint64, st *index.OpStats) bool {
 		return false
 	}
 	copy(lf.keys[i:lf.num-1], lf.keys[i+1:lf.num])
-	for j := i; j < lf.num-1; j++ {
-		lf.values[j].Store(lf.values[j+1].Load())
-	}
+	copy(lf.values[i:lf.num-1], lf.values[i+1:lf.num])
 	lf.num--
-	t.count.Add(-1)
+	t.count--
 	return true
 }
 
@@ -441,7 +456,7 @@ func (t *Tree) Scan(lo, hi uint64, fn func(k, v uint64) bool, st *index.OpStats)
 				break
 			}
 			n++
-			if !fn(k, lf.values[i].Load()) {
+			if !fn(k, atomic.LoadUint64(&lf.values[i])) {
 				ok = false
 				break
 			}
@@ -509,7 +524,7 @@ func (t *Tree) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []b
 // pair.
 func (t *Tree) execRun(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool) {
 	t.structLock.RLock()
-	if t.count.Load() <= residentKeys {
+	if t.count <= residentKeys {
 		for i, k := range keys {
 			outVals[i], outOKs[i] = execOnLeaf(t.findLeaf(k, nil), kinds[i], k, vals[i])
 		}

@@ -2,6 +2,8 @@ package btree
 
 import (
 	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -376,18 +378,18 @@ func TestSortedAppendFastPath(t *testing.T) {
 
 // TestSortedAppendPacksNodes pins what the fast path is for: an ascending
 // load allocates one node per leafSlots records plus the thin inner spine —
-// about half the median-split cost — and leaves leaves fully packed.
+// about half the median-split cost — and leaves leaves fully packed. Nodes
+// are counted at the allocator: arena nodes are no heap allocations.
 func TestSortedAppendPacksNodes(t *testing.T) {
 	tr := New()
-	var k uint64
-	n := testing.AllocsPerRun(16384, func() {
-		k++
+	const inserts = 16384
+	for k := uint64(1); k <= inserts; k++ {
 		tr.Insert(k, k, nil)
-	})
-	// One leaf per leafSlots (15) inserts plus spine inners: ~0.071 allocs
+	}
+	// One leaf per leafSlots (15) inserts plus spine inners: ~0.071 nodes
 	// per op; the median-split path costs double. Guard with headroom.
-	if n > 0.1 {
-		t.Errorf("ascending insert allocates %.3f per op, want packed-append (< 0.1)", n)
+	if n := float64(tr.nodes) / inserts; n > 0.1 {
+		t.Errorf("ascending insert allocates %.3f nodes per op, want packed-append (< 0.1)", n)
 	}
 	full, leaves := 0, 0
 	tr.Scan(0, ^uint64(0), func(uint64, uint64) bool { return true }, nil)
@@ -397,10 +399,95 @@ func TestSortedAppendPacksNodes(t *testing.T) {
 			full++
 		}
 	}
+	runtime.KeepAlive(tr) // the leaf walk reads tr's nodes
 	// Every leaf but the in-progress rightmost one is fully packed.
 	if leaves == 0 || full < leaves-1 {
 		t.Errorf("%d of %d leaves fully packed, want all but the last", full, leaves)
 	}
+}
+
+// TestTailSplitThenAppend drives the tail fast path across its one way to go
+// stale: an ascending run, a mid-range insert inside the tail leaf's range
+// (first one that fits, then one that splits the full tail), and more
+// appends, which must leave the split tail and walk the spine again. The
+// tree is checked against a sorted oracle after every phase.
+func TestTailSplitThenAppend(t *testing.T) {
+	tr := New()
+	var want []uint64
+	appendRun := func(n int) {
+		for i := 0; i < n; i++ {
+			k := uint64(10)
+			if len(want) > 0 {
+				k = want[len(want)-1] + 10
+			}
+			if !tr.Insert(k, k*3, nil) {
+				t.Fatalf("append %d rejected", k)
+			}
+			want = append(want, k)
+		}
+	}
+	insertMid := func(k uint64) {
+		if !tr.Insert(k, k*3, nil) {
+			t.Fatalf("mid-range insert %d rejected", k)
+		}
+		i := sort.Search(len(want), func(i int) bool { return want[i] >= k })
+		want = append(want[:i], append([]uint64{k}, want[i:]...)...)
+	}
+	check := func(phase string) {
+		t.Helper()
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		var got []uint64
+		tr.Scan(0, ^uint64(0), func(k, v uint64) bool {
+			if v != k*3 {
+				t.Fatalf("%s: key %d holds %d", phase, k, v)
+			}
+			got = append(got, k)
+			return true
+		}, nil)
+		if len(got) != len(want) || tr.Len() != len(want) {
+			t.Fatalf("%s: scan %d keys, Len %d, oracle %d", phase, len(got), tr.Len(), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d is %d, oracle %d", phase, i, got[i], want[i])
+			}
+		}
+	}
+	// 20 records: the tail holds 5 of 15, so a mid-range insert fits.
+	appendRun(20)
+	insertMid(want[len(want)-2] + 1)
+	if tr.tail.next != nil {
+		t.Fatal("insert into a tail with room split it")
+	}
+	appendRun(5)
+	check("insert into the tail")
+	// Fill the tail, then split it from the middle.
+	appendRun(leafSlots - tr.tail.num)
+	if tr.tail.num != leafSlots {
+		t.Fatalf("tail holds %d records, want it full", tr.tail.num)
+	}
+	stale := tr.tail
+	insertMid(want[len(want)-3] + 1)
+	if stale.next == nil {
+		t.Fatal("mid-range insert into the full tail did not split it")
+	}
+	check("tail split")
+	appendRun(3*leafSlots + 1)
+	if tr.tail == stale || tr.tail.next != nil {
+		t.Fatal("appends after the split kept writing the split leaf")
+	}
+	check("appends after the tail split")
+	// Deletes at the top leave maxKey stale-high; appends stay above it.
+	for _, k := range want[len(want)-4:] {
+		if !tr.Delete(k, nil) {
+			t.Fatalf("delete %d rejected", k)
+		}
+	}
+	want = want[:len(want)-4]
+	appendRun(2)
+	check("appends after deletes")
 }
 
 // leftmostLeaf descends the leftmost spine (test helper).

@@ -7,15 +7,16 @@ import (
 
 // CheckInvariants walks the whole tree and verifies its structural
 // invariants: sorted keys within every node, separator consistency between
-// inner nodes and their subtrees, and an ascending leaf chain that contains
-// exactly the tree's keys. Intended for tests and debugging; it takes the
+// inner nodes and their subtrees, an ascending leaf chain that contains
+// exactly the tree's keys, and a tail that, while its chain link is nil, is
+// the chain's last leaf. Intended for tests and debugging; it takes the
 // structural lock, so do not call it on a hot path.
 func (t *Tree) CheckInvariants() error {
 	t.structLock.Lock()
 	defer t.structLock.Unlock()
 	if t.root == nil {
-		if t.count.Load() != 0 {
-			return fmt.Errorf("btree: empty tree reports %d keys", t.count.Load())
+		if t.count != 0 {
+			return fmt.Errorf("btree: empty tree reports %d keys", t.count)
 		}
 		return nil
 	}
@@ -85,14 +86,16 @@ func (t *Tree) CheckInvariants() error {
 	if err := check(t.root, 0, 0, false, false, 0); err != nil {
 		return err
 	}
-	if int64(counted) != t.count.Load() {
-		return fmt.Errorf("btree: %d keys in leaves, count says %d", counted, t.count.Load())
+	if int64(counted) != t.count {
+		return fmt.Errorf("btree: %d keys in leaves, count says %d", counted, t.count)
 	}
 	// The leaf chain must be ascending and cover the same keys.
 	chain := 0
 	var prev uint64
 	first := true
+	last := leftmost
 	for lf := leftmost; lf != nil; lf = lf.next {
+		last = lf
 		for i := 0; i < lf.num; i++ {
 			if !first && lf.keys[i] <= prev {
 				return fmt.Errorf("btree: leaf chain unsorted at key %d", lf.keys[i])
@@ -103,6 +106,9 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if chain != counted {
 		return fmt.Errorf("btree: leaf chain has %d keys, tree walk found %d", chain, counted)
+	}
+	if t.tail != nil && t.tail.next == nil && t.tail != last {
+		return fmt.Errorf("btree: tail has no next leaf but is not the rightmost leaf")
 	}
 	return nil
 }

@@ -60,7 +60,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 	t.Run("count drift", func(t *testing.T) {
 		tr := build()
-		tr.count.Add(-3)
+		tr.count -= 3
 		err := tr.CheckInvariants()
 		if err == nil || !strings.Contains(err.Error(), "count") {
 			t.Errorf("count drift not detected: %v", err)
@@ -105,9 +105,18 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}
 	})
 
+	t.Run("tail off the rightmost leaf", func(t *testing.T) {
+		tr := build()
+		tr.tail = newNode[leaf](tr) // a chain end that is not the tree's
+		err := tr.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), "tail") {
+			t.Errorf("stray tail not detected: %v", err)
+		}
+	})
+
 	t.Run("empty tree with count", func(t *testing.T) {
 		tr := New()
-		tr.count.Add(1)
+		tr.count++
 		if err := tr.CheckInvariants(); err == nil {
 			t.Error("phantom count on empty tree not detected")
 		}

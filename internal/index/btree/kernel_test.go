@@ -63,19 +63,18 @@ var (
 	stagedBase     *Tree
 )
 
-// clone deep-copies a quiescent tree, re-linking the leaf chain.
+// clone deep-copies a quiescent tree, re-linking the leaf chain. The copy's
+// nodes come from its own allocator, so they live as long as it does.
 func (t *Tree) clone() *Tree {
-	c := &Tree{height: t.height, maxKey: t.maxKey, hasMax: t.hasMax}
-	c.count.Store(t.count.Load())
+	c := &Tree{height: t.height, count: t.count, maxKey: t.maxKey, hasMax: t.hasMax}
 	var prev *leaf
 	var cp func(p unsafe.Pointer, level int) unsafe.Pointer
 	cp = func(p unsafe.Pointer, level int) unsafe.Pointer {
 		if level == 0 {
 			src := (*leaf)(p)
-			lf := &leaf{num: src.num, keys: src.keys}
-			for i := 0; i < src.num; i++ {
-				lf.values[i].Store(src.values[i].Load())
-			}
+			lf := newNode[leaf](c)
+			*lf = *src
+			lf.next = nil
 			if prev != nil {
 				prev.next = lf
 			}
@@ -83,7 +82,8 @@ func (t *Tree) clone() *Tree {
 			return unsafe.Pointer(lf)
 		}
 		src := (*inner)(p)
-		in := &inner{num: src.num, keys: src.keys}
+		in := newNode[inner](c)
+		in.num, in.keys = src.num, src.keys
 		for i := 0; i <= src.num; i++ {
 			in.children[i] = cp(src.children[i], level-1)
 		}

@@ -15,8 +15,10 @@
 # A second gate runs the arena-backed delegated TPC-C full mix and pins it
 # to at most MAX_TPCC_ALLOCS allocs/op (default 10): with per-worker batch
 # arenas on (DESIGN.md §14) the steady-state transaction path must stay
-# allocation-free up to the few per-transaction escapes the workload itself
-# makes (result boxing, payload strings).
+# allocation-free. The few allocations per transaction it does see are
+# index growth: FP-Tree leaf splits (fptree propagateSplit, planSplitInsert,
+# newLeaf) under New-Order's inserts, 4 per cross-warehouse New-Order and 0
+# per Payment, not the transaction path.
 set -eu
 
 cd "$(dirname "$0")/.."
