@@ -52,17 +52,21 @@ net-smoke:
 
 # Ten seconds of native fuzzing on each differential target: the B-Tree
 # batch kernel (ExecBatch vs the public methods in index order), the
-# four indexes against a map oracle (point ops, batch groups through each
-# structure's ExecBatch kernel, and early-stopping scans over a key space
-# wide enough to split and drain leaves), WAL
+# four indexes against a map oracle (point ops, Modify, batch groups
+# through each structure's ExecBatch kernel, and early-stopping scans over
+# a key space wide enough to split and drain leaves), WAL
 # recovery over corrupted segment and checkpoint bytes against a
 # reference scan, and the wire protocol (request decode/encode round trips
 # and frame cutting over arbitrary bytes). Each mutates
 # from its checked-in corpus under the package's testdata/fuzz; a failing
-# input is written there — commit it with the fix.
+# input is written there — commit it with the fix. The two index targets
+# cap the shrinking of each new interesting input at 100 executions: their
+# inputs run to 3–4 KiB at about a millisecond per execution, and the
+# default 60 s minimisation (quadratic in input length) would spend the
+# 10 s on shrinking one input instead of fuzzing.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzExecBatchVsSerial$$' -fuzztime 10s ./internal/index/btree
-	$(GO) test -run '^$$' -fuzz '^FuzzIndexAgainstOracle$$' -fuzztime 10s ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzExecBatchVsSerial$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/index/btree
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexAgainstOracle$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/index
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/server/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/server/proto

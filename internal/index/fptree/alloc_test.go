@@ -28,6 +28,7 @@ func TestSteadyStateOpsAllocateNothing(t *testing.T) {
 	}{
 		{"Get", func() { v, _ := tr.Get(4000, nil); sink += v }},
 		{"Update", func() { tr.Update(4000, 9, nil) }},
+		{"Modify", func() { v, _ := tr.Modify(4000, addArg, 1, nil); sink += v }},
 		{"Insert", func() { tr.Insert(fresh[i], 1, nil); i++ }},
 		{"Delete", func() { tr.Delete(fresh[i], nil); i++ }},
 		{"Scan", func() {

@@ -131,6 +131,8 @@ type opScratch struct {
 	k, v   uint64
 	lo, hi uint64
 	st     *index.OpStats
+	fn     func(old, arg uint64) uint64 // Modify's step, applied to arg
+	arg    uint64
 
 	// results
 	val      uint64
@@ -153,6 +155,7 @@ type opScratch struct {
 	// prebuilt closures (one allocation each, at scratch construction)
 	getBody     func(*htm.Tx) error
 	updateBody  func(*htm.Tx) error
+	modifyBody  func(*htm.Tx) error
 	deleteBody  func(*htm.Tx) error
 	insertBody  func(*htm.Tx) error
 	scanBody    func(*htm.Tx) error
@@ -165,6 +168,7 @@ func newScratch(t *Tree) *opScratch {
 	sc := &opScratch{t: t}
 	sc.getBody = sc.doGet
 	sc.updateBody = sc.doUpdate
+	sc.modifyBody = sc.doModify
 	sc.deleteBody = sc.doDelete
 	sc.insertBody = sc.doInsert
 	sc.scanBody = sc.doScan
@@ -342,6 +346,46 @@ func (t *Tree) Update(k, v uint64, st *index.OpStats) bool {
 	updated := sc.updated
 	t.putScratch(sc)
 	return updated
+}
+
+// doModify reads the value and schedules fn's result under the same leaf
+// cell it read: a write that commits in between fails the read-set
+// validation, and the retry calls fn again on the new value.
+func (sc *opScratch) doModify(tx *htm.Tx) error {
+	sc.updated = false
+	lf, _, err := sc.t.descend(tx, sc.k, sc.st, sc.pathBuf[:0])
+	if err != nil {
+		return err
+	}
+	i := probe(lf, sc.k, sc.st)
+	if i < 0 {
+		return nil
+	}
+	sc.v = sc.fn(lf.vals[i].Load(), sc.arg)
+	sc.lf, sc.slot = lf, i
+	sc.updated = true
+	return tx.Write(&lf.cell, sc.applyUpdate)
+}
+
+// Modify implements index.Modifier: one descent and one transaction that
+// reads the value and stores fn(old, arg) in place. An absent key writes
+// nothing and returns (0, false).
+func (t *Tree) Modify(k uint64, fn func(old, arg uint64) uint64, arg uint64, st *index.OpStats) (uint64, bool) {
+	if st != nil {
+		st.Ops++
+	}
+	sc := t.getScratch()
+	sc.k, sc.fn, sc.arg, sc.st = k, fn, arg, st
+	if err := t.region.Atomic(&sc.tx, sc.modifyBody); err != nil {
+		panic("fptree: unexpected transaction error: " + err.Error())
+	}
+	nv, updated := sc.v, sc.updated
+	sc.fn = nil
+	t.putScratch(sc)
+	if !updated {
+		return 0, false
+	}
+	return nv, true
 }
 
 func (sc *opScratch) doDelete(tx *htm.Tx) error {

@@ -347,3 +347,70 @@ func TestFingerprintDeterministicAndByteSized(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// addArg is a pure Modify step: old + arg.
+func addArg(old, arg uint64) uint64 { return old + arg }
+
+func TestModifyAbsentKeyWritesNothing(t *testing.T) {
+	tr := New()
+	for k := uint64(0); k < 10; k += 2 {
+		tr.Insert(k, k, nil)
+	}
+	lf := tr.root.Load().node.(*leaf) // ten keys: the root is the one leaf
+	before, commits := lf.cell.Version(), tr.HTMStats().Commits.Load()
+	if v, ok := tr.Modify(3, addArg, 5, nil); ok || v != 0 {
+		t.Fatalf("Modify(absent) = %d,%v, want 0,false", v, ok)
+	}
+	if got := lf.cell.Version(); got != before {
+		t.Errorf("Modify(absent) moved the leaf version %d → %d", before, got)
+	}
+	if tr.HTMStats().Commits.Load() != commits+1 {
+		t.Error("Modify(absent) did not commit as one read-only transaction")
+	}
+	if v, ok := tr.Modify(4, addArg, 5, nil); !ok || v != 9 {
+		t.Fatalf("Modify(4, +5) = %d,%v, want 9,true", v, ok)
+	}
+	if got := lf.cell.Version(); got != before+2 {
+		t.Errorf("Modify(present) moved the leaf version %d → %d, want one write", before, got)
+	}
+	if v, _ := tr.Get(4, nil); v != 9 {
+		t.Errorf("Get after Modify = %d, want 9", v)
+	}
+}
+
+// TestConcurrentModifyExact: goroutines increment one key with Modify while
+// inserters split the leaves around it; every increment must land once, so
+// a retried transaction re-runs the step on the value it commits against.
+func TestConcurrentModifyExact(t *testing.T) {
+	tr := New()
+	const hot, goroutines, n = 500, 4, 2000
+	for k := uint64(0); k < 1000; k += 2 {
+		tr.Insert(k, 0, nil)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if _, ok := tr.Modify(hot, addArg, 1, nil); !ok {
+					t.Errorf("Modify(%d) missed a present key", hot)
+					return
+				}
+			}
+		}()
+		go func(g uint64) {
+			defer wg.Done()
+			for k := g*2 + 1; k < 1000; k += 2 * goroutines {
+				tr.Insert(k, 0, nil)
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	if v, _ := tr.Get(hot, nil); v != goroutines*n {
+		t.Fatalf("after %d×%d concurrent increments the key holds %d", goroutines, n, v)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

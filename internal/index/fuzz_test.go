@@ -16,13 +16,30 @@ import (
 // that inputs collide on keys.
 const fuzzKeyBits = 10
 
+// Structure sizes for the fuzzed key space. The defaults (a 1 Mi-slot
+// BW-Tree mapping table, 64 Ki hash buckets) cost milliseconds to allocate
+// and collect on every execution, which starves the fuzzer's minimisation of
+// each new input for most of a short run. A Bw-Tree takes at most one slot
+// per split, and an input holds at most 1 024 operations.
+const (
+	fuzzBWTreeSlots = 4 << fuzzKeyBits
+	fuzzBuckets     = 1 << fuzzKeyBits
+)
+
+// fuzzStep is the pure read-modify-write step the Modify op applies.
+func fuzzStep(old, arg uint64) uint64 { return old*31 + arg }
+
 // FuzzIndexAgainstOracle decodes the fuzz input as a stream of 3-byte
 // operations [op, a, b] and applies it to all four structures in lock-step
 // with a map oracle. op%5 picks Insert, Update, Delete, Get or Scan; the key
-// is the low fuzzKeyBits of a<<8|b. A Scan covers [key, key+33*(op>>3)] and
-// stops after b%8 records (0: no limit); the three Rangers must yield
-// exactly the oracle's first records of that range. A Get whose op byte has
-// the high bit set is a batch group instead: the next 1+(op>>3)%16 triples
+// is the low fuzzKeyBits of a<<8|b. An Update whose op byte has the high bit
+// set is a Modify through index.Modify instead — the FP-Tree's native one
+// and the Get+Update fallback of the other three — storing fuzzStep(old, v)
+// and returning it, or (0, false) for an absent key. A Scan covers
+// [key, key+33*(op>>3)] and stops after b%8 records (0: no limit); the
+// three Rangers must yield exactly the oracle's first records of that
+// range. A Get whose op byte has the high bit set is a batch group instead:
+// the next 1+(op>>3)%16 triples
 // are point ops (kind BatchGet+op%4) run through each structure's
 // index.BatchKernel in one ExecBatch call, checked op by op against the
 // oracle applied in index order (checkBatch). At the end every structure's
@@ -47,15 +64,15 @@ func FuzzIndexAgainstOracle(f *testing.F) {
 		structures := map[string]index.Index{
 			"btree":   btree.New(),
 			"fptree":  fptree.New(),
-			"bwtree":  bwtree.New(),
-			"hashmap": hashmap.New(),
+			"bwtree":  bwtree.NewCapacity(fuzzBWTreeSlots),
+			"hashmap": hashmap.NewBuckets(fuzzBuckets),
 		}
 		oracle := map[uint64]uint64{}
 		for i := 0; i+2 < len(data); i += 3 {
 			op := data[i] % 5
 			k := (uint64(data[i+1])<<8 | uint64(data[i+2])) & (1<<fuzzKeyBits - 1)
 			v := uint64(i)
-			_, exists := oracle[k]
+			old, exists := oracle[k]
 			if op == 4 {
 				checkScan(t, structures, oracle, k, k+33*uint64(data[i]>>3), int(data[i+2]%8))
 				continue
@@ -68,6 +85,19 @@ func FuzzIndexAgainstOracle(f *testing.F) {
 				}
 				checkBatch(t, structures, oracle, group[:3*width], i+3)
 				i += 3 * width
+				continue
+			}
+			if op == 1 && data[i] >= 128 {
+				want := fuzzStep(old, v)
+				for name, idx := range structures {
+					got, ok := index.Modify(idx, k, fuzzStep, v, nil)
+					if ok != exists || (exists && got != want) || (!exists && got != 0) {
+						t.Fatalf("%s: Modify(%d) = %d,%v with exists=%v, want %d", name, k, got, ok, exists, want)
+					}
+				}
+				if exists {
+					oracle[k] = want
+				}
 				continue
 			}
 			for name, idx := range structures {

@@ -214,6 +214,38 @@ type BatchKernel interface {
 	ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool)
 }
 
+// Modifier is implemented by structures that run a read-modify-write as one
+// operation: a single descent reads k's value, and the same atomic step
+// stores fn(old, arg) in its place. Modify returns the stored value, or
+// (0, false) with nothing written when k is absent.
+//
+// fn must be pure: a structure that retries optimistically (the FP-Tree's
+// HTM transactions) may call it more than once per Modify and keeps only
+// the last result. Callers pass a static func and its argument rather than
+// a capturing closure, so a Modify allocates nothing. Structures without a
+// native Modify are driven through the Modify helper's Get+Update fallback
+// (the same silent-degrade pattern as BatchKernel).
+type Modifier interface {
+	Modify(k uint64, fn func(old, arg uint64) uint64, arg uint64, st *OpStats) (uint64, bool)
+}
+
+// Modify applies fn(old, arg) to k's value through idx's native Modifier,
+// or else as a Get followed by an Update. The fallback is two operations:
+// it is atomic only where the caller already serialises writers to idx (a
+// delegated domain, or one goroutine).
+func Modify(idx Index, k uint64, fn func(old, arg uint64) uint64, arg uint64, st *OpStats) (uint64, bool) {
+	if m, ok := idx.(Modifier); ok {
+		return m.Modify(k, fn, arg, st)
+	}
+	old, ok := idx.Get(k, st)
+	if !ok {
+		return 0, false
+	}
+	nv := fn(old, arg)
+	idx.Update(k, nv, st)
+	return nv, true
+}
+
 // Ranger is implemented by the ordered structures (the three trees) and
 // supports ascending range scans, which the TPC-C engine needs for
 // secondary-index lookups.

@@ -163,3 +163,27 @@ func TestCrossWarehouseTxnZeroAlloc(t *testing.T) {
 		e.Stop()
 	}
 }
+
+// TestDomainStoreRMWZeroAlloc pins a whole-transaction task's RMW on an
+// FP-Tree table at zero allocations, unlogged and logged: index.Modify runs
+// the tree's native Modify with the kind's static func, and the effect
+// lands in the part's retained buffer.
+func TestDomainStoreRMWZeroAlloc(t *testing.T) {
+	effects := make([]byte, 0, 64)
+	for _, eff := range []*[]byte{nil, &effects} {
+		d := &domainStore{wh: NewWarehouse(newFPTree), w: 1, eff: eff}
+		for i := 1; i <= 100; i++ {
+			d.Insert(1, tpcc.StockQuantity, tpcc.StockKey(i), 50)
+		}
+		effects = effects[:0]
+		allocs := testing.AllocsPerRun(200, func() {
+			effects = effects[:0]
+			if _, ok, err := d.RMW(1, tpcc.StockQuantity, tpcc.StockKey(7), tpcc.RMWStockDecr, 3); !ok || err != nil {
+				t.Fatalf("RMW = %v, %v", ok, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("logged=%v: domainStore RMW allocates %v, want 0", eff != nil, allocs)
+		}
+	}
+}

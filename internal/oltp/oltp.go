@@ -33,7 +33,7 @@ import (
 // co-location constraint of Section 5.2). It implements core.Durable (see
 // wal.go), so a WAL-enabled runtime checkpoints and replays it.
 type Warehouse struct {
-	tables   map[tpcc.Table]index.Index
+	tables   [tpcc.NumTables]index.Index
 	newIndex func() index.Index     // retained for WALRestore rebuilds
 	snap     []byte                 // WALSnapshot's frame buffer, retained
 	snapKV   func(k, v uint64) bool // appendSnap, bound once so snapshots allocate nothing
@@ -41,7 +41,7 @@ type Warehouse struct {
 
 // NewWarehouse builds the composite structure with one index per table.
 func NewWarehouse(newIndex func() index.Index) *Warehouse {
-	w := &Warehouse{tables: map[tpcc.Table]index.Index{}, newIndex: newIndex}
+	w := &Warehouse{newIndex: newIndex}
 	w.snapKV = w.appendSnap
 	for _, t := range tpcc.Tables {
 		w.tables[t] = newIndex()
@@ -60,11 +60,21 @@ func (w *Warehouse) appendSnap(k, v uint64) bool {
 // Table returns the index backing one table.
 func (w *Warehouse) Table(t tpcc.Table) index.Index { return w.tables[t] }
 
-// scan runs a range scan on an ordered table.
-func (w *Warehouse) scan(t tpcc.Table, lo, hi uint64, fn func(k, v uint64) bool) (int, error) {
+// ranger returns table t as an ordered index, or an error naming the
+// structure that backs it when it has no range scan.
+func (w *Warehouse) ranger(t tpcc.Table) (index.Ranger, error) {
 	r, ok := w.tables[t].(index.Ranger)
 	if !ok {
-		return 0, fmt.Errorf("oltp: table %s is not ordered", t)
+		return nil, fmt.Errorf("oltp: table %s is a %s, not an ordered index", t, w.tables[t].Name())
+	}
+	return r, nil
+}
+
+// scan runs a range scan on an ordered table.
+func (w *Warehouse) scan(t tpcc.Table, lo, hi uint64, fn func(k, v uint64) bool) (int, error) {
+	r, err := w.ranger(t)
+	if err != nil {
+		return 0, err
 	}
 	return r.Scan(lo, hi, fn, nil), nil
 }
@@ -146,20 +156,18 @@ func (e *DirectEngine) Scan(w int, t tpcc.Table, lo, hi uint64, fn func(k, v uin
 }
 
 // RMW implements tpcc.Store. Like every baseline statement it runs in the
-// calling goroutine with no atomicity beyond the index latches — concurrent
-// manager threads may lose updates, exactly as the paper's baseline does.
+// calling goroutine through index.Modify: on a structure with a native
+// Modify (the FP-Tree) the read-modify-write is atomic under the structure's
+// own synchronisation; elsewhere it is a Get then an Update, which
+// concurrent manager threads may interleave. Either way there is no
+// concurrency control across statements, as in the paper's baseline.
 func (e *DirectEngine) RMW(w int, t tpcc.Table, key uint64, kind tpcc.RMWKind, delta uint64) (uint64, bool, error) {
 	wh, err := e.at(w)
 	if err != nil {
 		return 0, false, err
 	}
-	old, ok := wh.tables[t].Get(key, nil)
-	if !ok {
-		return 0, false, nil
-	}
-	nv := tpcc.ApplyRMW(kind, old, delta)
-	wh.tables[t].Update(key, nv, nil)
-	return nv, true, nil
+	nv, ok := index.Modify(wh.tables[t], key, kind.Func(), delta, nil)
+	return nv, ok, nil
 }
 
 // Engine is the paper's light-weight OLTP engine: warehouses are registered
@@ -428,14 +436,7 @@ func (f *stmtFuture) exec(wh *Warehouse) {
 	case stDelete:
 		f.ok = tb.Delete(f.key, nil)
 	case stRMW:
-		old, ok := tb.Get(f.key, nil)
-		if !ok {
-			f.ok = false
-			return
-		}
-		nv := tpcc.ApplyRMW(f.rmw, old, f.arg)
-		tb.Update(f.key, nv, nil)
-		f.val, f.ok = nv, true
+		f.val, f.ok = index.Modify(tb, f.key, f.rmw.Func(), f.arg, nil)
 	}
 }
 
@@ -748,16 +749,11 @@ func (d *domainStore) RMW(w int, t tpcc.Table, key uint64, kind tpcc.RMWKind, de
 	if err != nil {
 		return 0, false, err
 	}
-	old, ok := tb.Get(key, nil)
-	if !ok {
-		return 0, false, nil
-	}
-	nv := tpcc.ApplyRMW(kind, old, delta)
-	tb.Update(key, nv, nil)
-	if d.eff != nil {
+	nv, ok := index.Modify(tb, key, kind.Func(), delta, nil)
+	if ok && d.eff != nil {
 		*d.eff = appendEffSet(*d.eff, t, key, nv)
 	}
-	return nv, true, nil
+	return nv, ok, nil
 }
 
 // Close drains the session and releases its slots.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 
-	"robustconf/internal/index"
 	"robustconf/internal/tpcc"
 	"robustconf/internal/wal"
 )
@@ -54,10 +53,10 @@ func (w *Warehouse) WALApply(rec []byte) error {
 		if len(rec) < 2 {
 			return fmt.Errorf("oltp: truncated WAL effect")
 		}
-		tb, ok := w.tables[tpcc.Table(rec[1])]
-		if !ok {
+		if int(rec[1]) >= len(w.tables) {
 			return fmt.Errorf("oltp: WAL effect for unknown table %d", rec[1])
 		}
+		tb := w.tables[rec[1]]
 		switch rec[0] {
 		case effSet:
 			if len(rec) < effSetLen {
@@ -92,13 +91,12 @@ func (w *Warehouse) WALSnapshot(dst io.Writer) error {
 	// across checkpoints: snapshots run one at a time, under the domain's
 	// quiescence gate.
 	for _, t := range tpcc.Tables {
-		tb := w.tables[t]
-		r, ok := tb.(index.Ranger)
-		if !ok {
-			return fmt.Errorf("oltp: WAL checkpoint needs an ordered index, table %s is a %s", t, tb.Name())
+		r, err := w.ranger(t)
+		if err != nil {
+			return fmt.Errorf("oltp: WAL checkpoint: %w", err)
 		}
 		w.snap = append(w.snap[:0], byte(t))
-		w.snap = binary.LittleEndian.AppendUint64(w.snap, uint64(tb.Len()))
+		w.snap = binary.LittleEndian.AppendUint64(w.snap, uint64(w.tables[t].Len()))
 		r.Scan(0, ^uint64(0), w.snapKV, nil)
 		if err := wal.WriteFrame(dst, w.snap); err != nil {
 			return err
@@ -128,7 +126,7 @@ func (w *Warehouse) WALRestore(src io.Reader) error {
 			return fmt.Errorf("oltp: short WAL snapshot frame")
 		}
 		t := tpcc.Table(frame[0])
-		if _, ok := w.tables[t]; !ok {
+		if int(t) >= len(w.tables) {
 			return fmt.Errorf("oltp: WAL snapshot for unknown table %d", frame[0])
 		}
 		count := binary.LittleEndian.Uint64(frame[1:9])

@@ -85,6 +85,59 @@ func TestWarehouseSnapshotNeedsOrderedIndex(t *testing.T) {
 	}
 }
 
+// TestTableIDsPinned: WAL effects and checkpoint frames name a table by its
+// one-byte id, so a log written before a table was added must still replay
+// into the same tables. New tables go at the end.
+func TestTableIDsPinned(t *testing.T) {
+	want := []tpcc.Table{
+		tpcc.WarehouseTax, tpcc.WarehouseYTD, tpcc.DistrictTax, tpcc.DistrictYTD,
+		tpcc.DistrictNextOID, tpcc.CustomerBalance, tpcc.CustomerByName, tpcc.ItemPrice,
+		tpcc.StockQuantity, tpcc.StockYTD, tpcc.Orders, tpcc.NewOrders, tpcc.OrderLines,
+		tpcc.History, tpcc.CustomerLastOrder,
+	}
+	for id, tb := range want {
+		if int(tb) != id {
+			t.Errorf("table %s has id %d, want %d", tb, int(tb), id)
+		}
+	}
+	if len(tpcc.Tables) != len(want) {
+		t.Errorf("%d tables, want %d", len(tpcc.Tables), len(want))
+	}
+}
+
+// TestCustomerLastOrderDurable: New-Order's first-order Insert and later
+// Update of a customer's last-order row log set effects that replay onto an
+// empty warehouse, and a checkpoint of the result restores the row.
+func TestCustomerLastOrderDurable(t *testing.T) {
+	var effects []byte
+	live := &domainStore{wh: NewWarehouse(newFPTree), w: 1, eff: &effects}
+	key := tpcc.CustomerKey(3, 42)
+	if ok, _ := live.Update(1, tpcc.CustomerLastOrder, key, 3001); ok {
+		t.Fatal("Update of a customer with no order applied")
+	}
+	live.Insert(1, tpcc.CustomerLastOrder, key, 3001)
+	live.Update(1, tpcc.CustomerLastOrder, key, 3007)
+
+	replayed := NewWarehouse(newFPTree)
+	if err := replayed.WALApply(effects); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := replayed.WALSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewWarehouse(newFPTree)
+	if err := restored.WALRestore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*Warehouse{"replayed": replayed, "restored": restored} {
+		tb := w.Table(tpcc.CustomerLastOrder)
+		if v, ok := tb.Get(key, nil); !ok || v != 3007 || tb.Len() != 1 {
+			t.Errorf("%s: last order %d,%v over %d rows, want 3007 in 1", name, v, ok, tb.Len())
+		}
+	}
+}
+
 // newWALEngine starts a WAL-enabled delegated engine on dir.
 func newWALEngine(t *testing.T, dir string, hook delegation.FaultHook) *Engine {
 	t.Helper()

@@ -1,6 +1,9 @@
 package tpcc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file extends the paper's New-Order + Payment subset (88% of TPC-C)
 // to the full five-transaction mix — Delivery, Order-Status and Stock-Level
@@ -16,16 +19,15 @@ const StockLevelThreshold = 15
 
 // Delivery executes the TPC-C Delivery transaction for the terminal's home
 // warehouse: for every district it consumes the oldest undelivered order
-// (the minimum NewOrders entry), computes the order's amount from its lines
-// and credits the customer's balance.
+// (the minimum NewOrders entry), sums the amounts stored on the order's
+// lines and credits the customer's balance.
 func (t *Terminal) Delivery() error {
 	return t.run(t.home, t.delFn)
 }
 
 // execDelivery is the Delivery statement body. Per district the NewOrders
-// consume and the order's customer read fly while the line scan runs, the
-// line prices resolve as a batch, and the balance credit closes the
-// district.
+// consume and the order's customer read fly while the line scan runs, and
+// the balance credit closes the district.
 func (t *Terminal) execDelivery(as AsyncStore) error {
 	w := t.home
 	for d := 1; d <= DistrictsPerWarehouse; d++ {
@@ -44,33 +46,18 @@ func (t *Terminal) execDelivery(as AsyncStore) error {
 		o := int(oldest & ((1 << 40) - 1))
 		fcu := as.GetAsync(w, Orders, OrderKey(d, o))
 
-		// Collect the order's lines, then price them as one flight.
-		t.delN = 0
+		t.lines = t.lines[:0]
 		llo, lhi := OrderLineKey(d, o, 0), OrderLineKey(d, o, 255)
-		_, scanErr := as.Scan(w, OrderLines, llo, lhi, t.delLineCB)
-		nLines := t.delN
-		for i := 0; i < nLines; i++ {
-			item, _ := UnpackLine(t.lineBuf[i])
-			t.futA[i] = as.GetAsync(w, ItemPrice, ItemKey(item))
-		}
+		_, err := as.Scan(w, OrderLines, llo, lhi, t.linesCB)
 		amount := uint64(0)
-		var err error
-		for i := 0; i < nLines; i++ {
-			price, okP, e := t.futA[i].Value()
-			if okP {
-				_, qty := UnpackLine(t.lineBuf[i])
-				amount += price * uint64(qty)
-			}
-			if err == nil {
-				err = e
-			}
+		for _, v := range t.lines {
+			_, _, a := UnpackLine(v)
+			amount += uint64(a)
 		}
 		cu, okC, eC := fcu.Value()
 		_, _, eD := fdel.Value()
 		switch {
 		case err != nil:
-		case scanErr != nil:
-			err = scanErr
 		case eC != nil:
 			err = eC
 		case !okC:
@@ -109,17 +96,17 @@ func (t *Terminal) drawOrderStatus() {
 }
 
 // OrderStatus executes the TPC-C Order-Status transaction: it resolves a
-// customer (60% by last name) and reads their most recent order with its
-// lines. Read-only and scan-dominated, so it gains nothing from pipelining;
-// it still ships whole into the warehouse's domain when the engine
-// supports it.
+// customer (60% by last name) and reads their most recent order, found by
+// one CustomerLastOrder lookup, with its lines. Read-only and a chain of
+// dependent statements, so it gains nothing from pipelining; it still ships
+// whole into the warehouse's domain when the engine supports it.
 func (t *Terminal) OrderStatus() error {
 	t.drawOrderStatus()
 	return t.run(t.home, t.osFn)
 }
 
 // execOrderStatus is the Order-Status body (synchronous: every statement
-// depends on the previous scan).
+// depends on the one before).
 func (t *Terminal) execOrderStatus(s Store, p *osParams) error {
 	w := t.home
 	d := p.d
@@ -138,17 +125,15 @@ func (t *Terminal) execOrderStatus(s Store, p *osParams) error {
 	if _, ok, err := s.Get(w, CustomerBalance, CustomerKey(d, cu)); err != nil || !ok {
 		return orFmt(err, "order-status: customer %d/%d missing", d, cu)
 	}
-	// Most recent order of this customer: highest order id in the
-	// district whose Orders row names the customer.
-	lo, hi := OrderKey(d, 0), OrderKey(d, (1<<40)-1)
-	t.osCu, t.osLast = cu, -1
-	if _, err := s.Scan(w, Orders, lo, hi, t.osLastCB); err != nil {
+	// Most recent order of this customer; none before their first
+	// New-Order.
+	last, found, err := s.Get(w, CustomerLastOrder, CustomerKey(d, cu))
+	if err != nil {
 		return err
 	}
-	lastOrder := t.osLast
-	if lastOrder >= 0 {
-		llo, lhi := OrderLineKey(d, lastOrder, 0), OrderLineKey(d, lastOrder, 255)
-		if _, err := s.Scan(w, OrderLines, llo, lhi, func(k, v uint64) bool { return true }); err != nil {
+	if found {
+		llo := OrderLineKey(d, int(last), 0)
+		if _, err := s.Scan(w, OrderLines, llo, llo|255, func(k, v uint64) bool { return true }); err != nil {
 			return err
 		}
 	}
@@ -176,14 +161,22 @@ func (t *Terminal) execStockLevel(as AsyncStore, d int) error {
 	if first < 1 {
 		first = 1
 	}
-	clear(t.slItems) // reused map: clearing keeps the buckets allocated
+	t.lines = t.lines[:0]
 	llo := OrderLineKey(d, first, 0)
 	lhi := OrderLineKey(d, int(next), 255)
-	if _, err := as.Scan(w, OrderLines, llo, lhi, t.slItemCB); err != nil {
+	if _, err := as.Scan(w, OrderLines, llo, lhi, t.linesCB); err != nil {
 		return err
 	}
+	// Distinct items, read in ascending order.
+	t.items = t.items[:0]
+	for _, v := range t.lines {
+		item, _, _ := UnpackLine(v)
+		t.items = append(t.items, item)
+	}
+	slices.Sort(t.items)
+	t.items = slices.Compact(t.items)
 	t.futExtra = t.futExtra[:0]
-	for item := range t.slItems {
+	for _, item := range t.items {
 		t.futExtra = append(t.futExtra, as.GetAsync(w, StockQuantity, StockKey(item)))
 	}
 	low := 0

@@ -31,26 +31,27 @@ const (
 type Table int
 
 const (
-	WarehouseTax    Table = iota // w_id → tax (fixed-point 1e4)
-	WarehouseYTD                 // w_id → ytd cents
-	DistrictTax                  // (d) → tax
-	DistrictYTD                  // (d) → ytd cents
-	DistrictNextOID              // (d) → next order id
-	CustomerBalance              // (d, c) → balance cents (offset-encoded)
-	CustomerByName               // (d, name hash, c) → c
-	ItemPrice                    // i_id → price cents
-	StockQuantity                // (w local, i) → quantity
-	StockYTD                     // (w local, i) → ytd
-	Orders                       // (d, o) → c
-	NewOrders                    // (d, o) → 1
-	OrderLines                   // (d, o, line) → packed item/qty
-	History                      // (d, seq) → amount
-	numTables
+	WarehouseTax      Table = iota // w_id → tax (fixed-point 1e4)
+	WarehouseYTD                   // w_id → ytd cents
+	DistrictTax                    // (d) → tax
+	DistrictYTD                    // (d) → ytd cents
+	DistrictNextOID                // (d) → next order id
+	CustomerBalance                // (d, c) → balance cents (offset-encoded)
+	CustomerByName                 // (d, name hash, c) → c
+	ItemPrice                      // i_id → price cents
+	StockQuantity                  // (w local, i) → quantity
+	StockYTD                       // (w local, i) → ytd
+	Orders                         // (d, o) → c
+	NewOrders                      // (d, o) → 1
+	OrderLines                     // (d, o, line) → packed amount/item/qty (PackLine)
+	History                        // (d, seq) → amount
+	CustomerLastOrder              // (d, c) → the customer's latest order id
+	NumTables                      // the table count; not a table
 )
 
 // Tables lists every table index in declaration order.
 var Tables = func() []Table {
-	out := make([]Table, numTables)
+	out := make([]Table, NumTables)
 	for i := range out {
 		out[i] = Table(i)
 	}
@@ -64,6 +65,7 @@ func (t Table) String() string {
 		"district.next_o_id", "customer.balance", "customer.by_name",
 		"item.price", "stock.quantity", "stock.ytd",
 		"orders", "new_orders", "order_lines", "history",
+		"customer.last_order",
 	}
 	if int(t) < len(names) {
 		return names[t]
@@ -110,11 +112,16 @@ func OrderLineKey(d, o, line int) uint64 {
 // HistoryKey encodes (district, sequence).
 func HistoryKey(d int, seq uint64) uint64 { return uint64(d)<<48 | seq }
 
-// PackLine packs an order line's item and quantity.
-func PackLine(item, qty int) uint64 { return uint64(item)<<8 | uint64(qty) }
+// PackLine packs an order line's amount (OL_AMOUNT: price × quantity, in
+// cents), item (24 bits) and quantity (8 bits) as amount<<32 | item<<8 | qty.
+func PackLine(item, qty, amount int) uint64 {
+	return uint64(amount)<<32 | uint64(item)<<8 | uint64(qty)
+}
 
 // UnpackLine reverses PackLine.
-func UnpackLine(v uint64) (item, qty int) { return int(v >> 8), int(v & 0xFF) }
+func UnpackLine(v uint64) (item, qty, amount int) {
+	return int(v >> 8 & 0xFFFFFF), int(v & 0xFF), int(v >> 32)
+}
 
 // balanceOffset keeps customer balances (which go negative) in uint64 space.
 const balanceOffset = uint64(1) << 40
@@ -190,7 +197,7 @@ type Store interface {
 	Delete(warehouse int, table Table, key uint64) (bool, error)
 	// Scan visits [lo, hi] of an ordered table in ascending key order.
 	Scan(warehouse int, table Table, lo, hi uint64, fn func(k, v uint64) bool) (int, error)
-	// RMW applies a typed read-modify-write (ApplyRMW) to a row as ONE
+	// RMW applies a typed read-modify-write (RMWKind.Func) to a row as ONE
 	// statement, returning the new value. On the delegated engine the whole
 	// read-modify-write executes inside the owning domain, so pipelined
 	// transactions can keep several same-key RMWs in flight without the
@@ -212,20 +219,34 @@ const (
 	// [1, 10] the result is the unique representative of (v−delta) mod 91
 	// in [10, 100], so concurrent and reordered stock decrements commute.
 	RMWStockDecr
+	// RMWMax keeps the larger of v and delta: New-Order's last-order
+	// record, which then holds the highest order id however New-Orders
+	// on one district interleave.
+	RMWMax
 )
 
-// ApplyRMW computes the modify step of Store.RMW.
-func ApplyRMW(kind RMWKind, old, delta uint64) uint64 {
-	switch kind {
+// Func returns the modify step of Store.RMW as a static func of (old,
+// delta), the shape index.Modify takes: passing it builds no closure.
+func (k RMWKind) Func() func(old, delta uint64) uint64 {
+	switch k {
 	case RMWStockDecr:
-		v := int64(old) - int64(delta)
-		for v < 10 {
-			v += 91
-		}
-		return uint64(v)
-	default:
-		return old + delta
+		return stockDecr
+	case RMWMax:
+		return larger
 	}
+	return add
+}
+
+func add(old, delta uint64) uint64 { return old + delta }
+
+func larger(old, delta uint64) uint64 { return max(old, delta) }
+
+func stockDecr(old, delta uint64) uint64 {
+	v := int64(old) - int64(delta)
+	for v < 10 {
+		v += 91
+	}
+	return uint64(v)
 }
 
 // Loader populates a Store with the generated database.

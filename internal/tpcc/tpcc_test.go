@@ -54,13 +54,19 @@ func TestCustomerNameRangeExcludesOtherNames(t *testing.T) {
 }
 
 func TestPackUnpackLine(t *testing.T) {
-	f := func(item uint16, qty8 uint8) bool {
-		qty := int(qty8 % 100)
-		i, q := UnpackLine(PackLine(int(item), qty))
-		return i == int(item) && q == qty
+	const maxItem, maxAmount = 1<<24 - 1, 9999 * 10 // largest price × quantity
+	f := func(item32 uint32, qty8 uint8, amount32 uint32) bool {
+		item, qty, amount := int(item32&maxItem), int(qty8%100), int(amount32%(maxAmount+1))
+		i, q, a := UnpackLine(PackLine(item, qty, amount))
+		return i == item && q == qty && a == amount
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	for _, c := range [][3]int{{maxItem, 99, maxAmount}, {maxItem, 0, 0}, {0, 99, maxAmount}, {1, 1, 1}} {
+		if i, q, a := UnpackLine(PackLine(c[0], c[1], c[2])); i != c[0] || q != c[1] || a != c[2] {
+			t.Errorf("PackLine%v unpacks to (%d, %d, %d)", c, i, q, a)
+		}
 	}
 }
 
@@ -160,7 +166,7 @@ func (s *memStore) RMW(w int, t Table, k uint64, kind RMWKind, delta uint64) (ui
 	if !ok {
 		return 0, false, nil
 	}
-	nv := ApplyRMW(kind, old, delta)
+	nv := kind.Func()(old, delta)
 	tab[k] = nv
 	return nv, true, nil
 }

@@ -56,8 +56,8 @@ type Terminal struct {
 	osp      osParams
 	sld      int // Stock-Level district
 	matches  []int
-	lineBuf  [MaxItemsPerOrder]uint64
-	futA     [MaxItemsPerOrder]StmtFuture
+	lines    []uint64 // order-line values a scan collected
+	items    []int    // Stock-Level's distinct items
 	futExtra []StmtFuture
 
 	// Prebuilt scan callbacks and the scratch cells they write through,
@@ -67,15 +67,9 @@ type Terminal struct {
 	// set suffices.
 	matchCB   func(k, v uint64) bool // appends to matches
 	delMinCB  func(k, v uint64) bool // records first (minimum) NewOrders key
-	delLineCB func(k, v uint64) bool // collects order lines into lineBuf
-	osLastCB  func(k, v uint64) bool // tracks the customer's highest order id
-	slItemCB  func(k, v uint64) bool // dedups items into slItems
+	linesCB   func(k, v uint64) bool // appends to lines
 	delOldest uint64
 	delFound  bool
-	delN      int
-	osCu      int
-	osLast    int
-	slItems   map[int]struct{}
 
 	// Stats.
 	NewOrders     uint64
@@ -146,23 +140,8 @@ func NewTerminal(cfg Config, store Store, home int, remoteFrac float64, seed int
 		t.delFound = true
 		return false // first key is the minimum
 	}
-	t.delLineCB = func(k, v uint64) bool {
-		if t.delN < len(t.lineBuf) {
-			t.lineBuf[t.delN] = v
-			t.delN++
-		}
-		return true
-	}
-	t.osLastCB = func(k, v uint64) bool {
-		if int(v) == t.osCu {
-			t.osLast = int(k & ((1 << 40) - 1))
-		}
-		return true
-	}
-	t.slItems = make(map[int]struct{}, 64)
-	t.slItemCB = func(k, v uint64) bool {
-		item, _ := UnpackLine(v)
-		t.slItems[item] = struct{}{}
+	t.linesCB = func(k, v uint64) bool {
+		t.lines = append(t.lines, v)
 		return true
 	}
 	return t, nil
@@ -227,8 +206,9 @@ func (t *Terminal) drawNewOrder() {
 }
 
 // NewOrder executes the TPC-C New-Order transaction: reads warehouse and
-// district tax, assigns the order id, inserts the order and its lines, and
-// updates stock for each line — possibly at a remote supplier warehouse.
+// district tax, assigns the order id, inserts the order, records it as the
+// customer's latest, inserts its lines with their amounts, and updates
+// stock for each line — possibly at a remote supplier warehouse.
 // A remote-supplier order runs as a home part and a remote part (the
 // remote stock updates), one task per warehouse under a TxnRunner.
 func (t *Terminal) NewOrder() error {
@@ -290,14 +270,21 @@ func (t *Terminal) newOrderHome(s Store, p *noParams) error {
 	if _, e := s.Insert(w, NewOrders, OrderKey(d, o), 1); err == nil {
 		err = e
 	}
+	// The customer's first order inserts its last-order row; the loader
+	// adds none.
+	_, ok, e := s.RMW(w, CustomerLastOrder, CustomerKey(d, p.c), RMWMax, uint64(o))
+	if e == nil && !ok {
+		_, e = s.Insert(w, CustomerLastOrder, CustomerKey(d, p.c), uint64(o))
+	}
+	err = firstErr(err, e)
 	for i := 0; i < p.lines; i++ {
-		item := p.items[i]
-		_, okP, eP := s.Get(w, ItemPrice, ItemKey(item))
+		item, qty := p.items[i], p.qtys[i]
+		price, okP, eP := s.Get(w, ItemPrice, ItemKey(item))
 		var eS error
 		if p.suppliers[i] == w {
 			eS = updateStock(s, p, i)
 		}
-		_, eL := s.Insert(w, OrderLines, OrderLineKey(d, o, i+1), PackLine(item, p.qtys[i]))
+		_, eL := s.Insert(w, OrderLines, OrderLineKey(d, o, i+1), PackLine(item, qty, int(price)*qty))
 		if err == nil {
 			switch {
 			case eP != nil:
