@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke loc
+.PHONY: build test verify fmt-check chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke fuzz-long loc
 
 build:
 	$(GO) build ./...
@@ -38,15 +38,15 @@ alloc-smoke:
 wal-smoke:
 	./scripts/wal-smoke.sh
 
-# End-to-end observability smoke: run a chaos schedule with the live
-# endpoint up, scrape /metrics, and assert the injected faults show in the
-# exported counters.
+# End-to-end observability smoke: run `robustconf chaos` with the live
+# endpoint up, scrape /metrics, assert the injected faults show in the
+# exported counters, and end its -hold with SIGTERM (exit 0).
 obs-smoke:
 	./scripts/obs-smoke.sh
 
-# End-to-end network front-end smoke: robustserved on a free port, a short
-# mixed workload over TCP via robustycsb -addr, server counters asserted on
-# /metrics, clean SIGTERM drain.
+# End-to-end network front-end smoke: `robustconf serve` on a free port, a
+# short mixed workload over TCP via `robustconf ycsb -addr`, server counters
+# asserted on /metrics, clean SIGTERM drain.
 net-smoke:
 	./scripts/net-smoke.sh
 
@@ -70,6 +70,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/server/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 10s ./internal/server/proto
+
+# The same five targets for FUZZ_EXECS executions each instead of ten
+# seconds, with the same minimisation caps. Not part of verify; go test's
+# log lines give each target's exec count, and its "ok" line the wall time.
+FUZZ_EXECS ?= 100000
+fuzz-long:
+	$(GO) test -run '^$$' -fuzz '^FuzzExecBatchVsSerial$$' -fuzztime $(FUZZ_EXECS)x -fuzzminimizetime 100x ./internal/index/btree
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexAgainstOracle$$' -fuzztime $(FUZZ_EXECS)x -fuzzminimizetime 100x ./internal/index
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime $(FUZZ_EXECS)x ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZ_EXECS)x ./internal/server/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZ_EXECS)x ./internal/server/proto
 
 # The full-size chaos fault-injection suite on its own — both the WAL-off
 # schedules (crash-with-data-loss envelope) and the TestChaosWAL* suite

@@ -1,7 +1,8 @@
 #!/bin/sh
-# net-smoke: end-to-end gate on the network front end. Builds robustserved,
-# starts it on a free port with the observability endpoint up, drives a
-# short mixed YCSB-A workload over loopback TCP with robustycsb -addr, and
+# net-smoke: end-to-end gate on the network front end. Builds robustconf,
+# starts `robustconf serve` on a free port with the observability endpoint
+# up, drives a short mixed YCSB-A workload over loopback TCP with
+# `robustconf ycsb -addr`, and
 # asserts (a) the driver completed without transport errors and (b) the
 # server's robustconf_server_* counters on /metrics saw the traffic.
 set -eu
@@ -9,42 +10,41 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BIN="$(mktemp -d)"
-LOG="$BIN/robustserved.log"
+LOG="$BIN/serve.log"
 SRV_PID=""
 trap '[ -n "$SRV_PID" ] && kill "$SRV_PID" 2>/dev/null || true; [ -n "$SRV_PID" ] && wait "$SRV_PID" 2>/dev/null || true; rm -rf "$BIN"' EXIT INT TERM
 
-go build -o "$BIN/robustserved" ./cmd/robustserved
-go build -o "$BIN/robustycsb" ./cmd/robustycsb
+go build -o "$BIN/robustconf" ./cmd/robustconf
 
-"$BIN/robustserved" -addr 127.0.0.1:0 -obs 127.0.0.1:0 -structure btree \
+"$BIN/robustconf" serve -addr 127.0.0.1:0 -obs 127.0.0.1:0 -structure btree \
 	-shards 2 -records 20000 >"$LOG" 2>&1 &
 SRV_PID=$!
 
-# The daemon announces "robustserved: serving <addr> ..." and
+# The daemon announces "robustconf serve: serving <addr> ..." and
 # "obs: serving http://<addr>/metrics ..." once ready.
 ADDR=""
 OBS=""
 for _ in $(seq 1 50); do
-	ADDR=$(sed -n 's/^robustserved: serving \([^ ]*\).*/\1/p' "$LOG" | head -1)
+	ADDR=$(sed -n 's/^robustconf serve: serving \([^ ]*\).*/\1/p' "$LOG" | head -1)
 	OBS=$(sed -n 's|^obs: serving http://\([^/]*\)/metrics.*|\1|p' "$LOG" | head -1)
 	if [ -n "$ADDR" ] && [ -n "$OBS" ]; then
 		break
 	fi
 	if ! kill -0 "$SRV_PID" 2>/dev/null; then
-		echo "net-smoke: robustserved exited during startup:" >&2
+		echo "net-smoke: robustconf serve exited during startup:" >&2
 		cat "$LOG" >&2
 		exit 1
 	fi
 	sleep 0.2
 done
 if [ -z "$ADDR" ] || [ -z "$OBS" ]; then
-	echo "net-smoke: robustserved never announced its listeners:" >&2
+	echo "net-smoke: robustconf serve never announced its listeners:" >&2
 	cat "$LOG" >&2
 	exit 1
 fi
-echo "net-smoke: robustserved on $ADDR, obs on $OBS"
+echo "net-smoke: robustconf serve on $ADDR, obs on $OBS"
 
-"$BIN/robustycsb" -addr "$ADDR" -mix a -records 20000 -ops 5000 \
+"$BIN/robustconf" ycsb -addr "$ADDR" -mix a -records 20000 -ops 5000 \
 	-clients 2 -pipeline 16
 
 fetch() {
@@ -72,13 +72,13 @@ wait "$SRV_PID" || RC=$?
 PID_DONE=$SRV_PID
 SRV_PID=""
 if [ "$RC" != "0" ]; then
-	echo "net-smoke: robustserved (pid $PID_DONE) exited $RC on SIGTERM:" >&2
+	echo "net-smoke: robustconf serve (pid $PID_DONE) exited $RC on SIGTERM:" >&2
 	cat "$LOG" >&2
 	exit 1
 fi
-if ! grep -q '^robustserved: served ' "$LOG"; then
+if ! grep -q '^robustconf serve: served ' "$LOG"; then
 	echo "net-smoke: no final stats line after drain:" >&2
 	cat "$LOG" >&2
 	exit 1
 fi
-echo "net-smoke: clean drain — $(grep '^robustserved: served ' "$LOG")"
+echo "net-smoke: clean drain — $(grep '^robustconf serve: served ' "$LOG")"

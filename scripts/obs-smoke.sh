@@ -1,18 +1,19 @@
 #!/bin/sh
 # obs-smoke: end-to-end check of the observability endpoint.
 #
-# Builds robustsim, runs the mixed chaos schedule with the live endpoint up
-# (-obs-hold keeps it serving after the run) and the continuous-signal
-# sampler on, scrapes /metrics and /signals, and asserts that the injected
-# faults are visible in the exported counters and that every domain
-# publishes windowed signals with a health classification. Exits non-zero
-# if the endpoint never comes up or the counters stay at zero.
+# Builds robustconf, runs the mixed chaos schedule with the live endpoint up
+# (-hold keeps it serving after the run) and the continuous-signal sampler
+# on, scrapes /metrics and /signals, and asserts that the injected faults
+# are visible in the exported counters, that every domain publishes
+# windowed signals with a health classification, and that SIGTERM ends the
+# hold with exit 0. Exits non-zero if the endpoint never comes up or the
+# counters stay at zero.
 set -eu
 
 PORT="${OBS_SMOKE_PORT:-17060}"
 ADDR="127.0.0.1:$PORT"
 TMP="$(mktemp -d)"
-BIN="$TMP/robustsim"
+BIN="$TMP/robustconf"
 OUT="$TMP/run.log"
 METRICS="$TMP/metrics.txt"
 SIGNALS="$TMP/signals.json"
@@ -23,9 +24,9 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-go build -o "$BIN" ./cmd/robustsim
+go build -o "$BIN" ./cmd/robustconf
 
-"$BIN" -chaos mixed -obs "$ADDR" -obs-trace 1 -obs-hold -signals -signals-every 50ms >"$OUT" 2>&1 &
+"$BIN" chaos -schedule mixed -obs "$ADDR" -obs-trace 1 -hold -signals -signals-every 50ms >"$OUT" 2>&1 &
 PID=$!
 
 # Wait for the chaos run to finish and the endpoint to serve the final
@@ -41,7 +42,7 @@ fetch() {
 i=0
 while :; do
 	if ! kill -0 "$PID" 2>/dev/null; then
-		echo "obs-smoke: robustsim exited early:" >&2
+		echo "obs-smoke: robustconf chaos exited early:" >&2
 		cat "$OUT" >&2
 		exit 1
 	fi
@@ -90,7 +91,7 @@ done
 
 # /signals must serve the machine-readable feed: sampler running, at least
 # one domain, each row carrying a health classification. The sampler keeps
-# ticking under -obs-hold, so a couple of cadences in the rows are measured.
+# ticking under -hold, so a couple of cadences in the rows are measured.
 fetch /signals >"$SIGNALS" || { echo "obs-smoke: /signals fetch failed" >&2; exit 1; }
 grep -q '"sampler_running": *true' "$SIGNALS" ||
 	{ echo "obs-smoke: /signals reports sampler not running" >&2; cat "$SIGNALS" >&2; exit 1; }
@@ -101,4 +102,15 @@ grep -q '"health": *"' "$SIGNALS" ||
 
 panics="$(grep '^robustconf_faults_worker_panics_total ' "$METRICS" | awk '{print $2}')"
 domains="$(grep -c '"domain": *"' "$SIGNALS" || true)"
+
+# The hold ends on SIGTERM with exit 0.
+kill -TERM "$PID"
+RC=0
+wait "$PID" || RC=$?
+PID=""
+if [ "$RC" != "0" ]; then
+	echo "obs-smoke: robustconf chaos -hold exited $RC on SIGTERM, want 0:" >&2
+	cat "$OUT" >&2
+	exit 1
+fi
 echo "obs-smoke: ok — $panics worker panics exported, $domains domain signal rows on http://$ADDR/signals"
