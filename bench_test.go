@@ -445,10 +445,9 @@ func BenchmarkDelegationSignalTick(b *testing.B) {
 func BenchmarkDelegationReadBypass(b *testing.B) {
 	machine := robustconf.Machine(1)
 	cfg := robustconf.Config{
-		Machine:      machine,
-		Domains:      []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
-		Assignment:   map[string]int{"x": 0},
-		ReadPolicies: map[string]robustconf.ReadPolicy{"x": robustconf.ReadBypass},
+		Machine:    machine,
+		Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
+		Assignment: map[string]int{"x": 0},
 	}
 	rt, err := robustconf.Start(cfg, map[string]any{"x": hashmap.New()})
 	if err != nil {
@@ -573,12 +572,12 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	b.ReportMetric(float64(tailRecords)*float64(b.N)/b.Elapsed().Seconds(), "records/sec")
 }
 
-// benchReadPolicy drives one seeded YCSB stream through a single session
-// with reads classified at submit time, under the given read policy — the
+// benchReadPath drives one seeded YCSB stream through a single session,
+// reads through SubmitRead (bypass) or delegated through Invoke — the
 // real-work version of the read-path comparison (bypass should at least
 // double delegated YCSB-C throughput and come within 1.5× of the direct
 // baseline).
-func benchReadPolicy(b *testing.B, mix workload.Mix, policy robustconf.ReadPolicy) {
+func benchReadPath(b *testing.B, mix workload.Mix, bypass bool) {
 	const preload = 100_000
 	idx := hashmap.New()
 	for _, k := range workload.LoadKeys(preload) {
@@ -586,10 +585,9 @@ func benchReadPolicy(b *testing.B, mix workload.Mix, policy robustconf.ReadPolic
 	}
 	machine := robustconf.Machine(1)
 	rt, err := robustconf.Start(robustconf.Config{
-		Machine:      machine,
-		Domains:      []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
-		Assignment:   map[string]int{"x": 0},
-		ReadPolicies: map[string]robustconf.ReadPolicy{"x": policy},
+		Machine:    machine,
+		Domains:    []robustconf.Domain{{Name: "d", CPUs: robustconf.CPURange(0, 4)}},
+		Assignment: map[string]int{"x": 0},
 	}, map[string]any{"x": idx})
 	if err != nil {
 		b.Fatal(err)
@@ -628,10 +626,13 @@ func benchReadPolicy(b *testing.B, mix workload.Mix, policy robustconf.ReadPolic
 	for i := 0; i < b.N; i++ {
 		op := gen.Next()
 		key, val, update = op.Key, op.Val, op.Type == workload.OpUpdate
-		if op.Type == workload.OpRead {
-			_, err = s.SubmitRead(readTask)
-		} else {
+		switch {
+		case op.Type != workload.OpRead:
 			_, err = s.Invoke(writeTask)
+		case bypass:
+			_, err = s.SubmitRead(readTask)
+		default:
+			_, err = s.Invoke(readTask)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -639,13 +640,13 @@ func benchReadPolicy(b *testing.B, mix workload.Mix, policy robustconf.ReadPolic
 	}
 }
 
-// BenchmarkReadBypass compares the read-path policies on the Hash Map:
-// YCSB-C delegated vs bypass vs the undelegated direct bound, and YCSB-A
-// delegated vs bypass (validation under a 50% write fraction). Tracked in
-// BENCH_delegation.json.
+// BenchmarkReadBypass compares the read paths on the Hash Map: YCSB-C
+// delegated (reads through Invoke) vs bypass (reads through SubmitRead) vs
+// the undelegated direct bound, and YCSB-A delegated vs bypass (validation
+// under a 50% write fraction). Tracked in BENCH_delegation.json.
 func BenchmarkReadBypass(b *testing.B) {
-	b.Run("ycsb-c/delegated", func(b *testing.B) { benchReadPolicy(b, workload.C, robustconf.ReadDelegate) })
-	b.Run("ycsb-c/bypass", func(b *testing.B) { benchReadPolicy(b, workload.C, robustconf.ReadBypass) })
+	b.Run("ycsb-c/delegated", func(b *testing.B) { benchReadPath(b, workload.C, false) })
+	b.Run("ycsb-c/bypass", func(b *testing.B) { benchReadPath(b, workload.C, true) })
 	b.Run("ycsb-c/direct", func(b *testing.B) {
 		const preload = 100_000
 		idx := hashmap.New()
@@ -663,8 +664,8 @@ func BenchmarkReadBypass(b *testing.B) {
 			idx.Get(op.Key, nil)
 		}
 	})
-	b.Run("ycsb-a/delegated", func(b *testing.B) { benchReadPolicy(b, workload.A, robustconf.ReadDelegate) })
-	b.Run("ycsb-a/bypass", func(b *testing.B) { benchReadPolicy(b, workload.A, robustconf.ReadBypass) })
+	b.Run("ycsb-a/delegated", func(b *testing.B) { benchReadPath(b, workload.A, false) })
+	b.Run("ycsb-a/bypass", func(b *testing.B) { benchReadPath(b, workload.A, true) })
 }
 
 // BenchmarkAblationBurstSize sweeps the burst size (the paper fixes 14):

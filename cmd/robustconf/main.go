@@ -56,7 +56,7 @@ var (
 		"plan":  {append([]string{"scenario", "workers", "run", "records=10000"}, obsFlags...), cmdPlan},
 		"chaos": {append([]string{"schedule", "seed", "clients=6", "ops=300", "hold"}, obsFlags...), cmdChaos},
 		"ycsb": {append(append([]string{"addr", "pipeline=16", "tenant", "structure", "mix", "domain", "clients",
-			"records", "ops", "burst", "readpolicy", "trace"}, obsFlags...), walFlags...), cmdYCSB},
+			"records", "ops", "burst", "trace"}, obsFlags...), walFlags...), cmdYCSB},
 		"tpcc": {append(append([]string{"engine", "structure", "warehouses", "customers", "items", "clients", "txns",
 			"remote"}, obsFlags...), walFlags...), cmdTPCC},
 		"serve": {append([]string{"addr=:7070", "structure", "shards", "domain=0", "records", "sessions", "burst",
@@ -73,14 +73,14 @@ type opts struct {
 	scenario  choice[[]config.Instance]
 	engine    choice[sim.EngineKind]
 
-	exp, format, schedule, addr, tenant, readPolicy, trace, obs, wal, signalsStream, fsync string
-	list, curves, hold, topology, sweep, signals                                           bool
-	clients, ops, threads, domain, instances, workers, run, customers, warehouses, items   int
-	txns, pipeline, burst, shards, sessions, tenantOps, obsTrace                           int
-	seed                                                                                   int64
-	records                                                                                uint64
-	remote                                                                                 float64
-	signalsEvery, checkpoint, acquireTimeout, writeTimeout, drain                          time.Duration
+	exp, format, schedule, addr, tenant, trace, obs, wal, signalsStream, fsync           string
+	list, curves, hold, topology, sweep, signals                                         bool
+	clients, ops, threads, domain, instances, workers, run, customers, warehouses, items int
+	txns, pipeline, burst, shards, sessions, tenantOps, obsTrace                         int
+	seed                                                                                 int64
+	records                                                                              uint64
+	remote                                                                               float64
+	signalsEvery, checkpoint, acquireTimeout, writeTimeout, drain                        time.Duration
 }
 
 // flagSet registers a verb's flags. Every flag is defined once, here, so a
@@ -114,7 +114,6 @@ func (o *opts) flagSet(name string, specs []string) *flag.FlagSet {
 	all.IntVar(&o.pipeline, "pipeline", server.DefaultMaxPipeline, "requests pipelined per connection")
 	all.StringVar(&o.tenant, "tenant", "", "tenant name for server-side quota accounting")
 	all.IntVar(&o.burst, "burst", robustconf.PaperBurstSize, "per-session burst window (outstanding tasks)")
-	all.StringVar(&o.readPolicy, "readpolicy", "delegate", "read path: delegate or bypass")
 	all.StringVar(&o.trace, "trace", "", "write each client's ops to FILE.<client> first, then replay them")
 	all.Var(&o.engine, "engine", "TPC-C engine: "+keys(engines))
 	all.IntVar(&o.warehouses, "warehouses", 4, "TPC-C warehouses")
@@ -192,7 +191,7 @@ type structure struct {
 var (
 	structures = map[string]structure{
 		"btree":   {kind: sim.KindBTree},
-		"fptree":  {sim.KindFPTree, harness.NewWALTree},
+		"fptree":  {sim.KindFPTree, harness.NewWALFPTree},
 		"bwtree":  {sim.KindBWTree, harness.NewWALBwTree},
 		"hashmap": {kind: sim.KindHashMap},
 	}

@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"robustconf/internal/harness"
 )
 
 // invoke runs the command in-process and returns its exit code and
@@ -53,13 +55,13 @@ func TestDocCommandsParse(t *testing.T) {
 
 func TestUsageErrorsExitTwo(t *testing.T) {
 	values := map[string]string{
-		"structure": "btree", "domain": "4", "burst": "2", "readpolicy": "bypass", "trace": "x",
+		"structure": "btree", "domain": "4", "burst": "2", "trace": "x", "format": "csv",
 		"wal": "d", "fsync": "none", "checkpoint": "1s", "obs": "127.0.0.1:0", "obs-trace": "1",
 		"signals": "true", "signals-every": "1s", "signals-stream": "x", "records": "10",
 		"pipeline": "4", "tenant": "t",
 	}
 	var cases [][]string
-	for _, n := range append([]string{"structure", "domain", "burst", "readpolicy", "trace"}, append(walFlags, obsFlags...)...) {
+	for _, n := range append([]string{"structure", "domain", "burst", "trace"}, append(walFlags, obsFlags...)...) {
 		cases = append(cases, []string{"ycsb", "-addr", "127.0.0.1:1", "-" + n + "=" + values[n]})
 	}
 	for _, n := range []string{"pipeline", "tenant", "fsync", "checkpoint"} {
@@ -70,6 +72,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 	for _, n := range append([]string{"records"}, obsFlags...) {
 		cases = append(cases, []string{"plan", "-" + n + "=" + values[n]})
+	}
+	cases = append(cases, []string{"bench", "-format=csv"}, []string{"bench", "-list", "-format=csv"})
+	for exp := range harness.Tables {
+		cases = append(cases, []string{"bench", "-exp", exp, "-format=csv"})
 	}
 	for verb := range verbs {
 		cases = append(cases, []string{verb, "-no-such-flag"}, []string{verb, "stray-argument"})
@@ -130,17 +136,18 @@ func TestRuns(t *testing.T) {
 	}{
 		{[]string{"ycsb", "-structure", "btree", "-records", "2000", "-ops", "300", "-clients", "2", "-domain", "1",
 			"-trace", filepath.Join(dir, "ops")},
-			[]string{"note: burst clamped to 7 ", "B-Tree / Read-Update 50/50: domains of 1 workers, 2 clients, burst 7,",
+			[]string{"note: burst clamped to 7 ", "B-Tree / Read-Update 50/50: domains of 1 workers, 2 clients, burst 7, bypass reads false$",
 				"throughput: [0-9]+ ops/s", "latency ns: n=600 ", "faults: panics=0"}},
 		{[]string{"ycsb", "-structure", "fptree", "-records", "2000", "-ops", "300", "-clients", "2", "-domain", "8",
 			"-wal", filepath.Join(dir, "wal"), "-fsync", "none"},
-			[]string{"FP-Tree / Read-Update 50/50: domains of 8 workers", "wal: fsync=none committed=[1-9]"}},
+			[]string{"FP-Tree / Read-Update 50/50: domains of 8 workers, .* bypass reads true$", "wal: fsync=none committed=[1-9]"}},
 		{[]string{"tpcc", "-engine", "direct", "-warehouses", "1", "-customers", "30", "-items", "100", "-clients", "2", "-txns", "40"},
 			[]string{"engine=direct structure=fptree warehouses=1 clients=2", "measured: 80 txns", "simulated reference machine"}},
 		{[]string{"tpcc", "-engine", "delegated", "-structure", "bwtree", "-warehouses", "2", "-customers", "30", "-items", "100",
 			"-clients", "2", "-txns", "40"},
 			[]string{"engine=delegated structure=bwtree warehouses=2 clients=2", "measured: 80 txns", "faults: panics=0",
 				"simulated reference machine"}},
+		{[]string{"bench", "-exp", "fig1", "-format", "csv"}, []string{"# Figure 1: ", "workload,Opt. Configured,"}},
 		// 26 workers is the fewest oltp2 composes onto; its shared domain
 		// has one worker for five instances, so the burst must shrink.
 		{[]string{"plan", "-workers", "26", "-run", "100", "-records", "1000"},

@@ -48,8 +48,8 @@ func cmdServe(o *opts, w io.Writer) error {
 	}
 	defer stop()
 
-	// As in config.RecommendServer: every session may hold a full burst in
-	// every domain, so the smallest domain bounds the pool.
+	// The one home of the pool-size rule: every session may hold a full
+	// burst in every domain, so the smallest domain bounds the pool.
 	sessions := o.sessions
 	if sessions <= 0 {
 		sessions = max(1, slotCapacity(domains)/o.burst)

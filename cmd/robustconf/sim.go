@@ -19,6 +19,9 @@ import (
 // domain until the sampler reports Degraded, shifts the load away and
 // watches it recover.
 func cmdBench(o *opts, w io.Writer) error {
+	if o.set["format"] && (o.exp == "" || harness.Tables[o.exp]) {
+		return usageError{fmt.Errorf("-format is ignored without a figure -exp (tables and the full run render text)")}
+	}
 	var out string
 	var err error
 	switch {

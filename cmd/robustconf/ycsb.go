@@ -34,7 +34,7 @@ func cmdYCSB(o *opts, w io.Writer) error {
 	}
 	if o.addr != "" {
 		if err := o.reject("with -addr (the server owns the structure, the runtime and the log)",
-			append(append([]string{"structure", "domain", "burst", "readpolicy", "trace"}, walFlags...), obsFlags...)...); err != nil {
+			append(append([]string{"structure", "domain", "burst", "trace"}, walFlags...), obsFlags...)...); err != nil {
 			return err
 		}
 		return network(o, w)
@@ -43,10 +43,6 @@ func cmdYCSB(o *opts, w io.Writer) error {
 		return err
 	}
 	s, mix := o.structure.val, o.mix.val
-	policy, err := core.ParseReadPolicy(o.readPolicy)
-	if err != nil {
-		return usageError{err}
-	}
 	walCfg, err := o.walConfig()
 	if err != nil {
 		return err
@@ -70,11 +66,10 @@ func cmdYCSB(o *opts, w io.Writer) error {
 		}
 	}
 	r, err := o.drive(w, core.Config{
-		Machine:      m,
-		Domains:      domains,
-		Assignment:   map[string]int{"ycsb": 0},
-		ReadPolicies: map[string]core.ReadPolicy{"ycsb": policy},
-		WAL:          walCfg,
+		Machine:    m,
+		Domains:    domains,
+		Assignment: map[string]int{"ycsb": 0},
+		WAL:        walCfg,
 	}, map[string]any{"ycsb": ds}, streams, o.burst)
 	if err != nil {
 		return err
@@ -82,8 +77,8 @@ func cmdYCSB(o *opts, w io.Writer) error {
 	defer r.stop()
 
 	total := float64(o.clients * o.ops)
-	fmt.Fprintf(w, "%s / %s: domains of %d workers, %d clients, burst %d, read policy %s (effective %s)\n",
-		s.kind.Name(), mix.Name, domains[0].CPUs.Len(), o.clients, r.burst, policy, r.rt.EffectiveReadPolicy("ycsb"))
+	fmt.Fprintf(w, "%s / %s: domains of %d workers, %d clients, burst %d, bypass reads %t\n",
+		s.kind.Name(), mix.Name, domains[0].CPUs.Len(), o.clients, r.burst, r.rt.BypassReads("ycsb"))
 	fmt.Fprintf(w, "throughput: %.0f ops/s (%d ops in %v)\n",
 		total/r.elapsed.Seconds(), int(total), r.elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "latency ns: %s\n", r.latency.String())
@@ -164,8 +159,9 @@ type driven struct {
 // cfg, runs stream c on a session on CPU c, and stops the runtime so its
 // last flush reaches the observer. A session takes its burst in the domain
 // it posts to: the burst shrinks until each domain's sessions fit. Reads go
-// through SubmitRead so the read policy applies; on a durable structure a
-// write resolves after its group commit, so a nil error means durable.
+// through SubmitRead, so they bypass wherever the structure allows; on a
+// durable structure a write resolves after its group commit, so a nil error
+// means durable.
 func (o *opts) drive(w io.Writer, cfg core.Config, structures map[string]any, streams []stream, burst int) (*driven, error) {
 	sessions := map[int]int{}
 	for _, s := range streams {

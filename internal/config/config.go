@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"robustconf/internal/core"
-	"robustconf/internal/delegation"
 	"robustconf/internal/ilp"
 	"robustconf/internal/metrics"
 	"robustconf/internal/sim"
@@ -140,37 +139,22 @@ type Instance struct {
 	RetainsReferences bool
 }
 
-// RecommendReadPolicy derives an instance's read-path policy from its
-// workload mix, making the read policy a calibrated configuration axis
-// alongside domain size: read-only and read-mostly mixes bypass, and
-// write-heavy mixes keep every read delegated — bypass validation would
-// mostly fail under them and each miss costs wasted attempts. At the 15%
-// threshold YCSB-C (0%) and YCSB-D (5% inserts) bypass and YCSB-A (50%
-// updates) delegates.
-func RecommendReadPolicy(mix workload.Mix) core.ReadPolicy {
-	if mix.WriteFraction() <= 0.15 {
-		return core.ReadBypass
-	}
-	return core.ReadDelegate
-}
-
 // Durability is the composed durability configuration: the WAL fsync
 // discipline and the checkpoint cadence, two further configuration axes
-// alongside domain size and read policy. The zero value (FsyncNone, default
-// cadence) is what read-only compositions get.
+// alongside domain size. The zero value (FsyncNone, default cadence) is
+// what read-only compositions get.
 type Durability struct {
 	Fsync           wal.FsyncMode
 	CheckpointEvery time.Duration
 }
 
 // RecommendDurability derives the durability axes from the composed
-// workload, following the RecommendReadPolicy precedent: read-only
-// compositions log nothing, so syncing buys nothing (FsyncNone, relaxed
-// checkpoints); write-heavy compositions group-commit with fsync per batch
-// and checkpoint tightly, bounding the replay tail a crash leaves behind;
-// mixed compositions batch-fsync at the default cadence. FsyncAlways is
-// never recommended — it is the explicit opt-in for strict per-record
-// durability, surfaced as a flag on the binaries.
+// workload: read-only compositions log nothing, so syncing buys nothing
+// (FsyncNone, relaxed checkpoints); write-heavy compositions group-commit
+// with fsync per batch and checkpoint tightly, bounding the replay tail a
+// crash leaves behind; mixed compositions batch-fsync at the default
+// cadence. FsyncAlways is never recommended — it is the explicit opt-in for
+// strict per-record durability, surfaced as a flag on the binaries.
 func RecommendDurability(instances []Instance) Durability {
 	maxWF := 0.0
 	for _, inst := range instances {
@@ -188,67 +172,17 @@ func RecommendDurability(instances []Instance) Durability {
 	}
 }
 
-// RecommendArena derives the arena axis from the composition, following the
-// RecommendDurability precedent. Any instance that retains references into
-// result buffers disables the axis (recycling would invalidate memory the
-// client still holds). Otherwise arenas go on, sized by write volume: the
-// arena's main tenant is WAL effect staging, which scales with the write
-// fraction, so write-heavy compositions get deeper slabs and read-mostly
-// ones stay at the default.
+// RecommendArena derives the arena switch from the composition: any
+// instance that retains references into result buffers turns it off
+// (batch-boundary recycling would invalidate memory the client still
+// holds), and every other composition gets arenas.
 func RecommendArena(instances []Instance) core.ArenaConfig {
-	maxWF := 0.0
 	for _, inst := range instances {
 		if inst.RetainsReferences {
 			return core.ArenaConfig{}
 		}
-		if wf := inst.Mix.WriteFraction(); wf > maxWF {
-			maxWF = wf
-		}
 	}
-	cfg := core.ArenaConfig{Enabled: true}
-	if maxWF > 0.15 {
-		// One sweep batch stages up to SlotsPerBuffer records per worker;
-		// deeper slabs keep a write-heavy batch inside one slab per class.
-		cfg.SlabAllocs = 16
-	}
-	return cfg
-}
-
-// ServerAxes is the composed network front-end configuration: how many
-// pooled delegation sessions the server multiplexes its connections onto,
-// each session's bursting window, and how deep one connection's pipelined
-// batch may run. Two further configuration axes in the paper's sense —
-// derived from the plan, not hand-tuned per deployment.
-type ServerAxes struct {
-	Sessions    int
-	Burst       int
-	MaxPipeline int
-}
-
-// RecommendServer derives the front-end axes from a composed plan. The
-// binding constraint is slot capacity: every pooled session may reserve
-// Burst message-buffer slots in every domain it touches (and the router
-// spreads keys over all shards, so every session touches every domain),
-// while a domain of w workers exposes w×SlotsPerBuffer slots. Sessions is
-// therefore sized to what the smallest domain can absorb —
-// ⌊minSize×SlotsPerBuffer/Burst⌋ — which saturates that domain's buffers
-// without ever making a session block on slot acquisition. Burst is the
-// paper's 14. MaxPipeline is fixed at 128: deep enough that a depth-64
-// client still lands one batch per read, shallow enough to bound
-// per-connection scratch and reply latency.
-func RecommendServer(p *Plan) ServerAxes {
-	const burst = 14 // the paper's bursting window
-	minSize := 0
-	for _, d := range p.Domains {
-		if minSize == 0 || d.Size < minSize {
-			minSize = d.Size
-		}
-	}
-	sessions := minSize * delegation.SlotsPerBuffer / burst
-	if sessions < 1 {
-		sessions = 1
-	}
-	return ServerAxes{Sessions: sessions, Burst: burst, MaxPipeline: 128}
+	return core.ArenaConfig{Enabled: true}
 }
 
 // PlanDomain is one virtual domain of a composed plan.
@@ -266,24 +200,17 @@ type Plan struct {
 	Kind string
 	// CalibratedSizes records each instance's calibrated optimal size.
 	CalibratedSizes map[string]int
-	// ReadPolicies records each instance's recommended read-path policy
-	// (RecommendReadPolicy over its mix); Materialise carries them into
-	// core.Config.ReadPolicies.
-	ReadPolicies map[string]core.ReadPolicy
 	// Durability records the recommended durability axes
 	// (RecommendDurability over the composition); Materialise carries them
 	// into core.Config.WAL, which stays disabled until a log directory is
 	// supplied.
 	Durability Durability
-	// Arena records the recommended worker-arena axis (RecommendArena over
+	// Arena records the recommended worker-arena switch (RecommendArena over
 	// the composition); Materialise carries it into core.Config.Arena.
 	Arena core.ArenaConfig
-	// Server records the recommended network front-end axes (RecommendServer
-	// over the finished plan); robustserved seeds its defaults from them.
-	Server ServerAxes
 }
 
-// String renders the plan in the robustconfig tool's format.
+// String renders the plan as robustconf plan prints it.
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s composition, %d domains, %d workers\n", p.Kind, len(p.Domains), p.WorkersUsed())
@@ -294,33 +221,12 @@ func (p *Plan) String() string {
 		}
 		fmt.Fprintf(&b, "  domain %2d: %3d workers%s ← %s\n", i, d.Size, tag, strings.Join(d.Instances, ", "))
 	}
-	if len(p.ReadPolicies) > 0 {
-		names := make([]string, 0, len(p.ReadPolicies))
-		for name := range p.ReadPolicies {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var pairs []string
-		for _, name := range names {
-			pairs = append(pairs, fmt.Sprintf("%s=%s", name, p.ReadPolicies[name]))
-		}
-		fmt.Fprintf(&b, "  read policies: %s\n", strings.Join(pairs, ", "))
-	}
 	fmt.Fprintf(&b, "  durability: fsync=%s checkpoint=%s\n", p.Durability.Fsync, p.Durability.cadence())
+	arena := "off"
 	if p.Arena.Enabled {
-		slabs := p.Arena.SlabAllocs
-		if slabs <= 0 {
-			fmt.Fprintf(&b, "  arena: on (default slabs)\n")
-		} else {
-			fmt.Fprintf(&b, "  arena: on (slabs=%d)\n", slabs)
-		}
-	} else {
-		fmt.Fprintf(&b, "  arena: off\n")
+		arena = "on"
 	}
-	if p.Server.Sessions > 0 {
-		fmt.Fprintf(&b, "  server: sessions=%d burst=%d pipeline=%d\n",
-			p.Server.Sessions, p.Server.Burst, p.Server.MaxPipeline)
-	}
+	fmt.Fprintf(&b, "  arena: %s\n", arena)
 	return b.String()
 }
 
@@ -373,16 +279,13 @@ func Compose(instances []Instance, workers int, measure MeasureFunc) (*Plan, err
 		names[inst.Name] = i
 	}
 
-	plan := &Plan{CalibratedSizes: map[string]int{}, ReadPolicies: map[string]core.ReadPolicy{}}
+	plan := &Plan{CalibratedSizes: map[string]int{}}
 
-	// Step 1+2: calibrated optimal size per instance, plus the read-path
-	// policy its mix recommends (a second per-instance configuration axis;
-	// core gates it on the materialised structure's concurrent-read safety).
+	// Step 1+2: calibrated optimal size per instance.
 	plan.Durability = RecommendDurability(instances)
 	plan.Arena = RecommendArena(instances)
 	calCache := map[string]int{}
 	for _, inst := range instances {
-		plan.ReadPolicies[inst.Name] = RecommendReadPolicy(inst.Mix)
 		key := fmt.Sprintf("%d/%s", inst.Kind, inst.Mix.Name)
 		size, ok := calCache[key]
 		if !ok {
@@ -419,7 +322,6 @@ func Compose(instances []Instance, workers int, measure MeasureFunc) (*Plan, err
 
 	if len(shared) == 0 {
 		plan.Kind = "isolated"
-		plan.Server = RecommendServer(plan)
 		return plan, nil
 	}
 	if remaining == 0 {
@@ -445,7 +347,6 @@ func Compose(instances []Instance, workers int, measure MeasureFunc) (*Plan, err
 	if isolated {
 		plan.Kind = "isolated+" + plan.Kind
 	}
-	plan.Server = RecommendServer(plan)
 	return plan, nil
 }
 
@@ -576,14 +477,6 @@ func Materialise(plan *Plan, m *topology.Machine) (core.Config, error) {
 		})
 		for _, inst := range d.Instances {
 			cfg.Assignment[inst] = i
-		}
-	}
-	if len(plan.ReadPolicies) > 0 {
-		cfg.ReadPolicies = map[string]core.ReadPolicy{}
-		for inst, p := range plan.ReadPolicies {
-			if _, ok := cfg.Assignment[inst]; ok && p != core.ReadDelegate {
-				cfg.ReadPolicies[inst] = p
-			}
 		}
 	}
 	// Durability axes ride along; the WAL stays off (Dir == "") until the

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"robustconf/internal/core"
 	"robustconf/internal/sim"
 	"robustconf/internal/topology"
 	"robustconf/internal/workload"
@@ -341,13 +340,35 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
-func TestRecommendReadPolicy(t *testing.T) {
-	for _, c := range []struct {
-		mix  workload.Mix
-		want core.ReadPolicy
-	}{{workload.C, core.ReadBypass}, {workload.D, core.ReadBypass}, {workload.A, core.ReadDelegate}} {
-		if got := RecommendReadPolicy(c.mix); got != c.want {
-			t.Errorf("RecommendReadPolicy(%s) = %v, want %v", c.mix.Name, got, c.want)
-		}
+// TestPlanStringOLTP2 pins what robustconf plan -scenario oltp2 prints on
+// 192 workers: the domains, the durability and the arena switch, and no
+// read-policy or server line (the marker decides reads; serve sizes its
+// own session pool).
+func TestPlanStringOLTP2(t *testing.T) {
+	instances := []Instance{
+		{Name: "lock-table", Kind: sim.KindHashMap, Mix: workload.A, Load: 0.5, Crucial: true},
+		{Name: "hot-orders", Kind: sim.KindFPTree, Mix: workload.A, Load: 0.5, Crucial: true},
+		{Name: "write-idx-1", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "write-idx-2", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "read-idx-1", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
+		{Name: "read-idx-2", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
+		{Name: "read-idx-3", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
+	}
+	plan, err := Compose(instances, 192, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `isolated+heterogeneous composition, 6 domains, 169 workers
+  domain  0:   1 workers [isolated] ← lock-table
+  domain  1:  24 workers [isolated] ← hot-orders
+  domain  2:  48 workers ← read-idx-1
+  domain  3:  48 workers ← read-idx-2
+  domain  4:  24 workers ← write-idx-1, write-idx-2
+  domain  5:  24 workers ← read-idx-3
+  durability: fsync=batch checkpoint=100ms
+  arena: on
+`
+	if got := plan.String(); got != want {
+		t.Errorf("Plan.String:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -101,11 +101,6 @@ type Config struct {
 	// (crash, respawn, stop) are recorded. Nil — the default — leaves the
 	// delegation hot path untouched.
 	Obs *obs.Observer
-	// ReadPolicies maps structure names to their read-path policy (see
-	// ReadPolicy and Session.SubmitRead). Structures absent from the map —
-	// and structures that do not vouch for concurrent-reader safety — use
-	// ReadDelegate.
-	ReadPolicies map[string]ReadPolicy
 	// WAL configures per-domain write-ahead logging and checkpointing (see
 	// wal.go). The zero value disables it: no log is opened, no structure
 	// is snapshotted, and the delegation hot path is unchanged.
@@ -123,19 +118,14 @@ type Config struct {
 	BatchExec BatchExecConfig
 }
 
-// ArenaConfig is the arena axis of a configuration: whether domain workers
-// get batch arenas, and how they are sized. The composer (internal/config)
-// disables the axis for plans whose structures retain references into
-// client buffers, where batch-boundary recycling would be unsound.
+// ArenaConfig is the arena switch of a configuration: whether domain
+// workers get batch arenas, sized by the mem package's own defaults. The
+// composer (internal/config) turns it off for plans whose structures retain
+// references into client buffers, where batch-boundary recycling would be
+// unsound.
 type ArenaConfig struct {
 	// Enabled turns per-worker batch arenas on.
 	Enabled bool
-	// SlabAllocs sizes each size class's slabs in max-size
-	// allocations-per-slab (0 = the mem package default).
-	SlabAllocs int
-	// MaxBytes caps one arena's retained slab bytes; past it, allocations
-	// fall back to the heap and are counted (0 = unlimited).
-	MaxBytes int
 }
 
 // BatchExecConfig is the former interleaved-execution axis; both fields are
@@ -174,23 +164,15 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("core: domain %q uses CPU %d outside machine (%d CPUs)", d.Name, id, c.Machine.LogicalCPUs())
 			}
 		}
-		for j := 0; j < i; j++ {
-			if c.Domains[j].CPUs.Intersects(d.CPUs) {
-				return fmt.Errorf("core: domains %q and %q overlap on CPUs", c.Domains[j].Name, d.Name)
+		for _, prev := range c.Domains[:i] {
+			if prev.CPUs.Intersects(d.CPUs) {
+				return fmt.Errorf("core: domains %q and %q overlap on CPUs", prev.Name, d.Name)
 			}
 		}
 	}
 	for s, di := range c.Assignment {
 		if di < 0 || di >= len(c.Domains) {
 			return fmt.Errorf("core: structure %q assigned to domain %d of %d", s, di, len(c.Domains))
-		}
-	}
-	for s, p := range c.ReadPolicies {
-		if _, ok := c.Assignment[s]; !ok {
-			return fmt.Errorf("core: read policy for unassigned structure %q", s)
-		}
-		if p != ReadDelegate && p != ReadBypass {
-			return fmt.Errorf("core: structure %q has invalid read policy %d", s, int(p))
 		}
 	}
 	return nil
@@ -327,8 +309,8 @@ type Runtime struct {
 	faults  *metrics.FaultCounters
 
 	// readStates holds the per-structure read-bypass state for structures
-	// whose effective policy is not ReadDelegate. Built once in Start and
-	// read-only afterwards, so the read hot path probes it without a lock.
+	// that are concurrent-reader safe. Built once in Start and read-only
+	// afterwards, so the read hot path probes it without a lock.
 	readStates map[string]*readState
 
 	mu      sync.Mutex
@@ -377,7 +359,7 @@ func Start(cfg Config, structures map[string]any) (*Runtime, error) {
 		}
 	}
 	rt := &Runtime{cfg: cfg, faults: cfg.Faults}
-	rt.readStates = buildReadStates(cfg.ReadPolicies, structures)
+	rt.readStates = buildReadStates(structures)
 	if rt.faults == nil {
 		rt.faults = metrics.Faults
 	}
@@ -407,7 +389,7 @@ func Start(cfg Config, structures map[string]any) (*Runtime, error) {
 				b.SetProbe(d.obsDom.Worker(w))
 			}
 			if cfg.Arena.Enabled {
-				a := mem.New(mem.Options{SlabAllocs: cfg.Arena.SlabAllocs, MaxBytes: cfg.Arena.MaxBytes})
+				a := mem.New(mem.Options{})
 				d.arenas = append(d.arenas, a)
 				b.SetArena(a)
 			}
@@ -647,7 +629,7 @@ type Session struct {
 	gen     uint64
 
 	// Per-domain telemetry shards bypass read outcomes report to
-	// (readpolicy.go).
+	// (readpath.go).
 	readShards map[*Domain]*obs.ClientShard
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"robustconf/internal/delegation"
@@ -23,47 +22,6 @@ import (
 // completed, so a torn read can never validate across a shutdown or crash
 // window.
 
-// ReadPolicy selects how a structure's read-only tasks execute. It is a
-// per-structure configuration axis (Config.ReadPolicies) alongside domain
-// sizing: the composed-plan layer derives it from the workload mix the same
-// way it sizes domains (see config.RecommendReadPolicy).
-type ReadPolicy int
-
-const (
-	// ReadDelegate sends every read through the owning domain's workers,
-	// exactly like a mutation. The default, and the only choice for
-	// structures whose reads are unsafe under concurrent writers (see
-	// index.ConcurrentReadSafe).
-	ReadDelegate ReadPolicy = iota
-	// ReadBypass always attempts the validated local read first and falls
-	// back to delegation when validation fails. Best for read-mostly mixes.
-	ReadBypass
-)
-
-// String renders the policy the way the cmd flags spell it.
-func (p ReadPolicy) String() string {
-	switch p {
-	case ReadDelegate:
-		return "delegate"
-	case ReadBypass:
-		return "bypass"
-	default:
-		return fmt.Sprintf("ReadPolicy(%d)", int(p))
-	}
-}
-
-// ParseReadPolicy parses the flag spelling used by robustycsb -readpolicy.
-func ParseReadPolicy(s string) (ReadPolicy, error) {
-	switch s {
-	case "delegate":
-		return ReadDelegate, nil
-	case "bypass":
-		return ReadBypass, nil
-	default:
-		return ReadDelegate, fmt.Errorf("core: unknown read policy %q (delegate, bypass)", s)
-	}
-}
-
 // bypassAttempts bounds how many times a read re-validates before falling
 // back to delegation. Low on purpose: an unstable window means a mutating
 // batch is in flight right now, and the delegated fallback queues behind it
@@ -71,11 +29,11 @@ func ParseReadPolicy(s string) (ReadPolicy, error) {
 const bypassAttempts = 4
 
 // concurrentReadSafe is the structural marker a registered structure must
-// implement (and answer true) before ReadBypass takes effect;
+// implement (and answer true) before its reads bypass delegation;
 // internal/index documents which substrates qualify and why.
 type concurrentReadSafe interface{ ConcurrentReadSafe() bool }
 
-// readState is the per-structure runtime state of the bypass read policy.
+// readState is the per-structure runtime state of the read bypass.
 // Built once in Start (the map it lives in is read-only afterwards) and
 // owned by the structure name, not the domain — it survives migrations.
 type readState struct {
@@ -87,37 +45,25 @@ type readState struct {
 	migrations atomic.Uint64
 }
 
-// buildReadStates gates the configured policies against the registered
-// structures: ReadBypass only takes effect when the structure vouches for
-// its own concurrent-reader safety, otherwise it silently degrades to
-// delegation (correct, just slower — the same contract as the bypass
-// fallback itself).
-func buildReadStates(policies map[string]ReadPolicy, structures map[string]any) map[string]*readState {
-	if len(policies) == 0 {
-		return nil
-	}
-	states := make(map[string]*readState, len(policies))
-	for name, p := range policies {
-		if p != ReadBypass {
-			continue
+// buildReadStates arms the bypass for every structure that vouches for its
+// own concurrent-reader safety; the others delegate their reads. There is
+// no setting: on every measured mix and client count the bypass beat
+// delegation wherever it can arm (EXPERIMENTS.md, read-path ablation).
+func buildReadStates(structures map[string]any) map[string]*readState {
+	states := make(map[string]*readState, len(structures))
+	for name, ds := range structures {
+		if crs, ok := ds.(concurrentReadSafe); ok && crs.ConcurrentReadSafe() {
+			states[name] = &readState{}
 		}
-		crs, ok := structures[name].(concurrentReadSafe)
-		if !ok || !crs.ConcurrentReadSafe() {
-			continue
-		}
-		states[name] = &readState{}
 	}
 	return states
 }
 
-// EffectiveReadPolicy returns the read policy actually in force for the
-// structure: the configured one, unless the structure could not vouch for
-// concurrent-reader safety, in which case it degraded to ReadDelegate.
-func (rt *Runtime) EffectiveReadPolicy(structure string) ReadPolicy {
-	if rt.readStates[structure] != nil {
-		return ReadBypass
-	}
-	return ReadDelegate
+// BypassReads reports whether SubmitRead on the structure tries the
+// validated local read first: true exactly when the registered structure
+// answers ConcurrentReadSafe() == true.
+func (rt *Runtime) BypassReads(structure string) bool {
+	return rt.readStates[structure] != nil
 }
 
 // countBypass reports a fast-path outcome to the domain's telemetry, when
@@ -140,14 +86,14 @@ func (s *Session) countBypass(d *Domain, hit bool, retries uint64) {
 }
 
 // SubmitRead executes a task the caller guarantees is read-only: Op must not
-// mutate the structure. Under an effective ReadBypass it first
-// attempts the validated local read described above; on validation failure —
-// a mutating batch in flight, a sealed or crashed worker's poisoned buffer,
-// a concurrent migration — it falls back to a delegated read, which
-// serializes with mutations exactly like Invoke. Under ReadDelegate (or for
-// structures that never qualified for bypass) it is precisely a delegated
-// Invoke whose task is flagged read-only, so it cannot spuriously invalidate
-// other sessions' bypass reads.
+// mutate the structure. When the structure is concurrent-reader safe it
+// first attempts the validated local read described above; on validation
+// failure — a mutating batch in flight, a sealed or crashed worker's
+// poisoned buffer, a concurrent migration — it falls back to a delegated
+// read, which serializes with mutations exactly like Invoke. For any other
+// structure it is precisely a delegated Invoke whose task is flagged
+// read-only, so it cannot spuriously invalidate other sessions' bypass
+// reads.
 func (s *Session) SubmitRead(task Task) (any, error) {
 	rs := s.rt.readStates[task.Structure] // read-only map after Start
 	if rs != nil {
@@ -212,7 +158,7 @@ func (s *Session) SubmitRead(task Task) (any, error) {
 
 // runBypassRead executes a bypass read on the client's own goroutine,
 // converting a panic into the same typed PanicError a delegated task yields,
-// so SubmitRead's error contract does not depend on the effective policy.
+// so SubmitRead's error contract does not depend on the path taken.
 // The caller decides whether the panic counts: only a read that validates may
 // surface it (an unvalidated read can panic on torn state through no fault of
 // the op).
@@ -223,16 +169,4 @@ func runBypassRead(op func(any) any, ds any) (v any, err error) {
 		}
 	}()
 	return op(ds), nil
-}
-
-// BypassArmed reports whether every buffer of the domain currently has a
-// balanced (unpoisoned, idle) publication pair — i.e. a bypass read issued
-// now could validate. Test and diagnostic helper, racy by nature.
-func (d *Domain) BypassArmed() bool {
-	for _, b := range d.inbox.Buffers() {
-		if b.MutExit() != b.MutEnter() {
-			return false
-		}
-	}
-	return true
 }

@@ -7,92 +7,18 @@ import (
 	"testing"
 
 	"robustconf/internal/delegation"
-	"robustconf/internal/index/btree"
 	"robustconf/internal/index/hashmap"
 	"robustconf/internal/topology"
 	"robustconf/internal/workload"
 )
 
-func TestParseReadPolicy(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want ReadPolicy
-	}{{"delegate", ReadDelegate}, {"bypass", ReadBypass}} {
-		got, err := ParseReadPolicy(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseReadPolicy(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-		if got.String() != c.in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), c.in)
-		}
-	}
-	for _, bad := range []string{"sometimes", "adaptive"} {
-		if _, err := ParseReadPolicy(bad); err == nil {
-			t.Errorf("ParseReadPolicy accepted %q", bad)
-		}
-	}
-}
-
-func TestConfigValidateReadPolicies(t *testing.T) {
-	m, _ := topology.Restricted(1)
-	cfg := Config{
-		Machine:    m,
-		Domains:    []DomainSpec{{Name: "a", CPUs: topology.Range(0, 4)}},
-		Assignment: map[string]int{"x": 0},
-	}
-	cfg.ReadPolicies = map[string]ReadPolicy{"ghost": ReadBypass}
-	if err := cfg.Validate(); err == nil {
-		t.Error("read policy for unassigned structure accepted")
-	}
-	for _, bad := range []ReadPolicy{-1, 2, 9} {
-		cfg.ReadPolicies = map[string]ReadPolicy{"x": bad}
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("out-of-range read policy %d accepted", int(bad))
-		}
-	}
-	for _, ok := range []ReadPolicy{ReadDelegate, ReadBypass} {
-		cfg.ReadPolicies = map[string]ReadPolicy{"x": ok}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("valid read policy %v rejected: %v", ok, err)
-		}
-	}
-}
-
-// TestEffectiveReadPolicyGating pins the safety gate: a structure that does
-// not answer ConcurrentReadSafe() == true silently degrades to delegation no
-// matter what the configuration asked for.
-func TestEffectiveReadPolicyGating(t *testing.T) {
-	m, _ := topology.Restricted(1)
-	cfg := Config{
-		Machine:    m,
-		Domains:    []DomainSpec{{Name: "d0", CPUs: topology.Range(0, 4)}},
-		Assignment: map[string]int{"tree": 0, "map": 0},
-		ReadPolicies: map[string]ReadPolicy{
-			"tree": ReadBypass, // B-Tree: in-place leaf stores, not read-safe
-			"map":  ReadBypass, // Hash Map: bucket RW lock, read-safe
-		},
-	}
-	rt, err := Start(cfg, map[string]any{"tree": btree.New(), "map": hashmap.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-	if got := rt.EffectiveReadPolicy("tree"); got != ReadDelegate {
-		t.Errorf("unsafe structure: effective policy %v, want delegate", got)
-	}
-	if got := rt.EffectiveReadPolicy("map"); got != ReadBypass {
-		t.Errorf("safe structure: effective policy %v, want bypass", got)
-	}
-	if got := rt.EffectiveReadPolicy("ghost"); got != ReadDelegate {
-		t.Errorf("unknown structure: effective policy %v, want delegate", got)
-	}
-}
-
-// TestReadPolicyEquivalence is the cross-policy acceptance gate: the same
-// seeded operation trace, replayed sequentially under both read policies,
-// must return identical values from every read and leave the structure in
-// an identical final state — the policy axis changes where reads execute,
-// never what they or the writes they interleave with produce.
+// TestReadPolicyEquivalence is the read-path acceptance gate: the same
+// seeded operation trace, replayed sequentially with every read delegated
+// through Invoke and then with every read through SubmitRead (which
+// bypasses on the Hash Map), must return identical values from every read
+// and leave the structure in an identical final state — the bypass changes
+// where reads execute, never what they or the writes they interleave with
+// produce.
 func TestReadPolicyEquivalence(t *testing.T) {
 	const records = 2000
 	const ops = 4000
@@ -122,7 +48,7 @@ func TestReadPolicyEquivalence(t *testing.T) {
 			reads []uint64
 			state string
 		}
-		run := func(p ReadPolicy) outcome {
+		run := func(bypass bool) outcome {
 			t.Helper()
 			idx := hashmap.New()
 			for _, k := range workload.LoadKeys(records) {
@@ -130,10 +56,9 @@ func TestReadPolicyEquivalence(t *testing.T) {
 			}
 			m, _ := topology.Restricted(1)
 			rt, err := Start(Config{
-				Machine:      m,
-				Domains:      []DomainSpec{{Name: "d0", CPUs: topology.Range(0, 4)}},
-				Assignment:   map[string]int{"map": 0},
-				ReadPolicies: map[string]ReadPolicy{"map": p},
+				Machine:    m,
+				Domains:    []DomainSpec{{Name: "d0", CPUs: topology.Range(0, 4)}},
+				Assignment: map[string]int{"map": 0},
 			}, map[string]any{"map": idx})
 			if err != nil {
 				t.Fatal(err)
@@ -148,10 +73,17 @@ func TestReadPolicyEquivalence(t *testing.T) {
 			for _, op := range trace {
 				op := op
 				if op.Type == workload.OpRead {
-					v, err := s.SubmitRead(Task{Structure: "map", Op: func(ds any) any {
+					read := Task{Structure: "map", Op: func(ds any) any {
 						v, _ := ds.(*hashmap.Map).Get(op.Key, nil)
 						return v
-					}})
+					}}
+					var v any
+					var err error
+					if bypass {
+						v, err = s.SubmitRead(read)
+					} else {
+						v, err = s.Invoke(read)
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -180,7 +112,7 @@ func TestReadPolicyEquivalence(t *testing.T) {
 			return out
 		}
 
-		base, got := run(ReadDelegate), run(ReadBypass)
+		base, got := run(false), run(true)
 		if len(got.reads) != len(base.reads) {
 			t.Fatalf("%s: %d reads under bypass vs %d under delegate", mix.Name, len(got.reads), len(base.reads))
 		}
@@ -204,10 +136,9 @@ func TestReadPolicyEquivalence(t *testing.T) {
 func TestSubmitReadZeroAlloc(t *testing.T) {
 	m, _ := topology.Restricted(1)
 	rt, err := Start(Config{
-		Machine:      m,
-		Domains:      []DomainSpec{{Name: "d0", CPUs: topology.Range(0, 4)}},
-		Assignment:   map[string]int{"map": 0},
-		ReadPolicies: map[string]ReadPolicy{"map": ReadBypass},
+		Machine:    m,
+		Domains:    []DomainSpec{{Name: "d0", CPUs: topology.Range(0, 4)}},
+		Assignment: map[string]int{"map": 0},
 	}, map[string]any{"map": hashmap.New()})
 	if err != nil {
 		t.Fatal(err)
@@ -236,16 +167,15 @@ func TestSubmitReadZeroAlloc(t *testing.T) {
 }
 
 // TestSubmitReadBypassPanic pins SubmitRead's error contract against the
-// effective policy: a panicking read op must come back as the same typed
+// path taken: a panicking read op must come back as the same typed
 // delegation.PanicError on the bypass path as it does delegated, not escape
 // into the caller's goroutine.
 func TestSubmitReadBypassPanic(t *testing.T) {
 	m, _ := topology.Restricted(1)
 	rt, err := Start(Config{
-		Machine:      m,
-		Domains:      []DomainSpec{{Name: "d0", CPUs: topology.Range(0, 4)}},
-		Assignment:   map[string]int{"map": 0},
-		ReadPolicies: map[string]ReadPolicy{"map": ReadBypass},
+		Machine:    m,
+		Domains:    []DomainSpec{{Name: "d0", CPUs: topology.Range(0, 4)}},
+		Assignment: map[string]int{"map": 0},
 	}, map[string]any{"map": hashmap.New()})
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +186,8 @@ func TestSubmitReadBypassPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := rt.EffectiveReadPolicy("map"); got != ReadBypass {
-		t.Fatalf("effective policy = %v, want bypass", got)
+	if !rt.BypassReads("map") {
+		t.Fatal("Hash Map reads do not bypass")
 	}
 
 	_, err = s.SubmitRead(Task{Structure: "map", Op: func(any) any {

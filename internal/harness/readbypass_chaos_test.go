@@ -63,19 +63,18 @@ func TestChaosReadBypassNoTornReads(t *testing.T) {
 			// One worker: delegated tasks (writes and fallback reads)
 			// serialize, so the only route to a torn observation is a local
 			// read overlapping the worker mid-task.
-			Domains:      []core.DomainSpec{{Name: "d0", CPUs: topology.Range(0, 1), RestartBudget: 1 << 20}},
-			Assignment:   map[string]int{"map": 0},
-			ReadPolicies: map[string]core.ReadPolicy{"map": core.ReadBypass},
-			FaultHook:    injector,
-			Faults:       &metrics.FaultCounters{},
-			Obs:          observer,
+			Domains:    []core.DomainSpec{{Name: "d0", CPUs: topology.Range(0, 1), RestartBudget: 1 << 20}},
+			Assignment: map[string]int{"map": 0},
+			FaultHook:  injector,
+			Faults:     &metrics.FaultCounters{},
+			Obs:        observer,
 		}
 		rt, err := core.Start(cfg, map[string]any{"map": idx})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rt.EffectiveReadPolicy("map"); got != core.ReadBypass {
-			t.Fatalf("seed %d: hash map should arm bypass, effective policy %v", seed, got)
+		if !rt.BypassReads("map") {
+			t.Fatalf("seed %d: hash map should arm bypass", seed)
 		}
 
 		var done atomic.Bool

@@ -20,6 +20,7 @@ import (
 	"robustconf/internal/index"
 	"robustconf/internal/index/btree"
 	"robustconf/internal/index/bwtree"
+	"robustconf/internal/index/fptree"
 	"robustconf/internal/metrics"
 	"robustconf/internal/obs"
 	"robustconf/internal/topology"
@@ -59,6 +60,15 @@ func NewWALTree() *WALTree {
 // are concurrent-safe, so the wrapper arms the read-bypass path.
 func NewWALBwTree() *WALTree {
 	t := &WALTree{fresh: func() walIndex { return bwtree.New() }, crs: true}
+	t.cur.Store(t.fresh())
+	return t
+}
+
+// NewWALFPTree builds an FP-Tree-backed durable wrapper; like the Bw-Tree,
+// the FP-Tree's reads are concurrent-safe, so the wrapper arms the
+// read-bypass path.
+func NewWALFPTree() *WALTree {
+	t := &WALTree{fresh: func() walIndex { return fptree.New() }, crs: true}
 	t.cur.Store(t.fresh())
 	return t
 }

@@ -122,18 +122,17 @@ func TestChaosWALCrashDuringMigration(t *testing.T) {
 				{Name: "m0", CPUs: topology.Range(0, 2), RestartBudget: 1 << 20},
 				{Name: "m1", CPUs: topology.Range(2, 4), RestartBudget: 1 << 20},
 			},
-			Assignment:   map[string]int{"wtree": 0},
-			ReadPolicies: map[string]core.ReadPolicy{"wtree": core.ReadBypass},
-			FaultHook:    injector,
-			Faults:       &metrics.FaultCounters{},
-			WAL:          core.WALConfig{Dir: t.TempDir(), Fsync: wal.FsyncBatch, CheckpointEvery: 20 * time.Millisecond},
+			Assignment: map[string]int{"wtree": 0},
+			FaultHook:  injector,
+			Faults:     &metrics.FaultCounters{},
+			WAL:        core.WALConfig{Dir: t.TempDir(), Fsync: wal.FsyncBatch, CheckpointEvery: 20 * time.Millisecond},
 		}
 		rt, err := core.Start(cfg, map[string]any{"wtree": tree})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rt.EffectiveReadPolicy("wtree"); got != core.ReadBypass {
-			t.Fatalf("seed %d: Bw-Tree wrapper should arm bypass, effective policy %v", seed, got)
+		if !rt.BypassReads("wtree") {
+			t.Fatalf("seed %d: Bw-Tree wrapper should arm bypass", seed)
 		}
 
 		var done atomic.Bool

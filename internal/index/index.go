@@ -125,9 +125,9 @@ type Index interface {
 // ConcurrentReadSafe is implemented by structures whose read operations
 // (Get, Scan, Len) are safe — and, crucially, race-detector-clean — when
 // executed by a foreign goroutine while a domain worker mutates the
-// structure. The core runtime's read-bypass layer (core.SubmitRead) only
-// arms a non-delegate read policy for structures that answer true; anything
-// else silently degrades to always-delegate.
+// structure. The core runtime's read-bypass layer (core.SubmitRead) arms
+// for exactly the structures that answer true; every other structure's
+// reads are delegated.
 //
 // "Safe" here is a memory-ordering property, not a linearizability one: a
 // bypass read may observe logically torn mid-batch state, which is why the

@@ -78,8 +78,8 @@ func (p *Partitioned) Scheme() Scheme { return p.parts[0].Scheme() }
 // readers — the wrapper itself adds no shared mutable state, and a bypass
 // read routes through PartitionOf exactly like a delegated one, so each
 // validated local read stays confined to the single partition owning its
-// key. One unsafe partition poisons the whole wrapper: the runtime's policy
-// gating is per registered structure, and the wrapper is the structure.
+// key. One unsafe partition poisons the whole wrapper: the runtime arms the
+// bypass per registered structure, and the wrapper is the structure.
 func (p *Partitioned) ConcurrentReadSafe() bool {
 	for _, part := range p.parts {
 		crs, ok := part.(ConcurrentReadSafe)

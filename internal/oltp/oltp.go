@@ -191,20 +191,20 @@ func structureName(w int) string { return fmt.Sprintf("warehouse-%d", w) }
 // one virtual domain per warehouse over an even CPU partition. Callers that
 // need to adjust the config before starting (attach an observer, inject
 // fault counters) build it here and pass it to NewEngineWithConfig.
-func EvenConfig(cfg tpcc.Config, m *topology.Machine) (core.Config, error) {
+func EvenConfig(cfg tpcc.Config, m *topology.Machine) (rc core.Config, err error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
-		return core.Config{}, err
+		return rc, err
 	}
 	domains := cfg.Warehouses
 	if domains > m.LogicalCPUs() {
-		return core.Config{}, fmt.Errorf("oltp: %d warehouses need at least as many CPUs (machine has %d)", domains, m.LogicalCPUs())
+		return rc, fmt.Errorf("oltp: %d warehouses need at least as many CPUs (machine has %d)", domains, m.LogicalCPUs())
 	}
 	parts, err := topology.PartitionEven(m, m.LogicalCPUs(), m.LogicalCPUs()/domains)
 	if err != nil {
-		return core.Config{}, err
+		return rc, err
 	}
-	rc := core.Config{Machine: m, Assignment: map[string]int{}}
+	rc.Machine, rc.Assignment = m, make(map[string]int, domains)
 	for i := 0; i < domains; i++ {
 		rc.Domains = append(rc.Domains, core.DomainSpec{
 			Name: fmt.Sprintf("wh-domain-%d", i),

@@ -85,23 +85,6 @@ const (
 	PlaceMigratable = core.PlaceMigratable
 )
 
-// ReadPolicy is the per-structure read-path policy (Config.ReadPolicies):
-// read-only tasks submitted through Session.SubmitRead either always
-// delegate or always attempt the validated local bypass first. ReadBypass
-// only takes effect for structures that implement index.ConcurrentReadSafe
-// (or an equivalent ConcurrentReadSafe() bool method) and answer true.
-type ReadPolicy = core.ReadPolicy
-
-// Read-path policies.
-const (
-	ReadDelegate = core.ReadDelegate
-	ReadBypass   = core.ReadBypass
-)
-
-// ParseReadPolicy parses the command-line spelling of a ReadPolicy
-// ("delegate" or "bypass").
-func ParseReadPolicy(s string) (ReadPolicy, error) { return core.ParseReadPolicy(s) }
-
 // Start validates the configuration, registers the structures, spawns the
 // domain workers, and returns the running runtime.
 //
