@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke fuzz-long loc
+.PHONY: build test verify fmt-check deps-check chaos bench bench-compare bench-full alloc-smoke obs-smoke wal-smoke net-smoke fuzz-smoke fuzz-long loc
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,7 @@ test: build
 # for the full sweep. The arm64 cross-build keeps the prefetch package's
 # per-arch split (assembly on amd64, no-op elsewhere) compiling on a
 # non-amd64 target.
-verify: build fmt-check obs-smoke alloc-smoke wal-smoke net-smoke fuzz-smoke
+verify: build fmt-check deps-check obs-smoke alloc-smoke wal-smoke net-smoke fuzz-smoke
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -race -short ./...
@@ -28,6 +28,15 @@ verify: build fmt-check obs-smoke alloc-smoke wal-smoke net-smoke fuzz-smoke
 fmt-check:
 	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Fail if the runtime or the configuration process depends on the simulator,
+# or the OLTP engine on the configuration process: they get the simulator
+# only as a measure a caller passes in (sim.ConfiguredThroughput).
+deps-check:
+	@deps="$$($(GO) list -deps ./internal/config ./internal/oltp ./internal/core ./internal/server)" || exit 1; \
+	oltp="$$($(GO) list -deps ./internal/oltp)" || exit 1; \
+	if echo "$$deps" | grep -qx 'robustconf/internal/sim'; then echo "deps-check: internal/config, oltp, core or server imports internal/sim"; exit 1; fi; \
+	if echo "$$oltp" | grep -qx 'robustconf/internal/config'; then echo "deps-check: internal/oltp imports internal/config"; exit 1; fi
 
 # Fail if the unobserved synchronous delegation round trip allocates.
 alloc-smoke:

@@ -28,6 +28,7 @@ import (
 	"robustconf/internal/index/bwtree"
 	"robustconf/internal/index/fptree"
 	"robustconf/internal/index/hashmap"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/oltp"
 	"robustconf/internal/server"
 	"robustconf/internal/sim"
@@ -56,12 +57,12 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkTable2 regenerates the calibrated optimal domain sizes.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t2, err := config.Table2(nil)
+		t2, err := config.Table2(sim.ConfiguredThroughput)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(t2[sim.KindFPTree][workload.A.Name]), "fptree-RU-size")
-		b.ReportMetric(float64(t2[sim.KindHashMap][workload.A.Name]), "hashmap-RU-size")
+		b.ReportMetric(float64(t2[kinds.FPTree][workload.A.Name]), "fptree-RU-size")
+		b.ReportMetric(float64(t2[kinds.HashMap][workload.A.Name]), "hashmap-RU-size")
 	}
 }
 
@@ -472,6 +473,15 @@ func BenchmarkDelegationReadBypass(b *testing.B) {
 	}
 }
 
+// walBTree builds the B-Tree-backed durable adapter.
+func walBTree(b *testing.B) *harness.WALTree {
+	wt, err := harness.NewWALTree(kinds.BTree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return wt
+}
+
 // BenchmarkDelegationInvokeLogged is BenchmarkDelegationInvoke with a WAL
 // attached and every task carrying a logical record: route, delegate,
 // execute, encode the record into the worker's staging buffer, group-commit
@@ -488,7 +498,7 @@ func BenchmarkDelegationInvokeLogged(b *testing.B) {
 		Assignment: map[string]int{"x": 0},
 		WAL:        robustconf.WALConfig{Dir: b.TempDir(), Fsync: robustconf.FsyncNone, CheckpointEvery: time.Hour},
 	}
-	rt, err := robustconf.Start(cfg, map[string]any{"x": harness.NewWALTree()})
+	rt, err := robustconf.Start(cfg, map[string]any{"x": walBTree(b)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -538,7 +548,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	golden := harness.NewWALTree()
+	golden := walBTree(b)
 	for k := uint64(0); k < ckptKeys; k++ {
 		golden.Set(k, k)
 	}
@@ -562,7 +572,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree := harness.NewWALTree()
+		tree := walBTree(b)
 		if _, err := d.Recover(tree.WALRestore, tree.WALApply); err != nil {
 			b.Fatal(err)
 		}
@@ -812,7 +822,7 @@ func BenchmarkAblationNUMAAwareSlots(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(p *sim.Params) float64 {
 			r, err := sim.Run(sim.Scenario{
-				Kind: sim.KindFPTree, Mix: workload.A, Strategy: sim.StratConfigured,
+				Kind: kinds.FPTree, Mix: workload.A, Strategy: sim.StratConfigured,
 				Threads: 384, OptDomainSize: 24, Params: p,
 			})
 			if err != nil {

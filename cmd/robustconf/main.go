@@ -29,7 +29,7 @@ import (
 	"robustconf/internal/config"
 	"robustconf/internal/core"
 	"robustconf/internal/delegation"
-	"robustconf/internal/harness"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
 	"robustconf/internal/obs"
 	"robustconf/internal/server"
@@ -67,7 +67,7 @@ var (
 // opts holds every flag of every verb; a verb registers the ones it reads.
 type opts struct {
 	set       map[string]bool // flags given on the command line
-	structure choice[structure]
+	structure kinds.Kind
 	mix       choice[workload.Mix]
 	strategy  choice[sim.Strategy]
 	scenario  choice[[]config.Instance]
@@ -86,7 +86,7 @@ type opts struct {
 // flagSet registers a verb's flags. Every flag is defined once, here, so a
 // name means the same thing under every verb.
 func (o *opts) flagSet(name string, specs []string) *flag.FlagSet {
-	o.structure, o.mix, o.strategy = pick(structures, "fptree"), pick(mixes, "a"), pick(strategies, "opt")
+	o.structure, o.mix, o.strategy = kinds.FPTree, pick(mixes, "a"), pick(strategies, "opt")
 	o.scenario, o.engine = pick(scenarios, "oltp2"), pick(engines, "delegated")
 	all := flag.NewFlagSet("", flag.ContinueOnError)
 	all.StringVar(&o.exp, "exp", "", "experiment to run (default: all)")
@@ -95,7 +95,7 @@ func (o *opts) flagSet(name string, specs []string) *flag.FlagSet {
 	all.BoolVar(&o.curves, "curves", false, "print the full calibration curves")
 	all.BoolVar(&o.topology, "topology", false, "print the reference machine topology")
 	all.BoolVar(&o.sweep, "sweep", false, "print a strategies × system-sizes throughput table")
-	all.Var(&o.structure, "structure", "index structure: "+keys(structures))
+	all.Var(&o.structure, "structure", "index structure: "+kinds.Flags())
 	all.Var(&o.mix, "mix", "YCSB mix: a (read-update), c (read-only), d (read-insert)")
 	all.Var(&o.strategy, "strategy", "strategy: "+keys(strategies))
 	all.IntVar(&o.threads, "threads", 384, "system size in threads (48 per socket)")
@@ -180,21 +180,7 @@ func keys[T any](m map[string]T) string {
 	return strings.Join(names, ", ")
 }
 
-// structure is one -structure choice: the kind it is planned, simulated and
-// built (kind.New) as, and the durable adapter -wal registers instead (nil:
-// the structure cannot checkpoint and replay).
-type structure struct {
-	kind    sim.StructureKind
-	durable func() *harness.WALTree
-}
-
 var (
-	structures = map[string]structure{
-		"btree":   {kind: sim.KindBTree},
-		"fptree":  {sim.KindFPTree, harness.NewWALFPTree},
-		"bwtree":  {sim.KindBWTree, harness.NewWALBwTree},
-		"hashmap": {kind: sim.KindHashMap},
-	}
 	mixes      = map[string]workload.Mix{"a": workload.A, "c": workload.C, "d": workload.D}
 	strategies = map[string]sim.Strategy{"opt": sim.StratConfigured, "sn-numa": sim.StratSNNUMA,
 		"sn-thread": sim.StratSNThread, "se-numa": sim.StratSENUMA, "se": sim.StratSE}

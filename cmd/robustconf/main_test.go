@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"robustconf/internal/harness"
+	"robustconf/internal/index/kinds"
 )
 
 // invoke runs the command in-process and returns its exit code and
@@ -98,21 +99,19 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// TestStructureTable checks that -structure takes every kind's name, and
+// that -wal refuses the one structure its durable adapter cannot snapshot.
 func TestStructureTable(t *testing.T) {
-	for name, s := range structures {
-		if idx := s.kind.New(); idx.Name() != s.kind.Name() {
-			t.Errorf("%s builds %s, want %s", name, idx.Name(), s.kind.Name())
+	for _, kind := range kinds.All {
+		o := &opts{}
+		fs := o.flagSet("ycsb", verbs["ycsb"].flags)
+		if err := fs.Parse([]string{"-structure", kind.Flag()}); err != nil || o.structure != kind {
+			t.Errorf("-structure %s parses to %v, %v", kind.Flag(), o.structure, err)
 		}
-		if want := name == "fptree" || name == "bwtree"; (s.durable != nil) != want {
-			t.Errorf("%s: durable adapter present = %v, want %v", name, s.durable != nil, want)
-		} else if want && s.durable() == nil {
-			t.Errorf("%s: durable adapter builds nil", name)
-		} else if !want {
-			code, _, stderr := invoke("ycsb", "-structure", name, "-wal", t.TempDir())
-			if code != 2 || !strings.Contains(stderr, "-wal needs a durable structure") {
-				t.Errorf("ycsb -structure %s -wal: exit %d, stderr:\n%s", name, code, stderr)
-			}
-		}
+	}
+	code, _, stderr := invoke("ycsb", "-structure", "hashmap", "-wal", t.TempDir())
+	if code != 2 || !strings.Contains(stderr, "-wal: the Hash Map cannot be made durable") {
+		t.Errorf("ycsb -structure hashmap -wal: exit %d, stderr:\n%s", code, stderr)
 	}
 }
 
@@ -141,6 +140,9 @@ func TestRuns(t *testing.T) {
 		{[]string{"ycsb", "-structure", "fptree", "-records", "2000", "-ops", "300", "-clients", "2", "-domain", "8",
 			"-wal", filepath.Join(dir, "wal"), "-fsync", "none"},
 			[]string{"FP-Tree / Read-Update 50/50: domains of 8 workers, .* bypass reads true$", "wal: fsync=none committed=[1-9]"}},
+		{[]string{"ycsb", "-structure", "btree", "-records", "2000", "-ops", "300", "-clients", "2", "-domain", "8",
+			"-wal", filepath.Join(dir, "wal-btree"), "-fsync", "none"},
+			[]string{"B-Tree / Read-Update 50/50: domains of 8 workers, .* bypass reads false$", "wal: fsync=none committed=[1-9]"}},
 		{[]string{"tpcc", "-engine", "direct", "-warehouses", "1", "-customers", "30", "-items", "100", "-clients", "2", "-txns", "40"},
 			[]string{"engine=direct structure=fptree warehouses=1 clients=2", "measured: 80 txns", "simulated reference machine"}},
 		{[]string{"tpcc", "-engine", "delegated", "-structure", "bwtree", "-warehouses", "2", "-customers", "30", "-items", "100",

@@ -32,7 +32,7 @@ func cmdServe(o *opts, w io.Writer) error {
 	for i := range shards {
 		shards[i] = fmt.Sprintf("shard%d", i)
 		assignment[shards[i]] = i % len(domains)
-		registered[shards[i]] = o.structure.val.kind.New()
+		registered[shards[i]] = o.structure.New()
 	}
 	router, err := server.NewRouter(shards)
 	if err != nil {
@@ -69,7 +69,7 @@ func cmdServe(o *opts, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "robustconf serve: serving %s (%s ×%d shards over %d domains, %d sessions, burst %d, pipeline ≤%d)\n",
-		srv.Addr(), o.structure.name, o.shards, len(domains), sessions, o.burst, o.pipeline)
+		srv.Addr(), o.structure, o.shards, len(domains), sessions, o.burst, o.pipeline)
 	<-stopped
 	fmt.Fprintln(w, "robustconf serve: draining…")
 	if err := srv.Close(o.drain); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"robustconf/internal/config"
 	"robustconf/internal/harness"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
 	"robustconf/internal/sim"
 	"robustconf/internal/topology"
@@ -49,10 +50,10 @@ func cmdCalib(o *opts, w io.Writer) error {
 	if err != nil || !o.curves {
 		return err
 	}
-	for _, kind := range sim.AllKinds {
+	for _, kind := range kinds.All {
 		fig := metrics.NewFigure("Calibration curves — "+kind.Name(), "domain size", "MOp/s")
 		for _, mix := range []workload.Mix{workload.C, workload.A, workload.D} {
-			cal, err := config.Calibrate(kind, mix, nil, nil)
+			cal, err := config.Calibrate(kind, mix, nil, sim.ConfiguredThroughput)
 			if err != nil {
 				return err
 			}
@@ -69,7 +70,7 @@ func cmdCalib(o *opts, w io.Writer) error {
 // strategies × system-sizes table (-sweep) or runs one simulation point: a
 // debugging lens into the cost model behind bench.
 func cmdSim(o *opts, w io.Writer) error {
-	kind, mix, strat := o.structure.val.kind, o.mix.val, o.strategy.val
+	kind, mix, strat := o.structure, o.mix.val, o.strategy.val
 	switch {
 	case o.topology:
 		m := topology.MC990X()

@@ -21,7 +21,7 @@ import (
 // shared-nothing baseline, and ends with the simulated Figure 13 point for
 // the same parameters on the reference machine.
 func cmdTPCC(o *opts, w io.Writer) error {
-	kind, direct := o.structure.val.kind, o.engine.val == sim.EngineDirectSNNUMA
+	kind, direct := o.structure, o.engine.val == sim.EngineDirectSNNUMA
 	if direct {
 		if err := o.reject("with -engine direct (it has no runtime to log or observe)", append(walFlags, obsFlags...)...); err != nil {
 			return err
@@ -112,7 +112,7 @@ func cmdTPCC(o *opts, w io.Writer) error {
 	}
 	txns := o.clients * o.txns
 	fmt.Fprintf(w, "engine=%s structure=%s warehouses=%d clients=%d remote=%.0f%%\n",
-		o.engine.name, o.structure.name, o.warehouses, o.clients, o.remote*100)
+		o.engine.name, o.structure, o.warehouses, o.clients, o.remote*100)
 	fmt.Fprintf(w, "measured: %d txns in %v → %.0f txn/s on this host\n",
 		txns, elapsed.Round(time.Millisecond), float64(txns)/elapsed.Seconds())
 	fmt.Fprintf(w, "txn latency ns: %s\n", latency.String())

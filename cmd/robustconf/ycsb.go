@@ -18,6 +18,7 @@ import (
 	"robustconf/internal/index/bwtree"
 	"robustconf/internal/index/fptree"
 	"robustconf/internal/index/hashmap"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
 	"robustconf/internal/obs"
 	"robustconf/internal/sim"
@@ -42,7 +43,7 @@ func cmdYCSB(o *opts, w io.Writer) error {
 	if err := o.reject("without -addr", "pipeline", "tenant"); err != nil {
 		return err
 	}
-	s, mix := o.structure.val, o.mix.val
+	kind, mix := o.structure, o.mix.val
 	walCfg, err := o.walConfig()
 	if err != nil {
 		return err
@@ -50,13 +51,10 @@ func cmdYCSB(o *opts, w io.Writer) error {
 	// With -wal the durable adapter is registered in place of the bare
 	// index, so the structure can checkpoint and replay.
 	var ds any
-	switch {
-	case o.wal == "":
-		ds = s.kind.New()
-	case s.durable == nil:
-		return usageError{fmt.Errorf("-wal needs a durable structure (fptree or bwtree), not %s", o.structure.name)}
-	default:
-		ds = s.durable()
+	if o.wal == "" {
+		ds = kind.New()
+	} else if ds, err = harness.NewWALTree(kind); err != nil {
+		return usageError{fmt.Errorf("-wal: %w", err)}
 	}
 	m, domains := carve(o.domain)
 	streams := make([]stream, o.clients)
@@ -78,7 +76,7 @@ func cmdYCSB(o *opts, w io.Writer) error {
 
 	total := float64(o.clients * o.ops)
 	fmt.Fprintf(w, "%s / %s: domains of %d workers, %d clients, burst %d, bypass reads %t\n",
-		s.kind.Name(), mix.Name, domains[0].CPUs.Len(), o.clients, r.burst, r.rt.BypassReads("ycsb"))
+		kind.Name(), mix.Name, domains[0].CPUs.Len(), o.clients, r.burst, r.rt.BypassReads("ycsb"))
 	fmt.Fprintf(w, "throughput: %.0f ops/s (%d ops in %v)\n",
 		total/r.elapsed.Seconds(), int(total), r.elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "latency ns: %s\n", r.latency.String())
@@ -308,28 +306,28 @@ func network(o *opts, w io.Writer) error {
 var scenarios = map[string][]config.Instance{
 	// Homogeneous: all indexes write-heavy.
 	"oltp1": {
-		{Name: "orders-idx", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "stock-idx", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "customer-idx", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "district-idx", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "orders-idx", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "stock-idx", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "customer-idx", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "district-idx", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
 	},
 	// Mixed OLTP with two crucial indexes isolated (Fig. 4.2).
 	"oltp2": {
-		{Name: "lock-table", Kind: sim.KindHashMap, Mix: workload.A, Load: 0.5, Crucial: true},
-		{Name: "hot-orders", Kind: sim.KindFPTree, Mix: workload.A, Load: 0.5, Crucial: true},
-		{Name: "write-idx-1", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "write-idx-2", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "read-idx-1", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
-		{Name: "read-idx-2", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
-		{Name: "read-idx-3", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
+		{Name: "lock-table", Kind: kinds.HashMap, Mix: workload.A, Load: 0.5, Crucial: true},
+		{Name: "hot-orders", Kind: kinds.FPTree, Mix: workload.A, Load: 0.5, Crucial: true},
+		{Name: "write-idx-1", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "write-idx-2", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "read-idx-1", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
+		{Name: "read-idx-2", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
+		{Name: "read-idx-3", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
 	},
 	// Shared heterogeneous: write-heavy, read-update, read-only.
 	"htap": {
-		{Name: "oltp-idx-1", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "oltp-idx-2", Kind: sim.KindFPTree, Mix: workload.A, Load: 1, CoLocateWith: "oltp-idx-1"},
-		{Name: "fresh-idx", Kind: sim.KindBWTree, Mix: workload.D, Load: 1},
-		{Name: "olap-idx-1", Kind: sim.KindBTree, Mix: workload.C, Load: 1},
-		{Name: "olap-idx-2", Kind: sim.KindBTree, Mix: workload.C, Load: 1},
+		{Name: "oltp-idx-1", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "oltp-idx-2", Kind: kinds.FPTree, Mix: workload.A, Load: 1, CoLocateWith: "oltp-idx-1"},
+		{Name: "fresh-idx", Kind: kinds.BWTree, Mix: workload.D, Load: 1},
+		{Name: "olap-idx-1", Kind: kinds.BTree, Mix: workload.C, Load: 1},
+		{Name: "olap-idx-2", Kind: kinds.BTree, Mix: workload.C, Load: 1},
 	},
 }
 
@@ -342,7 +340,7 @@ func cmdPlan(o *opts, w io.Writer) error {
 		}
 	}
 	instances := o.scenario.val
-	plan, err := config.Compose(instances, o.workers, nil)
+	plan, err := config.Compose(instances, o.workers, sim.ConfiguredThroughput)
 	if err != nil {
 		return err
 	}

@@ -8,11 +8,16 @@ import (
 	"testing"
 
 	"robustconf"
+	"robustconf/internal/config"
 	"robustconf/internal/index"
 	"robustconf/internal/index/btree"
 	"robustconf/internal/index/bwtree"
 	"robustconf/internal/index/fptree"
 	"robustconf/internal/index/hashmap"
+	"robustconf/internal/index/kinds"
+	"robustconf/internal/oltp"
+	"robustconf/internal/sim"
+	"robustconf/internal/tpcc"
 	"robustconf/internal/workload"
 )
 
@@ -185,6 +190,59 @@ func TestIntegrationStress(t *testing.T) {
 		}
 		if res.(int) != records {
 			t.Errorf("%s holds %v keys after stress, want %d", name, res, records)
+		}
+	}
+}
+
+// TestComposedTPCCEngine runs the paper's configuration process for the
+// OLTP engine (Section 3.3: "configure tables into virtual domains with the
+// procedure outlined in Section 5"): each warehouse is one composite
+// instance whose tables and indexes are co-located, calibrated for its
+// structure under the read-update mix TPC-C statements amount to, composed
+// into domains, materialised, and then loaded and run.
+func TestComposedTPCCEngine(t *testing.T) {
+	cfg := tpcc.Config{Warehouses: 2, Customers: 100, Items: 500}
+	instances := make([]config.Instance, cfg.Warehouses)
+	for w := 1; w <= cfg.Warehouses; w++ {
+		instances[w-1] = config.Instance{Name: oltp.WarehouseName(w), Kind: kinds.FPTree, Mix: workload.A, Load: 1}
+	}
+	m := robustconf.Machine(1)
+	plan, err := config.Compose(instances, m.LogicalCPUs(), sim.ConfiguredThroughput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := config.Materialise(plan, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := oltp.NewEngineWithConfig(cfg, func() index.Index { return fptree.New() }, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	// Calibration sizes FP-Tree read-update at 24 workers; the socket's 48
+	// CPUs hold two such domains, one per warehouse.
+	if got := len(e.Runtime().Domains()); got != 2 {
+		t.Errorf("composed engine has %d domains, want 2", got)
+	}
+	for _, d := range e.Runtime().Domains() {
+		if d.Workers() != 24 {
+			t.Errorf("domain %q has %d workers, want 24 (calibrated)", d.Spec().Name, d.Workers())
+		}
+	}
+	loader, _ := tpcc.NewLoader(cfg, 1)
+	store, err := e.NewStore(0, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := loader.Load(store); err != nil {
+		t.Fatal(err)
+	}
+	term, _ := tpcc.NewTerminal(cfg, store, 1, 0, 3)
+	for i := 0; i < 100; i++ {
+		if err := term.NextFullMix(); err != nil {
+			t.Fatalf("txn %d: %v", i, err)
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 	"robustconf/internal/core"
 	"robustconf/internal/ilp"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
-	"robustconf/internal/sim"
 	"robustconf/internal/topology"
 	"robustconf/internal/wal"
 	"robustconf/internal/workload"
@@ -35,28 +35,13 @@ const SlopeTolerance = 0.03
 
 // MeasureFunc measures the whole-machine throughput (MOp/s) of running the
 // mix over the structure partitioned into domains of the given size. The
-// default implementation simulates the reference machine; tests can inject
-// synthetic curves.
-type MeasureFunc func(kind sim.StructureKind, mix workload.Mix, size int) (float64, error)
-
-// SimMeasure measures via the machine simulator at the full system size.
-func SimMeasure(kind sim.StructureKind, mix workload.Mix, size int) (float64, error) {
-	r, err := sim.Run(sim.Scenario{
-		Kind:          kind,
-		Mix:           mix,
-		Strategy:      sim.StratConfigured,
-		Threads:       384,
-		OptDomainSize: size,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return r.ThroughputMOps, nil
-}
+// caller chooses it: sim.ConfiguredThroughput simulates the reference
+// machine, and tests inject synthetic curves.
+type MeasureFunc func(kind kinds.Kind, mix workload.Mix, size int) (float64, error)
 
 // Calibration is the result of calibrating one (structure, workload) pair.
 type Calibration struct {
-	Kind        sim.StructureKind
+	Kind        kinds.Kind
 	Mix         workload.Mix
 	OptimalSize int
 	// Curve is the measured throughput at each swept size (Fig. 4 step 1).
@@ -66,12 +51,12 @@ type Calibration struct {
 // Calibrate sweeps the sizes (ascending) and picks the optimal domain size:
 // the largest size whose throughput is within SlopeTolerance of the best
 // observed before the slope turns clearly negative.
-func Calibrate(kind sim.StructureKind, mix workload.Mix, sizes []int, measure MeasureFunc) (Calibration, error) {
+func Calibrate(kind kinds.Kind, mix workload.Mix, sizes []int, measure MeasureFunc) (Calibration, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultSizes
 	}
 	if measure == nil {
-		measure = SimMeasure
+		return Calibration{}, fmt.Errorf("config: calibrating %s/%s: no measure", kind.Name(), mix.Name)
 	}
 	sorted := append([]int(nil), sizes...)
 	sort.Ints(sorted)
@@ -101,9 +86,9 @@ func Calibrate(kind sim.StructureKind, mix workload.Mix, sizes []int, measure Me
 
 // Table2 calibrates every structure under the three YCSB workloads,
 // reproducing the paper's Table 2.
-func Table2(measure MeasureFunc) (map[sim.StructureKind]map[string]int, error) {
-	out := map[sim.StructureKind]map[string]int{}
-	for _, kind := range sim.AllKinds {
+func Table2(measure MeasureFunc) (map[kinds.Kind]map[string]int, error) {
+	out := map[kinds.Kind]map[string]int{}
+	for _, kind := range kinds.All {
 		out[kind] = map[string]int{}
 		for _, mix := range []workload.Mix{workload.C, workload.A, workload.D} {
 			cal, err := Calibrate(kind, mix, nil, measure)
@@ -119,7 +104,7 @@ func Table2(measure MeasureFunc) (map[sim.StructureKind]map[string]int, error) {
 // Instance is one data structure instance entering composition.
 type Instance struct {
 	Name string
-	Kind sim.StructureKind
+	Kind kinds.Kind
 	Mix  workload.Mix
 	// Load is the abstract expected load l_i of Equation 6; uniform loads
 	// are fine for symmetric workloads.
@@ -260,7 +245,7 @@ func (p *Plan) DomainOf(name string) (int, error) {
 
 // Compose runs the composition step of Figure 4 over the instances for a
 // machine with `workers` worker threads. Calibration is performed per
-// (kind, mix) pair through measure (nil → simulator).
+// (kind, mix) pair through measure.
 func Compose(instances []Instance, workers int, measure MeasureFunc) (*Plan, error) {
 	if len(instances) == 0 {
 		return nil, fmt.Errorf("config: no instances to compose")

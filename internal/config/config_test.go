@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/sim"
 	"robustconf/internal/topology"
 	"robustconf/internal/workload"
@@ -12,7 +13,7 @@ import (
 
 // syntheticMeasure returns a curve peaking at `peak` and falling beyond.
 func syntheticMeasure(peak int) MeasureFunc {
-	return func(kind sim.StructureKind, mix workload.Mix, size int) (float64, error) {
+	return func(kind kinds.Kind, mix workload.Mix, size int) (float64, error) {
 		if size <= peak {
 			return float64(size) / float64(peak) * 100, nil
 		}
@@ -21,7 +22,7 @@ func syntheticMeasure(peak int) MeasureFunc {
 }
 
 func TestCalibrateFindsPeak(t *testing.T) {
-	cal, err := Calibrate(sim.KindBTree, workload.A, []int{1, 24, 48, 96}, syntheticMeasure(48))
+	cal, err := Calibrate(kinds.BTree, workload.A, []int{1, 24, 48, 96}, syntheticMeasure(48))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestCalibrateFindsPeak(t *testing.T) {
 
 func TestCalibratePrefersLargerWithinTolerance(t *testing.T) {
 	// Flat within 2% between 24 and 48 → pick 48 (the ILP's preference).
-	measure := func(kind sim.StructureKind, mix workload.Mix, size int) (float64, error) {
+	measure := func(kind kinds.Kind, mix workload.Mix, size int) (float64, error) {
 		switch size {
 		case 24:
 			return 100, nil
@@ -45,7 +46,7 @@ func TestCalibratePrefersLargerWithinTolerance(t *testing.T) {
 			return 50, nil
 		}
 	}
-	cal, err := Calibrate(sim.KindBTree, workload.A, []int{1, 24, 48, 96}, measure)
+	cal, err := Calibrate(kinds.BTree, workload.A, []int{1, 24, 48, 96}, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +57,14 @@ func TestCalibratePrefersLargerWithinTolerance(t *testing.T) {
 
 func TestCalibrateStopsAtNegativeSlope(t *testing.T) {
 	calls := 0
-	measure := func(kind sim.StructureKind, mix workload.Mix, size int) (float64, error) {
+	measure := func(kind kinds.Kind, mix workload.Mix, size int) (float64, error) {
 		calls++
 		if size == 1 {
 			return 100, nil
 		}
 		return 10, nil // cliff after size 1 (the Hash Map pattern)
 	}
-	cal, err := Calibrate(sim.KindHashMap, workload.A, []int{1, 24, 48, 96, 192, 384}, measure)
+	cal, err := Calibrate(kinds.HashMap, workload.A, []int{1, 24, 48, 96, 192, 384}, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,26 +77,29 @@ func TestCalibrateStopsAtNegativeSlope(t *testing.T) {
 }
 
 func TestCalibrateErrorPropagates(t *testing.T) {
-	measure := func(sim.StructureKind, workload.Mix, int) (float64, error) {
+	measure := func(kinds.Kind, workload.Mix, int) (float64, error) {
 		return 0, fmt.Errorf("boom")
 	}
-	if _, err := Calibrate(sim.KindBTree, workload.A, nil, measure); err == nil {
+	if _, err := Calibrate(kinds.BTree, workload.A, nil, measure); err == nil {
 		t.Error("measure error swallowed")
+	}
+	if _, err := Calibrate(kinds.BTree, workload.A, nil, nil); err == nil {
+		t.Error("nil measure accepted")
 	}
 }
 
 // TestTable2MatchesPaper is the E2 reproduction: the simulator-driven
 // calibration must produce the paper's Table 2 exactly.
 func TestTable2MatchesPaper(t *testing.T) {
-	got, err := Table2(nil)
+	got, err := Table2(sim.ConfiguredThroughput)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[sim.StructureKind]map[string]int{
-		sim.KindBTree:   {workload.C.Name: 48, workload.A.Name: 24, workload.D.Name: 24},
-		sim.KindFPTree:  {workload.C.Name: 48, workload.A.Name: 24, workload.D.Name: 24},
-		sim.KindBWTree:  {workload.C.Name: 48, workload.A.Name: 48, workload.D.Name: 48},
-		sim.KindHashMap: {workload.C.Name: 1, workload.A.Name: 1, workload.D.Name: 1},
+	want := map[kinds.Kind]map[string]int{
+		kinds.BTree:   {workload.C.Name: 48, workload.A.Name: 24, workload.D.Name: 24},
+		kinds.FPTree:  {workload.C.Name: 48, workload.A.Name: 24, workload.D.Name: 24},
+		kinds.BWTree:  {workload.C.Name: 48, workload.A.Name: 48, workload.D.Name: 48},
+		kinds.HashMap: {workload.C.Name: 1, workload.A.Name: 1, workload.D.Name: 1},
 	}
 	for kind, mixes := range want {
 		for mix, size := range mixes {
@@ -108,8 +112,8 @@ func TestTable2MatchesPaper(t *testing.T) {
 
 func TestComposeHomogeneous(t *testing.T) {
 	instances := []Instance{
-		{Name: "a", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "b", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "a", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "b", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
 	}
 	plan, err := Compose(instances, 192, syntheticMeasure(24))
 	if err != nil {
@@ -134,12 +138,12 @@ func TestComposeHomogeneous(t *testing.T) {
 
 func TestComposeIsolated(t *testing.T) {
 	instances := []Instance{
-		{Name: "locktable", Kind: sim.KindHashMap, Mix: workload.A, Load: 1, Crucial: true},
-		{Name: "idx1", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "idx2", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "locktable", Kind: kinds.HashMap, Mix: workload.A, Load: 1, Crucial: true},
+		{Name: "idx1", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "idx2", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
 	}
-	measure := func(kind sim.StructureKind, mix workload.Mix, size int) (float64, error) {
-		if kind == sim.KindHashMap {
+	measure := func(kind kinds.Kind, mix workload.Mix, size int) (float64, error) {
+		if kind == kinds.HashMap {
 			return syntheticMeasure(1)(kind, mix, size)
 		}
 		return syntheticMeasure(24)(kind, mix, size)
@@ -164,7 +168,7 @@ func TestComposeIsolated(t *testing.T) {
 func TestComposeHeterogeneousUsesILP(t *testing.T) {
 	// The paper's OLTP2-like scenario: two write-heavy (24) and three
 	// read-heavy (48) instances on 192 workers → 2×24 + 3×48.
-	measure := func(kind sim.StructureKind, mix workload.Mix, size int) (float64, error) {
+	measure := func(kind kinds.Kind, mix workload.Mix, size int) (float64, error) {
 		peak := 24
 		if mix.Name == workload.C.Name {
 			peak = 48
@@ -172,11 +176,11 @@ func TestComposeHeterogeneousUsesILP(t *testing.T) {
 		return syntheticMeasure(peak)(kind, mix, size)
 	}
 	instances := []Instance{
-		{Name: "w1", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "w2", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "r1", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
-		{Name: "r2", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
-		{Name: "r3", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
+		{Name: "w1", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "w2", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "r1", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
+		{Name: "r2", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
+		{Name: "r3", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
 	}
 	plan, err := Compose(instances, 192, measure)
 	if err != nil {
@@ -213,9 +217,9 @@ func TestComposeHeterogeneousUsesILP(t *testing.T) {
 
 func TestComposeCoLocation(t *testing.T) {
 	instances := []Instance{
-		{Name: "table", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "index", Kind: sim.KindFPTree, Mix: workload.A, Load: 1, CoLocateWith: "table"},
-		{Name: "other", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "table", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "index", Kind: kinds.FPTree, Mix: workload.A, Load: 1, CoLocateWith: "table"},
+		{Name: "other", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
 	}
 	plan, err := Compose(instances, 96, syntheticMeasure(24))
 	if err != nil {
@@ -236,13 +240,13 @@ func TestComposeValidation(t *testing.T) {
 		t.Error("no workers accepted")
 	}
 	dup := []Instance{
-		{Name: "a", Kind: sim.KindBTree, Mix: workload.A, Load: 1},
-		{Name: "a", Kind: sim.KindBTree, Mix: workload.A, Load: 1},
+		{Name: "a", Kind: kinds.BTree, Mix: workload.A, Load: 1},
+		{Name: "a", Kind: kinds.BTree, Mix: workload.A, Load: 1},
 	}
 	if _, err := Compose(dup, 48, syntheticMeasure(24)); err == nil {
 		t.Error("duplicate names accepted")
 	}
-	unnamed := []Instance{{Kind: sim.KindBTree, Mix: workload.A, Load: 1}}
+	unnamed := []Instance{{Kind: kinds.BTree, Mix: workload.A, Load: 1}}
 	if _, err := Compose(unnamed, 48, syntheticMeasure(24)); err == nil {
 		t.Error("unnamed instance accepted")
 	}
@@ -253,12 +257,12 @@ func TestComposeManyInstancesGreedy(t *testing.T) {
 	var instances []Instance
 	for i := 0; i < 64; i++ {
 		instances = append(instances, Instance{
-			Name: fmt.Sprintf("idx%d", i), Kind: sim.KindFPTree, Mix: workload.A, Load: 1,
+			Name: fmt.Sprintf("idx%d", i), Kind: kinds.FPTree, Mix: workload.A, Load: 1,
 		})
 	}
 	// Heterogeneous mix to force the greedy path: one read-only instance.
 	instances[63].Mix = workload.C
-	measure := func(kind sim.StructureKind, mix workload.Mix, size int) (float64, error) {
+	measure := func(kind kinds.Kind, mix workload.Mix, size int) (float64, error) {
 		peak := 24
 		if mix.Name == workload.C.Name {
 			peak = 48
@@ -281,8 +285,8 @@ func TestComposeManyInstancesGreedy(t *testing.T) {
 
 func TestMaterialise(t *testing.T) {
 	instances := []Instance{
-		{Name: "a", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "b", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "a", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "b", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
 	}
 	plan, err := Compose(instances, 48, syntheticMeasure(24))
 	if err != nil {
@@ -319,11 +323,11 @@ func TestMaterialiseTooBig(t *testing.T) {
 
 func TestPlanString(t *testing.T) {
 	instances := []Instance{
-		{Name: "hot", Kind: sim.KindHashMap, Mix: workload.A, Load: 1, Crucial: true},
-		{Name: "cold", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "hot", Kind: kinds.HashMap, Mix: workload.A, Load: 1, Crucial: true},
+		{Name: "cold", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
 	}
-	measure := func(kind sim.StructureKind, mix workload.Mix, size int) (float64, error) {
-		if kind == sim.KindHashMap {
+	measure := func(kind kinds.Kind, mix workload.Mix, size int) (float64, error) {
+		if kind == kinds.HashMap {
 			return syntheticMeasure(1)(kind, mix, size)
 		}
 		return syntheticMeasure(24)(kind, mix, size)
@@ -346,15 +350,15 @@ func TestPlanString(t *testing.T) {
 // own session pool).
 func TestPlanStringOLTP2(t *testing.T) {
 	instances := []Instance{
-		{Name: "lock-table", Kind: sim.KindHashMap, Mix: workload.A, Load: 0.5, Crucial: true},
-		{Name: "hot-orders", Kind: sim.KindFPTree, Mix: workload.A, Load: 0.5, Crucial: true},
-		{Name: "write-idx-1", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "write-idx-2", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "read-idx-1", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
-		{Name: "read-idx-2", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
-		{Name: "read-idx-3", Kind: sim.KindFPTree, Mix: workload.C, Load: 1},
+		{Name: "lock-table", Kind: kinds.HashMap, Mix: workload.A, Load: 0.5, Crucial: true},
+		{Name: "hot-orders", Kind: kinds.FPTree, Mix: workload.A, Load: 0.5, Crucial: true},
+		{Name: "write-idx-1", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "write-idx-2", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "read-idx-1", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
+		{Name: "read-idx-2", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
+		{Name: "read-idx-3", Kind: kinds.FPTree, Mix: workload.C, Load: 1},
 	}
-	plan, err := Compose(instances, 192, nil)
+	plan, err := Compose(instances, 192, sim.ConfiguredThroughput)
 	if err != nil {
 		t.Fatal(err)
 	}

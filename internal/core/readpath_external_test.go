@@ -6,8 +6,8 @@ import (
 	"robustconf/internal/core"
 	"robustconf/internal/harness"
 	"robustconf/internal/index"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/obs"
-	"robustconf/internal/sim"
 	"robustconf/internal/topology"
 )
 
@@ -26,13 +26,13 @@ func TestSubmitReadBypassesIffConcurrentReadSafe(t *testing.T) {
 		ds   any
 		want bool
 	}
-	cases := []readCase{
-		{"wal-btree", harness.NewWALTree(), false},
-		{"wal-fptree", harness.NewWALFPTree(), true},
-		{"wal-bwtree", harness.NewWALBwTree(), true},
-	}
-	for _, kind := range sim.AllKinds {
-		cases = append(cases, readCase{kind.Name(), kind.New(), kind != sim.KindBTree})
+	var cases []readCase
+	for _, kind := range kinds.All {
+		want := kind != kinds.BTree
+		cases = append(cases, readCase{kind.Name(), kind.New(), want})
+		if wt, err := harness.NewWALTree(kind); err == nil {
+			cases = append(cases, readCase{"wal-" + kind.Flag(), wt, want})
+		}
 	}
 	m, err := topology.Restricted(1)
 	if err != nil {

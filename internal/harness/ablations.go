@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/sim"
 	"robustconf/internal/workload"
 )
@@ -13,7 +14,7 @@ import (
 // read-update scenario at the largest system size. Each row reports the
 // throughput with the mechanism on, off, and the resulting factor.
 func Ablations() (string, error) {
-	baseOpt, err := OptSize(sim.KindFPTree, workload.A)
+	baseOpt, err := OptSize(kinds.FPTree, workload.A)
 	if err != nil {
 		return "", err
 	}
@@ -23,7 +24,7 @@ func Ablations() (string, error) {
 		mutate   func(*sim.Params)
 	}
 	base := sim.Scenario{
-		Kind: sim.KindFPTree, Mix: workload.A,
+		Kind: kinds.FPTree, Mix: workload.A,
 		Strategy: sim.StratConfigured, Threads: 384, OptDomainSize: baseOpt,
 	}
 	rows := []ablation{

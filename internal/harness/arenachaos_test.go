@@ -9,6 +9,7 @@ import (
 
 	"robustconf/internal/core"
 	"robustconf/internal/faultinject"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
 	"robustconf/internal/obs"
 	"robustconf/internal/topology"
@@ -85,7 +86,7 @@ func TestChaosWALArenaResetVsBypassReads(t *testing.T) {
 	}
 
 	for _, seed := range seeds {
-		tree := NewWALBwTree()
+		tree := mustWALTree(t, kinds.BWTree)
 		for k := uint64(0); k < pairs; k++ {
 			tree.Set(k, 0)
 			tree.Set(k+pairs, 0)

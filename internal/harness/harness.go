@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"robustconf/internal/config"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
 	"robustconf/internal/sim"
 	"robustconf/internal/workload"
@@ -47,12 +48,12 @@ func point(s sim.Scenario) (sim.Result, float64, error) {
 }
 
 // OptimalSizes returns the calibrated Table 2 sizes, memoised.
-var optimalSizes map[sim.StructureKind]map[string]int
+var optimalSizes map[kinds.Kind]map[string]int
 
 // OptSize returns the calibrated optimal domain size for (kind, mix).
-func OptSize(kind sim.StructureKind, mix workload.Mix) (int, error) {
+func OptSize(kind kinds.Kind, mix workload.Mix) (int, error) {
 	if optimalSizes == nil {
-		t2, err := config.Table2(nil)
+		t2, err := config.Table2(sim.ConfiguredThroughput)
 		if err != nil {
 			return 0, err
 		}
@@ -66,7 +67,7 @@ func OptSize(kind sim.StructureKind, mix workload.Mix) (int, error) {
 }
 
 // scenario builds a Scenario with the calibrated size for Opt. Configured.
-func scenario(kind sim.StructureKind, mix workload.Mix, strat sim.Strategy, threads int) (sim.Scenario, error) {
+func scenario(kind kinds.Kind, mix workload.Mix, strat sim.Strategy, threads int) (sim.Scenario, error) {
 	s := sim.Scenario{Kind: kind, Mix: mix, Strategy: strat, Threads: threads}
 	if strat == sim.StratConfigured {
 		opt, err := OptSize(kind, mix)
@@ -84,7 +85,7 @@ func Figure1() (*metrics.Figure, error) {
 	fig := metrics.NewFigure("Figure 1: FP-Tree on 8 sockets, MOp/s", "workload", "MOp/s")
 	for wi, mix := range []workload.Mix{workload.A, workload.D, workload.C} {
 		for _, strat := range []sim.Strategy{sim.StratConfigured, sim.StratSNNUMA, sim.StratSNThread, sim.StratSE} {
-			sc, err := scenario(sim.KindFPTree, mix, strat, 384)
+			sc, err := scenario(kinds.FPTree, mix, strat, 384)
 			if err != nil {
 				return nil, err
 			}
@@ -100,14 +101,14 @@ func Figure1() (*metrics.Figure, error) {
 
 // Table2 reproduces the calibrated optimal domain sizes.
 func Table2() (string, error) {
-	t2, err := config.Table2(nil)
+	t2, err := config.Table2(sim.ConfiguredThroughput)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Table 2: optimal virtual-domain sizes (no. of workers)\n")
 	fmt.Fprintf(&b, "%-10s %12s %12s %12s\n", "Workload", "Read-Only", "Read-Update", "Read-Insert")
-	order := []sim.StructureKind{sim.KindBTree, sim.KindFPTree, sim.KindBWTree, sim.KindHashMap}
+	order := []kinds.Kind{kinds.BTree, kinds.FPTree, kinds.BWTree, kinds.HashMap}
 	for _, kind := range order {
 		fmt.Fprintf(&b, "%-10s %12d %12d %12d\n", kind.Name(),
 			t2[kind][workload.C.Name], t2[kind][workload.A.Name], t2[kind][workload.D.Name])
@@ -121,7 +122,7 @@ func Figure6() (map[string]*metrics.Figure, error) {
 	out := map[string]*metrics.Figure{}
 	for _, mix := range []workload.Mix{workload.A, workload.D, workload.C} {
 		fig := metrics.NewFigure(fmt.Sprintf("Figure 6 (%s): throughput at 8 sockets", mix.Name), "structure", "MOp/s")
-		for ki, kind := range []sim.StructureKind{sim.KindFPTree, sim.KindBWTree, sim.KindHashMap, sim.KindBTree} {
+		for ki, kind := range kinds.All {
 			for _, strat := range sim.AllStrategies {
 				sc, err := scenario(kind, mix, strat, 384)
 				if err != nil {
@@ -142,7 +143,7 @@ func Figure6() (map[string]*metrics.Figure, error) {
 // scalingFigure sweeps system sizes for one workload across all structures.
 func scalingFigure(title string, mix workload.Mix) (map[string]*metrics.Figure, error) {
 	out := map[string]*metrics.Figure{}
-	for _, kind := range []sim.StructureKind{sim.KindFPTree, sim.KindBWTree, sim.KindHashMap, sim.KindBTree} {
+	for _, kind := range kinds.All {
 		fig := metrics.NewFigure(fmt.Sprintf("%s — %s", title, kind.Name()), "threads", "MOp/s")
 		for _, strat := range sim.AllStrategies {
 			for _, threads := range SystemSizes {
@@ -179,7 +180,7 @@ func Figure8() (abort, l2 *metrics.Figure, err error) {
 	l2 = metrics.NewFigure("Figure 8 (right): FP-Tree L2 misses/op, read-update", "threads", "L2 misses/op")
 	for _, strat := range sim.AllStrategies {
 		for _, threads := range SystemSizes {
-			sc, e := scenario(sim.KindFPTree, workload.A, strat, threads)
+			sc, e := scenario(kinds.FPTree, workload.A, strat, threads)
 			if e != nil {
 				return nil, nil, e
 			}
@@ -200,7 +201,7 @@ func Figure9() (*metrics.Figure, error) {
 	fig := metrics.NewFigure("Figure 9: BW-Tree interconnect volume, read-update", "threads", "GB")
 	for _, strat := range sim.AllStrategies {
 		for _, threads := range SystemSizes {
-			sc, err := scenario(sim.KindBWTree, workload.A, strat, threads)
+			sc, err := scenario(kinds.BWTree, workload.A, strat, threads)
 			if err != nil {
 				return nil, err
 			}
@@ -219,7 +220,7 @@ func Figure9() (*metrics.Figure, error) {
 func Figure11() (map[string]*metrics.Figure, error) {
 	counts := []int{16, 32, 64, 128, 256, 512, 1024}
 	out := map[string]*metrics.Figure{}
-	for _, kind := range []sim.StructureKind{sim.KindFPTree, sim.KindHashMap} {
+	for _, kind := range []kinds.Kind{kinds.FPTree, kinds.HashMap} {
 		fig := metrics.NewFigure(fmt.Sprintf("Figure 11: instance sweep — %s", kind.Name()), "indexes", "MOp/s")
 		opt, err := OptSize(kind, workload.A)
 		if err != nil {
@@ -256,7 +257,7 @@ type Figure12Row struct {
 // 8 sockets under read-update.
 func Figure12() ([]Figure12Row, error) {
 	var rows []Figure12Row
-	for _, kind := range []sim.StructureKind{sim.KindFPTree, sim.KindBWTree, sim.KindHashMap, sim.KindBTree} {
+	for _, kind := range kinds.All {
 		for _, strat := range sim.AllStrategies {
 			for _, sockets := range []int{2, 8} {
 				sc, err := scenario(kind, workload.A, strat, sockets*48)
@@ -285,9 +286,9 @@ func Figure13() (left, right *metrics.Figure, err error) {
 	left = metrics.NewFigure("Figure 13 (left): TPC-C NO+P, 8 warehouses, 1% remote", "threads", "Ktxn/s")
 	right = metrics.NewFigure("Figure 13 (right): TPC-C at 384 threads", "% remote", "Ktxn/s")
 	engines := []sim.EngineKind{sim.EngineDelegated, sim.EngineDirectSNNUMA}
-	kinds := []sim.StructureKind{sim.KindFPTree, sim.KindBWTree}
+	tpccKinds := []kinds.Kind{kinds.FPTree, kinds.BWTree}
 	for _, eng := range engines {
-		for _, kind := range kinds {
+		for _, kind := range tpccKinds {
 			name := fmt.Sprintf("%s (%s)", eng.Name(), kind.Name())
 			for _, threads := range SystemSizes {
 				r, e := sim.RunTPCC(sim.TPCCScenario{Engine: eng, Kind: kind, Threads: threads, Warehouses: 8, RemoteFrac: 0.01})

@@ -4,21 +4,21 @@ import (
 	"strings"
 	"testing"
 
-	"robustconf/internal/sim"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/workload"
 )
 
 func TestOptSizeMatchesTable2(t *testing.T) {
 	cases := []struct {
-		kind sim.StructureKind
+		kind kinds.Kind
 		mix  workload.Mix
 		want int
 	}{
-		{sim.KindFPTree, workload.A, 24},
-		{sim.KindFPTree, workload.C, 48},
-		{sim.KindBWTree, workload.A, 48},
-		{sim.KindHashMap, workload.A, 1},
-		{sim.KindBTree, workload.D, 24},
+		{kinds.FPTree, workload.A, 24},
+		{kinds.FPTree, workload.C, 48},
+		{kinds.BWTree, workload.A, 48},
+		{kinds.HashMap, workload.A, 1},
+		{kinds.BTree, workload.D, 24},
 	}
 	for _, c := range cases {
 		got, err := OptSize(c.kind, c.mix)

@@ -9,7 +9,7 @@ import (
 
 	"robustconf/internal/core"
 	"robustconf/internal/index"
-	"robustconf/internal/sim"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/topology"
 	"robustconf/internal/workload"
 )
@@ -58,7 +58,7 @@ func ReadPolicyAblation() (string, error) {
 
 	// run times one cell: clients goroutines each apply their own stream
 	// of ops, drawn before the clock starts as robustconf ycsb draws it.
-	run := func(kind sim.StructureKind, mix workload.Mix, clients, path int) (time.Duration, error) {
+	run := func(kind kinds.Kind, mix workload.Mix, clients, path int) (time.Duration, error) {
 		idx := kind.New()
 		for _, k := range workload.LoadKeys(records) {
 			idx.Insert(k, k, nil)
@@ -127,7 +127,7 @@ func ReadPolicyAblation() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Read-path ablation: %d records, %d ops per client, 4-worker domain, median of %d runs\n", records, ops, policyReps)
 	fmt.Fprintf(&b, "%-10s %-6s %7s %-9s %8s %7s %10s %12s\n", "structure", "mix", "clients", "path", "ns/op", "spread", "ops/s", "vs delegate")
-	for _, kind := range []sim.StructureKind{sim.KindHashMap, sim.KindFPTree, sim.KindBWTree} {
+	for _, kind := range []kinds.Kind{kinds.HashMap, kinds.FPTree, kinds.BWTree} {
 		for _, mix := range []struct {
 			name string
 			mix  workload.Mix

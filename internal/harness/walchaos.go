@@ -10,6 +10,7 @@ package harness
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -18,23 +19,19 @@ import (
 	"robustconf/internal/core"
 	"robustconf/internal/faultinject"
 	"robustconf/internal/index"
-	"robustconf/internal/index/btree"
-	"robustconf/internal/index/bwtree"
-	"robustconf/internal/index/fptree"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
 	"robustconf/internal/obs"
 	"robustconf/internal/topology"
 	"robustconf/internal/wal"
 )
 
-// walIndex is the slice of the index contract the durable wrapper needs:
-// point ops plus an ordered scan for snapshots and hashing.
+// walIndex is what the durable wrapper needs of its inner index: point ops,
+// an ordered scan for snapshots and hashing, and a batch kernel.
 type walIndex interface {
-	Get(k uint64, st *index.OpStats) (uint64, bool)
-	Insert(k, v uint64, st *index.OpStats) bool
-	Update(k, v uint64, st *index.OpStats) bool
-	Delete(k uint64, st *index.OpStats) bool
-	Scan(lo, hi uint64, fn func(k, v uint64) bool, st *index.OpStats) int
+	index.Index
+	index.Ranger
+	index.BatchKernel
 }
 
 // WALTree wraps an ordered index with the logical record codec and the
@@ -43,41 +40,32 @@ type walIndex interface {
 // may race the swap; the atomic pointer keeps the race benign — their
 // validation already fails post-crash, the load must merely be untorn).
 type WALTree struct {
-	fresh func() walIndex
-	cur   atomic.Value // walIndex
-	crs   bool
+	kind kinds.Kind
+	cur  atomic.Value // walIndex
 }
 
-// NewWALTree builds a B-Tree-backed durable wrapper (delegation-only reads,
-// like the raw B-Tree).
-func NewWALTree() *WALTree {
-	t := &WALTree{fresh: func() walIndex { return btree.New() }}
-	t.cur.Store(t.fresh())
-	return t
-}
-
-// NewWALBwTree builds a Bw-Tree-backed durable wrapper; the Bw-Tree's reads
-// are concurrent-safe, so the wrapper arms the read-bypass path.
-func NewWALBwTree() *WALTree {
-	t := &WALTree{fresh: func() walIndex { return bwtree.New() }, crs: true}
-	t.cur.Store(t.fresh())
-	return t
-}
-
-// NewWALFPTree builds an FP-Tree-backed durable wrapper; like the Bw-Tree,
-// the FP-Tree's reads are concurrent-safe, so the wrapper arms the
-// read-bypass path.
-func NewWALFPTree() *WALTree {
-	t := &WALTree{fresh: func() walIndex { return fptree.New() }, crs: true}
-	t.cur.Store(t.fresh())
-	return t
+// NewWALTree builds the durable wrapper over an empty index of the kind. A
+// snapshot streams the contents in key order, so the kind's index must be an
+// index.Ranger (and a batch kernel, as all four are); for one that is not
+// (the Hash Map) it returns an error.
+func NewWALTree(kind kinds.Kind) (*WALTree, error) {
+	in, ok := kind.New().(walIndex)
+	if !ok {
+		return nil, fmt.Errorf("the %s cannot be made durable: its snapshot needs an ordered scan", kind.Name())
+	}
+	t := &WALTree{kind: kind}
+	t.cur.Store(in)
+	return t, nil
 }
 
 func (t *WALTree) inner() walIndex { return t.cur.Load().(walIndex) }
 
 // ConcurrentReadSafe forwards the inner index's read-safety, so core arms
 // (or refuses) the bypass path exactly as it would for the bare index.
-func (t *WALTree) ConcurrentReadSafe() bool { return t.crs }
+func (t *WALTree) ConcurrentReadSafe() bool {
+	crs, ok := t.inner().(index.ConcurrentReadSafe)
+	return ok && crs.ConcurrentReadSafe()
+}
 
 // Get/Insert/Update/Delete/Scan forward to the current inner index.
 func (t *WALTree) Get(k uint64) (uint64, bool) { return t.inner().Get(k, nil) }
@@ -150,7 +138,7 @@ const restoreChunk = 1 << 16
 // the inner index's sorted-load fast path sees a pure ascending key
 // sequence.
 func (t *WALTree) WALRestore(r io.Reader) error {
-	in := t.fresh()
+	in := t.kind.New().(walIndex)
 	buf := make([]byte, restoreChunk)
 	fill := 0
 	for {
@@ -177,28 +165,10 @@ func (t *WALTree) WALRestore(r io.Reader) error {
 }
 
 // ExecBatch implements delegation.BatchKernel by forwarding to the inner
-// index's batch kernel when it has one, so a WAL-wrapped structure keeps
-// the interleaved-execution axis (DESIGN.md §15); an inner index without a
-// kernel executes the group serially through the wrapper's point ops —
-// observationally identical, per the kernel contract.
+// index's batch kernel, so a WAL-wrapped structure keeps the
+// interleaved-execution axis (DESIGN.md §15).
 func (t *WALTree) ExecBatch(kinds []uint8, keys, vals, outVals []uint64, outOKs []bool) {
-	in := t.inner()
-	if bk, ok := in.(index.BatchKernel); ok {
-		bk.ExecBatch(kinds, keys, vals, outVals, outOKs)
-		return
-	}
-	for i := range kinds {
-		switch kinds[i] {
-		case index.BatchGet:
-			outVals[i], outOKs[i] = in.Get(keys[i], nil)
-		case index.BatchInsert:
-			outVals[i], outOKs[i] = 0, in.Insert(keys[i], vals[i], nil)
-		case index.BatchUpdate:
-			outVals[i], outOKs[i] = 0, in.Update(keys[i], vals[i], nil)
-		case index.BatchDelete:
-			outVals[i], outOKs[i] = 0, in.Delete(keys[i], nil)
-		}
-	}
+	t.inner().ExecBatch(kinds, keys, vals, outVals, outOKs)
 }
 
 // WALApply applies one committed logical record.
@@ -321,7 +291,11 @@ func runWALWorkload(dir string, rules []faultinject.Rule, seed int64, sessions, 
 	if err != nil {
 		return rep, err
 	}
-	t1, t2 := NewWALTree(), NewWALTree()
+	t1, err1 := NewWALTree(kinds.BTree)
+	t2, err2 := NewWALTree(kinds.BTree)
+	if err := errors.Join(err1, err2); err != nil {
+		return rep, err
+	}
 	cfg := core.Config{
 		Machine: m,
 		Domains: []core.DomainSpec{

@@ -9,6 +9,7 @@ import (
 
 	"robustconf/internal/core"
 	"robustconf/internal/faultinject"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
 	"robustconf/internal/topology"
 	"robustconf/internal/wal"
@@ -106,7 +107,7 @@ func TestChaosWALCrashDuringMigration(t *testing.T) {
 	}
 
 	for _, seed := range seeds {
-		tree := NewWALBwTree()
+		tree := mustWALTree(t, kinds.BWTree)
 		for k := uint64(0); k < pairs; k++ {
 			tree.Set(k, 0)
 			tree.Set(k+pairs, 0)

@@ -3,25 +3,43 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+
+	"robustconf/internal/index/kinds"
 )
 
+// mustWALTree builds the durable wrapper over a kind that has an ordered scan.
+func mustWALTree(t testing.TB, kind kinds.Kind) *WALTree {
+	t.Helper()
+	wt, err := NewWALTree(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wt
+}
+
 // TestWALTreeAdapters pins each durable adapter's inner index (the one its
-// robustconf -structure names) and its checkpoint contract: a snapshot
-// restored into a fresh adapter, followed by the records committed after
-// it, reproduces the source's contents.
+// robustconf -structure names), its read-safety (the inner index's own) and
+// its checkpoint contract: a snapshot restored into a fresh adapter,
+// followed by the records committed after it, reproduces the source's
+// contents. The Hash Map has no ordered scan to snapshot with and is
+// refused.
 func TestWALTreeAdapters(t *testing.T) {
+	if _, err := NewWALTree(kinds.HashMap); err == nil || !strings.Contains(err.Error(), "ordered scan") {
+		t.Errorf("NewWALTree(HashMap) = %v, want the missing ordered scan named", err)
+	}
 	for _, c := range []struct {
-		build func() *WALTree
+		kind  kinds.Kind
 		inner string
 		crs   bool
 	}{
-		{NewWALTree, "*btree.Tree", false},
-		{NewWALFPTree, "*fptree.Tree", true},
-		{NewWALBwTree, "*bwtree.Tree", true},
+		{kinds.BTree, "*btree.Tree", false},
+		{kinds.FPTree, "*fptree.Tree", true},
+		{kinds.BWTree, "*bwtree.Tree", true},
 	} {
 		t.Run(c.inner, func(t *testing.T) {
-			src := c.build()
+			src := mustWALTree(t, c.kind)
 			if got := fmt.Sprintf("%T", src.inner()); got != c.inner {
 				t.Fatalf("inner index is %s", got)
 			}
@@ -46,7 +64,7 @@ func TestWALTreeAdapters(t *testing.T) {
 				}
 			}
 
-			dst := c.build()
+			dst := mustWALTree(t, c.kind)
 			dst.Set(123456, 1) // state the restore must replace
 			if err := dst.WALRestore(&snap); err != nil {
 				t.Fatal(err)

@@ -19,13 +19,10 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"robustconf/internal/config"
 	"robustconf/internal/core"
 	"robustconf/internal/index"
-	"robustconf/internal/sim"
 	"robustconf/internal/topology"
 	"robustconf/internal/tpcc"
-	"robustconf/internal/workload"
 )
 
 // Warehouse is the composite data structure of one warehouse: its tables
@@ -177,15 +174,16 @@ type Engine struct {
 	cfg        tpcc.Config
 	rt         *core.Runtime
 	warehouses []*Warehouse
-	names      []string // cached structureName(w) per warehouse (hot path)
+	names      []string // cached WarehouseName(w) per warehouse (hot path)
 	logged     bool     // runtime has a WAL: mutating statements carry effect records
 }
 
 // name returns the cached structure name of a (validated) warehouse id.
 func (e *Engine) name(w int) string { return e.names[w-1] }
 
-// structureName names a warehouse's composite structure in the runtime.
-func structureName(w int) string { return fmt.Sprintf("warehouse-%d", w) }
+// WarehouseName names warehouse w's composite structure in the runtime; a
+// configuration for NewEngineWithConfig assigns it for every warehouse.
+func WarehouseName(w int) string { return fmt.Sprintf("warehouse-%d", w) }
 
 // EvenConfig builds the even-split runtime configuration NewEngine uses:
 // one virtual domain per warehouse over an even CPU partition. Callers that
@@ -210,7 +208,7 @@ func EvenConfig(cfg tpcc.Config, m *topology.Machine) (rc core.Config, err error
 			Name: fmt.Sprintf("wh-domain-%d", i),
 			CPUs: parts[i],
 		})
-		rc.Assignment[structureName(i+1)] = i
+		rc.Assignment[WarehouseName(i+1)] = i
 	}
 	return rc, nil
 }
@@ -227,39 +225,8 @@ func NewEngine(cfg tpcc.Config, newIndex func() index.Index, m *topology.Machine
 	return NewEngineWithConfig(cfg, newIndex, rc)
 }
 
-// NewEngineComposed starts the delegated engine with a configuration
-// produced by the paper's configuration procedure (Section 3.3: "configure
-// tables into virtual domains with the procedure outlined in Section 5"):
-// each warehouse is one composite instance whose tables and indexes are
-// co-located, calibrated for the structure kind under the TPC-C-like
-// read-update mix, and composed into optimally sized domains.
-func NewEngineComposed(cfg tpcc.Config, newIndex func() index.Index, kind sim.StructureKind, m *topology.Machine) (*Engine, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	instances := make([]config.Instance, cfg.Warehouses)
-	for w := 1; w <= cfg.Warehouses; w++ {
-		instances[w-1] = config.Instance{
-			Name: structureName(w),
-			Kind: kind,
-			Mix:  workload.A, // TPC-C statements are a read-update-heavy mix
-			Load: 1,
-		}
-	}
-	plan, err := config.Compose(instances, m.LogicalCPUs(), nil)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := config.Materialise(plan, m)
-	if err != nil {
-		return nil, err
-	}
-	return NewEngineWithConfig(cfg, newIndex, rc)
-}
-
 // NewEngineWithConfig starts the delegated engine under an explicit runtime
-// configuration; the configuration must assign structureName(w) for every
+// configuration; the configuration must assign WarehouseName(w) for every
 // warehouse w in 1..cfg.Warehouses.
 func NewEngineWithConfig(cfg tpcc.Config, newIndex func() index.Index, rc core.Config) (*Engine, error) {
 	cfg = cfg.WithDefaults()
@@ -271,8 +238,8 @@ func NewEngineWithConfig(cfg tpcc.Config, newIndex func() index.Index, rc core.C
 	for w := 1; w <= cfg.Warehouses; w++ {
 		wh := NewWarehouse(newIndex)
 		e.warehouses = append(e.warehouses, wh)
-		e.names = append(e.names, structureName(w))
-		structures[structureName(w)] = wh
+		e.names = append(e.names, WarehouseName(w))
+		structures[WarehouseName(w)] = wh
 	}
 	rt, err := core.Start(rc, structures)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"robustconf/internal/index"
 	"robustconf/internal/index/bwtree"
 	"robustconf/internal/index/fptree"
-	"robustconf/internal/sim"
 	"robustconf/internal/topology"
 	"robustconf/internal/tpcc"
 )
@@ -269,40 +268,5 @@ func TestFullMixOnBothEngines(t *testing.T) {
 	if dTerm.NewOrders != gTerm.NewOrders || dTerm.Deliveries != gTerm.Deliveries {
 		t.Errorf("mix diverged: direct NO=%d D=%d vs delegated NO=%d D=%d",
 			dTerm.NewOrders, dTerm.Deliveries, gTerm.NewOrders, gTerm.Deliveries)
-	}
-}
-
-func TestComposedEngine(t *testing.T) {
-	m, _ := topology.Restricted(1)
-	e, err := NewEngineComposed(smallCfg, newFPTree, sim.KindFPTree, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop()
-	// The configuration procedure calibrated FP-Tree read-update to
-	// 24-worker domains; on 48 CPUs that means two domains hosting the
-	// two warehouses.
-	if got := len(e.Runtime().Domains()); got != 2 {
-		t.Errorf("composed engine has %d domains, want 2", got)
-	}
-	for _, d := range e.Runtime().Domains() {
-		if d.Workers() != 24 {
-			t.Errorf("domain %q has %d workers, want 24 (calibrated)", d.Spec().Name, d.Workers())
-		}
-	}
-	loader, _ := tpcc.NewLoader(smallCfg, 1)
-	store, err := e.NewStore(0, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if err := loader.Load(store); err != nil {
-		t.Fatal(err)
-	}
-	term, _ := tpcc.NewTerminal(smallCfg, store, 1, 0, 3)
-	for i := 0; i < 100; i++ {
-		if err := term.NextFullMix(); err != nil {
-			t.Fatalf("txn %d: %v", i, err)
-		}
 	}
 }

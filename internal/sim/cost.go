@@ -5,6 +5,7 @@ import (
 
 	"robustconf/internal/htm"
 	"robustconf/internal/index"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/topology"
 )
 
@@ -58,9 +59,9 @@ type Params struct {
 	// OnSocketTransferNs is a cache-to-cache line transfer between cores
 	// of one socket (via the shared L3), far cheaper than DRAM.
 	OnSocketTransferNs float64
-	// StructOverhead multiplies raw record bytes into resident structure
-	// bytes (node headers, pointers, fill factor) per structure kind.
-	OverheadBTree, OverheadFPTree, OverheadBWTree, OverheadHash float64
+	// Overhead multiplies raw record bytes into resident structure bytes
+	// (node headers, pointers, fill factor), indexed by structure kind.
+	Overhead [4]float64
 
 	// --- Delegation locality ---------------------------------------------
 
@@ -149,10 +150,7 @@ func DefaultParams() Params {
 		HotDataFrac:        0.35,
 		OnSocketTransferNs: 40,
 
-		OverheadBTree:  1.9,
-		OverheadFPTree: 1.8,
-		OverheadBWTree: 2.6,
-		OverheadHash:   1.6,
+		Overhead: [...]float64{kinds.BTree: 1.9, kinds.FPTree: 1.8, kinds.BWTree: 2.6, kinds.HashMap: 1.6},
 
 		MsgBytes:            192, // 128B request slot + 64B batched response share
 		MsgTransferDiscount: 0.30,
@@ -173,22 +171,6 @@ func DefaultParams() Params {
 		MemGBs:      55,
 
 		SMTYield: 0.45,
-	}
-}
-
-// overhead returns the resident-bytes multiplier for a structure kind.
-func (p Params) overhead(kind StructureKind) float64 {
-	switch kind {
-	case KindBTree:
-		return p.OverheadBTree
-	case KindFPTree:
-		return p.OverheadFPTree
-	case KindBWTree:
-		return p.OverheadBWTree
-	case KindHashMap:
-		return p.OverheadHash
-	default:
-		return 2
 	}
 }
 
@@ -247,7 +229,7 @@ func costModel(p Params, m *topology.Machine, in modelInput) PerOpCost {
 
 	// --- Active work -----------------------------------------------------
 	c.ActiveNs = p.OpBaseNs + prof.NodesPerOp*p.NodeNs + prof.ProbesPerOp*p.ProbeNs
-	if prof.Kind == KindHashMap {
+	if prof.Kind == kinds.HashMap {
 		c.ActiveNs += p.HashExtraNs + p.AtomicNs // reader registration RMW
 	}
 	if layout.Strategy.Delegated() {

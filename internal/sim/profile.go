@@ -25,78 +25,14 @@ import (
 	"math"
 
 	"robustconf/internal/index"
-	"robustconf/internal/index/btree"
-	"robustconf/internal/index/bwtree"
-	"robustconf/internal/index/fptree"
-	"robustconf/internal/index/hashmap"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/workload"
 )
-
-// StructureKind selects one of the paper's four index structures (Table 1).
-type StructureKind int
-
-const (
-	KindBTree StructureKind = iota
-	KindFPTree
-	KindBWTree
-	KindHashMap
-)
-
-// AllKinds lists the evaluated structures in the paper's figure order.
-var AllKinds = []StructureKind{KindFPTree, KindBWTree, KindHashMap, KindBTree}
-
-// Name returns the figure label of the structure.
-func (k StructureKind) Name() string {
-	switch k {
-	case KindBTree:
-		return "B-Tree"
-	case KindFPTree:
-		return "FP-Tree"
-	case KindBWTree:
-		return "BW-Tree"
-	case KindHashMap:
-		return "Hash Map"
-	default:
-		return fmt.Sprintf("StructureKind(%d)", int(k))
-	}
-}
-
-// New instantiates the real Go implementation of the structure.
-func (k StructureKind) New() index.Index {
-	switch k {
-	case KindBTree:
-		return btree.New()
-	case KindFPTree:
-		return fptree.New()
-	case KindBWTree:
-		return bwtree.New()
-	case KindHashMap:
-		return hashmap.New()
-	default:
-		panic("sim: unknown structure kind")
-	}
-}
-
-// Scheme returns the synchronisation scheme of the structure.
-func (k StructureKind) Scheme() index.Scheme {
-	switch k {
-	case KindBTree:
-		return index.SchemeAtomicRecord
-	case KindFPTree:
-		return index.SchemeHTM
-	case KindBWTree:
-		return index.SchemeCOW
-	case KindHashMap:
-		return index.SchemeBucketRW
-	default:
-		panic("sim: unknown structure kind")
-	}
-}
 
 // Profile is the measured structural footprint of one operation of a given
 // workload mix on a given structure, averaged over a sampled execution.
 type Profile struct {
-	Kind    StructureKind
+	Kind    kinds.Kind
 	Mix     workload.Mix
 	Records uint64 // record count the footprint corresponds to
 
@@ -120,7 +56,7 @@ const MeasureRecords = 200000
 // operations of the mix against it, and returns the per-op averages. The
 // execution is real: inserts split nodes, the BW-Tree chains and
 // consolidates deltas, the FP-Tree commits software-HTM transactions.
-func Measure(kind StructureKind, mix workload.Mix, records uint64, ops int, seed int64) (Profile, error) {
+func Measure(kind kinds.Kind, mix workload.Mix, records uint64, ops int, seed int64) (Profile, error) {
 	if records == 0 || ops <= 0 {
 		return Profile{}, fmt.Errorf("sim: invalid sample size %d records / %d ops", records, ops)
 	}
@@ -166,7 +102,7 @@ func Measure(kind StructureKind, mix workload.Mix, records uint64, ops int, seed
 // traversal footprints grow with depth, i.e. logarithmically in the record
 // count; hash table footprints are scale-free at constant load factor.
 func (p Profile) AtScale(records uint64) Profile {
-	if records == 0 || records == p.Records || p.Kind == KindHashMap {
+	if records == 0 || records == p.Records || p.Kind == kinds.HashMap {
 		out := p
 		if records != 0 {
 			out.Records = records
@@ -193,7 +129,7 @@ var profileCache = map[string]Profile{}
 
 // ProfileFor returns the cached default-scale profile for (kind, mix),
 // measuring it on first use with deterministic seeding.
-func ProfileFor(kind StructureKind, mix workload.Mix) (Profile, error) {
+func ProfileFor(kind kinds.Kind, mix workload.Mix) (Profile, error) {
 	key := fmt.Sprintf("%d/%s", kind, mix.Name)
 	if p, ok := profileCache[key]; ok {
 		return p, nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/metrics"
 	"robustconf/internal/topology"
 	"robustconf/internal/workload"
@@ -19,7 +20,7 @@ var DefaultRecords = workload.PaperRecordCount(8 * topology.DefaultL3Bytes)
 // Scenario describes one simulated execution point.
 type Scenario struct {
 	Machine  *topology.Machine // nil → the full MC990X
-	Kind     StructureKind
+	Kind     kinds.Kind
 	Mix      workload.Mix
 	Strategy Strategy
 	// Threads is the system size in logical CPUs (the figures' x-axis;
@@ -60,6 +61,24 @@ type Result struct {
 	// BandwidthLimited reports whether a bandwidth ceiling (interconnect
 	// or DRAM), rather than per-op cost, set the throughput.
 	BandwidthLimited bool
+}
+
+// ConfiguredThroughput is the calibration measure of the configuration
+// process on the reference machine: the whole-machine throughput (MOp/s)
+// at all 384 threads of the mix over the structure, partitioned into
+// domains of the given size. It has the shape of config.MeasureFunc.
+func ConfiguredThroughput(kind kinds.Kind, mix workload.Mix, size int) (float64, error) {
+	r, err := Run(Scenario{
+		Kind:          kind,
+		Mix:           mix,
+		Strategy:      StratConfigured,
+		Threads:       384,
+		OptDomainSize: size,
+	})
+	if err != nil {
+		return 0, err
+	}
+	return r.ThroughputMOps, nil
 }
 
 // Run simulates one scenario.
@@ -120,7 +139,7 @@ func Run(s Scenario) (Result, error) {
 		sharers = 1
 	}
 
-	bytesPerInstance := float64(records) * 16 * p.overhead(s.Kind) / float64(instances)
+	bytesPerInstance := float64(records) * 16 * p.Overhead[s.Kind] / float64(instances)
 	cost := costModel(p, m, modelInput{
 		layout:           layout,
 		prof:             prof,

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"robustconf/internal/index"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/topology"
 	"robustconf/internal/workload"
 )
 
 // run is a test helper with the defaults of the paper's setup.
-func run(t *testing.T, kind StructureKind, mix workload.Mix, strat Strategy, threads, opt int) Result {
+func run(t *testing.T, kind kinds.Kind, mix workload.Mix, strat Strategy, threads, opt int) Result {
 	t.Helper()
 	r, err := Run(Scenario{Kind: kind, Mix: mix, Strategy: strat, Threads: threads, OptDomainSize: opt})
 	if err != nil {
@@ -18,20 +19,8 @@ func run(t *testing.T, kind StructureKind, mix workload.Mix, strat Strategy, thr
 	return r
 }
 
-func TestStructureKindMapping(t *testing.T) {
-	for _, k := range AllKinds {
-		idx := k.New()
-		if idx.Name() != k.Name() {
-			t.Errorf("kind %v name mismatch: %q vs %q", k, idx.Name(), k.Name())
-		}
-		if idx.Scheme() != k.Scheme() {
-			t.Errorf("kind %v scheme mismatch", k)
-		}
-	}
-}
-
 func TestMeasureProducesPlausibleProfile(t *testing.T) {
-	p, err := Measure(KindBTree, workload.A, 50000, 5000, 1)
+	p, err := Measure(kinds.BTree, workload.A, 50000, 5000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +33,16 @@ func TestMeasureProducesPlausibleProfile(t *testing.T) {
 	if p.LinesPerOp < p.NodesPerOp {
 		t.Errorf("LinesPerOp %v < NodesPerOp %v", p.LinesPerOp, p.NodesPerOp)
 	}
-	if _, err := Measure(KindBTree, workload.A, 0, 100, 1); err == nil {
+	if _, err := Measure(kinds.BTree, workload.A, 0, 100, 1); err == nil {
 		t.Error("zero records accepted")
 	}
-	if _, err := Measure(KindBTree, workload.A, 100, 0, 1); err == nil {
+	if _, err := Measure(kinds.BTree, workload.A, 100, 0, 1); err == nil {
 		t.Error("zero ops accepted")
 	}
 }
 
 func TestProfileAtScale(t *testing.T) {
-	p, _ := Measure(KindBTree, workload.A, 50000, 5000, 1)
+	p, _ := Measure(kinds.BTree, workload.A, 50000, 5000, 1)
 	big := p.AtScale(300_000_000)
 	if big.DepthPerOp <= p.DepthPerOp {
 		t.Error("depth should grow with scale")
@@ -62,7 +51,7 @@ func TestProfileAtScale(t *testing.T) {
 		t.Errorf("Records = %d", big.Records)
 	}
 	// Hash map footprint is scale-free.
-	h, _ := Measure(KindHashMap, workload.A, 50000, 5000, 1)
+	h, _ := Measure(kinds.HashMap, workload.A, 50000, 5000, 1)
 	hbig := h.AtScale(300_000_000)
 	if hbig.NodesPerOp != h.NodesPerOp {
 		t.Error("hash map profile should not scale with records")
@@ -132,8 +121,8 @@ func TestStrategyNamesAndDelegation(t *testing.T) {
 // TestFPTreeSECollapse asserts Figure 7's headline: shared everything with
 // the FP-Tree collapses by over 90% between 1 and 2 sockets.
 func TestFPTreeSECollapse(t *testing.T) {
-	one := run(t, KindFPTree, workload.A, StratSE, 48, 0)
-	two := run(t, KindFPTree, workload.A, StratSE, 96, 0)
+	one := run(t, kinds.FPTree, workload.A, StratSE, 48, 0)
+	two := run(t, kinds.FPTree, workload.A, StratSE, 96, 0)
 	if two.ThroughputMOps > 0.2*one.ThroughputMOps {
 		t.Errorf("SE 2-socket = %.1f, 1-socket = %.1f: expected >80%% collapse",
 			two.ThroughputMOps, one.ThroughputMOps)
@@ -143,10 +132,10 @@ func TestFPTreeSECollapse(t *testing.T) {
 // TestFPTreeOptWinsAtScale asserts the Figure 1/7 ratios at 384 threads:
 // Opt ≫ SE, Opt > SN-NUMA, Opt > SN-Thread.
 func TestFPTreeOptWinsAtScale(t *testing.T) {
-	opt := run(t, KindFPTree, workload.A, StratConfigured, 384, 24)
-	se := run(t, KindFPTree, workload.A, StratSE, 384, 0)
-	snn := run(t, KindFPTree, workload.A, StratSNNUMA, 384, 0)
-	snt := run(t, KindFPTree, workload.A, StratSNThread, 384, 0)
+	opt := run(t, kinds.FPTree, workload.A, StratConfigured, 384, 24)
+	se := run(t, kinds.FPTree, workload.A, StratSE, 384, 0)
+	snn := run(t, kinds.FPTree, workload.A, StratSNNUMA, 384, 0)
+	snt := run(t, kinds.FPTree, workload.A, StratSNThread, 384, 0)
 	if opt.ThroughputMOps < 50*se.ThroughputMOps {
 		t.Errorf("Opt/SE = %.0fx, want ≥50x (paper: 560x)", opt.ThroughputMOps/se.ThroughputMOps)
 	}
@@ -161,10 +150,10 @@ func TestFPTreeOptWinsAtScale(t *testing.T) {
 // TestFPTreeAbortRatios asserts Figure 8 (left): shared everything and
 // SN-NUMA suffer high HTM abort ratios, SN-Thread none, Opt low.
 func TestFPTreeAbortRatios(t *testing.T) {
-	se := run(t, KindFPTree, workload.A, StratSE, 384, 0)
-	snn := run(t, KindFPTree, workload.A, StratSNNUMA, 384, 0)
-	snt := run(t, KindFPTree, workload.A, StratSNThread, 384, 0)
-	opt := run(t, KindFPTree, workload.A, StratConfigured, 384, 24)
+	se := run(t, kinds.FPTree, workload.A, StratSE, 384, 0)
+	snn := run(t, kinds.FPTree, workload.A, StratSNNUMA, 384, 0)
+	snt := run(t, kinds.FPTree, workload.A, StratSNThread, 384, 0)
+	opt := run(t, kinds.FPTree, workload.A, StratConfigured, 384, 24)
 	if se.AbortRatio < 0.6 {
 		t.Errorf("SE abort ratio = %.2f, want ≥0.6", se.AbortRatio)
 	}
@@ -182,9 +171,9 @@ func TestFPTreeAbortRatios(t *testing.T) {
 // TestFPTreeL2Misses asserts Figure 8 (right): SN-Thread pays clearly more
 // L2 misses per op than the other settings (delegation/cache competition).
 func TestFPTreeL2Misses(t *testing.T) {
-	snt := run(t, KindFPTree, workload.A, StratSNThread, 384, 0)
-	opt := run(t, KindFPTree, workload.A, StratConfigured, 384, 24)
-	se := run(t, KindFPTree, workload.A, StratSE, 384, 0)
+	snt := run(t, kinds.FPTree, workload.A, StratSNThread, 384, 0)
+	opt := run(t, kinds.FPTree, workload.A, StratConfigured, 384, 24)
+	se := run(t, kinds.FPTree, workload.A, StratSE, 384, 0)
 	if snt.L2MissesPerOp < 2*opt.L2MissesPerOp {
 		t.Errorf("SN-Thread L2 = %.1f vs Opt %.1f: want ≥2x", snt.L2MissesPerOp, opt.L2MissesPerOp)
 	}
@@ -196,12 +185,12 @@ func TestFPTreeL2Misses(t *testing.T) {
 // TestBWTreeSEScalesButOptWins asserts Figure 7's BW-Tree panel: COW makes
 // shared everything scale, yet Opt is ~1.9x better at the largest size.
 func TestBWTreeSEScalesButOptWins(t *testing.T) {
-	se48 := run(t, KindBWTree, workload.A, StratSE, 48, 0)
-	se384 := run(t, KindBWTree, workload.A, StratSE, 384, 0)
+	se48 := run(t, kinds.BWTree, workload.A, StratSE, 48, 0)
+	se384 := run(t, kinds.BWTree, workload.A, StratSE, 384, 0)
 	if se384.ThroughputMOps < 1.5*se48.ThroughputMOps {
 		t.Errorf("BW-Tree SE does not scale: %.1f → %.1f", se48.ThroughputMOps, se384.ThroughputMOps)
 	}
-	opt := run(t, KindBWTree, workload.A, StratConfigured, 384, 48)
+	opt := run(t, kinds.BWTree, workload.A, StratConfigured, 384, 48)
 	if r := opt.ThroughputMOps / se384.ThroughputMOps; r < 1.4 || r > 3.5 {
 		t.Errorf("BW-Tree Opt/SE = %.2fx, want ≈1.9x", r)
 	}
@@ -211,9 +200,9 @@ func TestBWTreeSEScalesButOptWins(t *testing.T) {
 // more data over the interconnects under SE than under Opt/SN-NUMA, with
 // SN-Thread in between.
 func TestBWTreeInterconnectVolume(t *testing.T) {
-	se := run(t, KindBWTree, workload.A, StratSE, 384, 0)
-	opt := run(t, KindBWTree, workload.A, StratConfigured, 384, 48)
-	snt := run(t, KindBWTree, workload.A, StratSNThread, 384, 0)
+	se := run(t, kinds.BWTree, workload.A, StratSE, 384, 0)
+	opt := run(t, kinds.BWTree, workload.A, StratConfigured, 384, 48)
+	snt := run(t, kinds.BWTree, workload.A, StratSNThread, 384, 0)
 	if r := se.InterconnectGB / opt.InterconnectGB; r < 3 || r > 12 {
 		t.Errorf("SE/Opt interconnect = %.1fx, want ≈5x", r)
 	}
@@ -229,14 +218,14 @@ func TestBWTreeInterconnectVolume(t *testing.T) {
 // one socket, SN-NUMA insufficiently controls contention, and thread-sized
 // domains (Opt = SN-Thread) win.
 func TestHashMapShapes(t *testing.T) {
-	se48 := run(t, KindHashMap, workload.A, StratSE, 48, 0)
-	se384 := run(t, KindHashMap, workload.A, StratSE, 384, 0)
+	se48 := run(t, kinds.HashMap, workload.A, StratSE, 48, 0)
+	se384 := run(t, kinds.HashMap, workload.A, StratSE, 384, 0)
 	if se384.ThroughputMOps > 0.5*se48.ThroughputMOps {
 		t.Errorf("Hash Map SE should collapse: %.1f → %.1f", se48.ThroughputMOps, se384.ThroughputMOps)
 	}
-	opt := run(t, KindHashMap, workload.A, StratConfigured, 384, 1)
-	snt := run(t, KindHashMap, workload.A, StratSNThread, 384, 0)
-	snn := run(t, KindHashMap, workload.A, StratSNNUMA, 384, 0)
+	opt := run(t, kinds.HashMap, workload.A, StratConfigured, 384, 1)
+	snt := run(t, kinds.HashMap, workload.A, StratSNThread, 384, 0)
+	snn := run(t, kinds.HashMap, workload.A, StratSNNUMA, 384, 0)
 	if opt.ThroughputMOps != snt.ThroughputMOps {
 		t.Errorf("Opt (size 1) = %.1f ≠ SN-Thread %.1f", opt.ThroughputMOps, snt.ThroughputMOps)
 	}
@@ -248,8 +237,8 @@ func TestHashMapShapes(t *testing.T) {
 // TestBTreeOptMatchesSNNUMA asserts the B-Tree result: Opt performs as well
 // as the NUMA-partitioned strategy (within a few percent).
 func TestBTreeOptMatchesSNNUMA(t *testing.T) {
-	opt := run(t, KindBTree, workload.A, StratConfigured, 384, 24)
-	snn := run(t, KindBTree, workload.A, StratSNNUMA, 384, 0)
+	opt := run(t, kinds.BTree, workload.A, StratConfigured, 384, 24)
+	snn := run(t, kinds.BTree, workload.A, StratSNNUMA, 384, 0)
 	r := opt.ThroughputMOps / snn.ThroughputMOps
 	if r < 0.9 || r > 1.15 {
 		t.Errorf("B-Tree Opt/SN-NUMA = %.2f, want ≈1.0", r)
@@ -260,17 +249,17 @@ func TestBTreeOptMatchesSNNUMA(t *testing.T) {
 // trees (≈3x over SE for FP-Tree at 8 sockets), and the Hash Map again
 // prefers thread-sized domains (2.3x over SE).
 func TestReadOnlyShapes(t *testing.T) {
-	opt := run(t, KindFPTree, workload.C, StratConfigured, 384, 48)
-	snn := run(t, KindFPTree, workload.C, StratSNNUMA, 384, 0)
-	se := run(t, KindFPTree, workload.C, StratSE, 384, 0)
+	opt := run(t, kinds.FPTree, workload.C, StratConfigured, 384, 48)
+	snn := run(t, kinds.FPTree, workload.C, StratSNNUMA, 384, 0)
+	se := run(t, kinds.FPTree, workload.C, StratSE, 384, 0)
 	if r := opt.ThroughputMOps / se.ThroughputMOps; r < 1.5 || r > 5 {
 		t.Errorf("FP-Tree R-O Opt/SE = %.2fx, want ≈3.2x", r)
 	}
 	if opt.ThroughputMOps != snn.ThroughputMOps {
 		t.Errorf("FP-Tree R-O Opt (48) = %.1f ≠ SN-NUMA %.1f", opt.ThroughputMOps, snn.ThroughputMOps)
 	}
-	hOpt := run(t, KindHashMap, workload.C, StratConfigured, 384, 1)
-	hSE := run(t, KindHashMap, workload.C, StratSE, 384, 0)
+	hOpt := run(t, kinds.HashMap, workload.C, StratConfigured, 384, 1)
+	hSE := run(t, kinds.HashMap, workload.C, StratSE, 384, 0)
 	if r := hOpt.ThroughputMOps / hSE.ThroughputMOps; r < 1.8 {
 		t.Errorf("Hash Map R-O Opt/SE = %.2fx, want ≥2.3x-ish", r)
 	}
@@ -285,7 +274,7 @@ func TestReadOnlyShapes(t *testing.T) {
 // beyond 256 instances and SE shows only a minor positive trend.
 func TestInstanceSweepStability(t *testing.T) {
 	at := func(strat Strategy, inst int) float64 {
-		r, err := Run(Scenario{Kind: KindFPTree, Mix: workload.A, Strategy: strat,
+		r, err := Run(Scenario{Kind: kinds.FPTree, Mix: workload.A, Strategy: strat,
 			Threads: 384, OptDomainSize: 24, Instances: inst})
 		if err != nil {
 			t.Fatal(err)
@@ -319,9 +308,9 @@ func TestInstanceSweepStability(t *testing.T) {
 // cycles (delegation instructions) among delegated/SE settings but the
 // lowest total cost at the large system size for the FP-Tree.
 func TestCostBreakdownShape(t *testing.T) {
-	opt := run(t, KindFPTree, workload.A, StratConfigured, 384, 24)
-	se := run(t, KindFPTree, workload.A, StratSE, 384, 0)
-	snn := run(t, KindFPTree, workload.A, StratSNNUMA, 384, 0)
+	opt := run(t, kinds.FPTree, workload.A, StratConfigured, 384, 24)
+	se := run(t, kinds.FPTree, workload.A, StratSE, 384, 0)
+	snn := run(t, kinds.FPTree, workload.A, StratSNNUMA, 384, 0)
 	if opt.TMAM.ActiveCycles <= se.TMAM.ActiveCycles {
 		t.Error("delegation should add active cycles over SE")
 	}
@@ -332,7 +321,7 @@ func TestCostBreakdownShape(t *testing.T) {
 		t.Error("Opt total cost should be below SN-NUMA at 8 sockets")
 	}
 	// Costs grow from 2 to 8 sockets for SE (remote latencies, aborts).
-	se2 := run(t, KindFPTree, workload.A, StratSE, 96, 0)
+	se2 := run(t, kinds.FPTree, workload.A, StratSE, 96, 0)
 	if se.TMAM.Total() <= se2.TMAM.Total() {
 		t.Error("SE cost should grow with system size")
 	}
@@ -354,17 +343,17 @@ func TestSMTAccountedOnce(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Scenario{Kind: KindBTree, Mix: workload.A, Strategy: StratSE, Threads: 0}); err == nil {
+	if _, err := Run(Scenario{Kind: kinds.BTree, Mix: workload.A, Strategy: StratSE, Threads: 0}); err == nil {
 		t.Error("0 threads accepted")
 	}
-	if _, err := Run(Scenario{Kind: KindBTree, Mix: workload.A, Strategy: StratConfigured, Threads: 48}); err == nil {
+	if _, err := Run(Scenario{Kind: kinds.BTree, Mix: workload.A, Strategy: StratConfigured, Threads: 48}); err == nil {
 		t.Error("configured without OptDomainSize accepted")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	a := run(t, KindFPTree, workload.A, StratConfigured, 384, 24)
-	b := run(t, KindFPTree, workload.A, StratConfigured, 384, 24)
+	a := run(t, kinds.FPTree, workload.A, StratConfigured, 384, 24)
+	b := run(t, kinds.FPTree, workload.A, StratConfigured, 384, 24)
 	if a.ThroughputMOps != b.ThroughputMOps || a.TMAM != b.TMAM {
 		t.Error("simulation is not deterministic")
 	}
@@ -373,7 +362,7 @@ func TestDeterminism(t *testing.T) {
 func TestSchemeCoverage(t *testing.T) {
 	// Every scheme branch of the cost model must be exercised and produce
 	// positive finite costs.
-	for _, k := range AllKinds {
+	for _, k := range kinds.All {
 		r := run(t, k, workload.A, StratConfigured, 96, 24)
 		if r.Cost.TotalNs() <= 0 {
 			t.Errorf("%s: non-positive cost", k.Name())
@@ -434,11 +423,11 @@ func TestSpanSockets(t *testing.T) {
 }
 
 func TestProfileForCached(t *testing.T) {
-	a, err := ProfileFor(KindBTree, workload.C)
+	a, err := ProfileFor(kinds.BTree, workload.C)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ProfileFor(KindBTree, workload.C)
+	b, err := ProfileFor(kinds.BTree, workload.C)
 	if err != nil {
 		t.Fatal(err)
 	}

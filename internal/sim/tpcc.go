@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/topology"
 	"robustconf/internal/workload"
 )
@@ -81,7 +82,7 @@ type TPCCScenario struct {
 	Engine  EngineKind
 	// Kind is the index structure backing tables and indexes (the paper
 	// evaluates FP-Tree and BW-Tree).
-	Kind StructureKind
+	Kind kinds.Kind
 	// Threads is the system size (48 … 384).
 	Threads int
 	// Warehouses is the TPC-C scale (8 in the paper — one per NUMA region).
@@ -115,7 +116,7 @@ func RunTPCC(s TPCCScenario) (TPCCResult, error) {
 	if s.RemoteFrac < 0 || s.RemoteFrac > 1 {
 		return TPCCResult{}, fmt.Errorf("sim: remote fraction %v out of [0,1]", s.RemoteFrac)
 	}
-	if s.Kind != KindFPTree && s.Kind != KindBWTree {
+	if s.Kind != kinds.FPTree && s.Kind != kinds.BWTree {
 		return TPCCResult{}, fmt.Errorf("sim: TPC-C evaluates FP-Tree and BW-Tree, got %s", s.Kind.Name())
 	}
 	p := DefaultParams()
@@ -154,7 +155,7 @@ func RunTPCC(s TPCCScenario) (TPCCResult, error) {
 // lands in, which the runtime's messaging already averages over.
 func runDelegatedTPCC(p Params, tp TPCCParams, m *topology.Machine, prof Profile, s TPCCScenario) (TPCCResult, error) {
 	optSize := 24
-	if s.Kind == KindBWTree {
+	if s.Kind == kinds.BWTree {
 		optSize = 48
 	}
 	layout, err := NewLayout(StratConfigured, s.Threads, optSize)
@@ -231,7 +232,7 @@ func runDirectTPCC(p Params, tp TPCCParams, m *topology.Machine, prof Profile, s
 
 	wf := tp.StmtMix.WriteFraction()
 	abortRatio := 0.0
-	if prof.Kind == KindFPTree && sharers > 1 {
+	if prof.Kind == kinds.FPTree && sharers > 1 {
 		span := layout.DataSpanLevel
 		ar, fb, attempts := p.HTM.MixedStats(int(sharers+0.5), wf, s.RemoteFrac, span, tp.RemoteWindowFactor)
 		abortRatio = ar
@@ -240,7 +241,7 @@ func runDirectTPCC(p Params, tp TPCCParams, m *topology.Machine, prof Profile, s
 			execNs += fb * (sharers - 1) * (local.TotalNs() + 2*m.LatencyOfLevel(span))
 		}
 	}
-	if prof.Kind == KindBWTree && sharers > 1 {
+	if prof.Kind == kinds.BWTree && sharers > 1 {
 		// CAS retries grow with sharers and with remote slow-path writers.
 		pc := p.CASConflict * (sharers - 1) * wf * (1 + 3*s.RemoteFrac)
 		if pc > 0.85 {
@@ -264,7 +265,7 @@ func runDirectTPCC(p Params, tp TPCCParams, m *topology.Machine, prof Profile, s
 }
 
 // tpccRecordsBytes estimates the resident bytes of the TPC-C database.
-func tpccRecordsBytes(p Params, kind StructureKind) int64 {
+func tpccRecordsBytes(p Params, kind kinds.Kind) int64 {
 	const tpccRecords = 40_000_000
-	return int64(float64(tpccRecords) * 64 * p.overhead(kind) / 2)
+	return int64(float64(tpccRecords) * 64 * p.Overhead[kind] / 2)
 }

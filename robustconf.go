@@ -34,9 +34,16 @@
 // for the error-separating forms, and Session.Invoke for synchronous calls
 // with the error unwrapped.
 //
+// Compose and Materialise run the paper's configuration process: plan
+// instances name their structure by kinds.Kind (internal/index/kinds, the
+// one table of the four structures), and Compose calibrates them on the
+// simulated reference machine. The examples in example_test.go walk
+// through starting, composing and migrating.
+//
 // The subpackages under internal implement the substrates: the evaluated
 // index structures, the software-HTM emulation, the machine simulator used
-// by the benchmark harness, and the ILP-based configuration process.
+// by the paper's figures and by Compose's calibration, and the ILP-based
+// configuration process, which itself does not depend on the simulator.
 package robustconf
 
 import (
@@ -45,6 +52,7 @@ import (
 	"robustconf/internal/delegation"
 	"robustconf/internal/obs"
 	"robustconf/internal/obs/signal"
+	"robustconf/internal/sim"
 	"robustconf/internal/topology"
 	"robustconf/internal/wal"
 )
@@ -256,10 +264,10 @@ type (
 )
 
 // Compose runs the paper's composition process (Section 5.2) over the
-// instances for a machine with the given worker count. The default measure
-// calibrates on the simulated reference machine.
+// instances for a machine with the given worker count, calibrating each
+// instance's domain size on the simulated reference machine.
 func Compose(instances []PlanInstance, workers int) (*Plan, error) {
-	return config.Compose(instances, workers, nil)
+	return config.Compose(instances, workers, sim.ConfiguredThroughput)
 }
 
 // Materialise turns a composed plan into a runnable Config on the machine.

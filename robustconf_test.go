@@ -7,7 +7,7 @@ import (
 	"robustconf"
 	"robustconf/internal/index/btree"
 	"robustconf/internal/index/hashmap"
-	"robustconf/internal/sim"
+	"robustconf/internal/index/kinds"
 	"robustconf/internal/workload"
 )
 
@@ -75,8 +75,8 @@ func TestCPUHelpers(t *testing.T) {
 
 func TestComposeAndMaterialise(t *testing.T) {
 	instances := []robustconf.PlanInstance{
-		{Name: "idx-a", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
-		{Name: "idx-b", Kind: sim.KindFPTree, Mix: workload.A, Load: 1},
+		{Name: "idx-a", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
+		{Name: "idx-b", Kind: kinds.FPTree, Mix: workload.A, Load: 1},
 	}
 	plan, err := robustconf.Compose(instances, 48)
 	if err != nil {
